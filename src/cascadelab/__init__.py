@@ -28,6 +28,7 @@ from .percolation import (
     percolate,
     run_cascade,
     sample_seeds,
+    worlds,
 )
 from .bounds import (
     GiantFractionSolution,
@@ -49,6 +50,7 @@ from .privacy import (
     laplace_perturb,
     push_through_mechanism,
     randomized_response_estimate,
+    release,
     tvd,
     wasserstein_infinity,
     wasserstein_mechanism_scale,

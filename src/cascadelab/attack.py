@@ -13,22 +13,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    _rank_weight_partial_sum,
     chung_lu_giant_condition,
+    chung_lu_miss_bound,
+    er_miss_bound,
     solve_giant_fraction,
 )
 from .graph import Graph, NodeWeights
 from .percolation import (
     MembershipEstimate,
-    connected_components,
-    estimate_giant_membership,
     conditional_giant_distributions,
-    percolate,
-    run_cascade,
-    _uniform_seeds,
+    estimate_giant_membership,
+    worlds,
 )
-from .privacy import MechanismSpec, randomized_response_estimate
-from .seeding import child_seed, rng_from_seed
+from .privacy import MechanismSpec, release
+from .seeding import child_seed
 
 __all__ = [
     "AttackConfig",
@@ -52,7 +50,6 @@ class AttackConfig:
 
     max_mechanism_error: float
     decision_threshold: float
-    confidence_slack: float
     membership: MembershipEstimate
 
 
@@ -145,22 +142,6 @@ def _mechanism_error_quantile(spec: MechanismSpec, n: int) -> float:
     return 3.29 * sd
 
 
-def _release(
-    spec: MechanismSpec, count: int, bits: np.ndarray, rng: np.random.Generator
-) -> float:
-    if spec.kind in ("laplace", "wasserstein"):
-        out = count + float(rng.laplace(0.0, spec.scale))
-    else:
-        f = float(spec.flip_prob)
-        flip = rng.random(bits.size) < f
-        coin = rng.random(bits.size) < 0.5
-        reported = np.where(flip, coin, bits)
-        out = (int(reported.sum()) - bits.size * f / 2.0) / (1.0 - f)
-    if spec.clamp:
-        out = min(max(out, 0.0), float(bits.size))
-    return out
-
-
 def evaluate_attack(
     g: Graph,
     q: float,
@@ -169,8 +150,6 @@ def evaluate_attack(
     floors,
     trials: int,
     rng_seed: int,
-    workers: int = 1,
-    confidence_slack: float = 0.0,
     decision_threshold: float | None = None,
 ) -> AttackEvaluation:
     """Measure the attack end to end against a release mechanism.
@@ -195,12 +174,10 @@ def evaluate_attack(
         raise ValueError("floors must name at least one confidence floor")
     cal_seed = child_seed(rng_seed, 1)
     eval_seed = child_seed(rng_seed, 2)
-    membership = estimate_giant_membership(
-        g, q, trials, child_seed(cal_seed, 0), workers=workers
-    )
+    membership = estimate_giant_membership(g, q, trials, child_seed(cal_seed, 0))
     if decision_threshold is None:
         split = conditional_giant_distributions(
-            g, q, s, trials, child_seed(cal_seed, 1), workers=workers
+            g, q, s, trials, child_seed(cal_seed, 1)
         )
         threshold = split.midpoint
         inactive_max, active_min = split.inactive_max, split.active_min
@@ -214,28 +191,18 @@ def evaluate_attack(
     config = AttackConfig(
         max_mechanism_error=_mechanism_error_quantile(spec, g.node_count),
         decision_threshold=threshold,
-        confidence_slack=confidence_slack,
         membership=membership,
     )
 
     n = g.node_count
     status_hits = 0
     correct = np.zeros(n, dtype=np.int64)
-    for t in range(trials):
-        trial_seed = child_seed(eval_seed, t)
-        h = percolate(g, q, child_seed(trial_seed, 0))
-        lab = connected_components(h)
-        rng = rng_from_seed(child_seed(trial_seed, 1))
-        seeds = _uniform_seeds(rng, n, s)
-        out = run_cascade(h, seeds, labeling=lab)
+    for trial_seed, lab, out in worlds(g, q, eval_seed, trials, s):
         truth_active = out.giant_active and not lab.tie_at_top
-        mech_rng = rng_from_seed(child_seed(trial_seed, 2))
-        reported = _release(spec, out.count, out.activated, mech_rng)
-        status = classify_giant_status(reported, config.decision_threshold)
-        judged_active = status == "active"
+        reported = release(spec, out.activated, child_seed(trial_seed, 2))
+        judged_active = classify_giant_status(reported, threshold) == "active"
         status_hits += int(judged_active == truth_active)
-        predicted_bit = judged_active
-        correct += out.activated == predicted_bit
+        correct += out.activated == judged_active
 
     per_node_accuracy = correct / trials
     stats = []
@@ -274,10 +241,7 @@ def vulnerable_set_er(g: Graph, p: float, q: float, eps: float) -> np.ndarray:
     if c <= 1.0:
         raise ValueError("n * p * q must exceed 1 for a giant component")
     y = solve_giant_fraction(c).y
-    deg = g.degrees
-    bound = np.minimum(
-        1.0, np.exp(-deg * q / 8.0) + np.exp(-deg * q * y / 2.0)
-    )
+    bound = er_miss_bound(g.degrees, q, y)
     return np.nonzero(bound <= eps)[0].astype(np.int64)
 
 
@@ -293,11 +257,6 @@ def vulnerable_set_cl(
     b, d = weights.scale, weights.min_degree
     if not chung_lu_giant_condition(b, d, q):
         raise ValueError("no giant component for these (b, d, q)")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
     n = weights.node_count
-    beta = 1.0 / b
-    total = _rank_weight_partial_sum(n, beta)
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    bound = np.minimum(1.0, np.exp(-d * q * alpha * n / (ranks**beta * total)))
+    bound = chung_lu_miss_bound(np.arange(1, n + 1), n, d, q, b, alpha)
     return np.nonzero(bound <= eps)[0].astype(np.int64)

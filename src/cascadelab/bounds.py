@@ -102,20 +102,28 @@ def membership_miss_approx(k: float, y: float) -> float:
     return math.exp(-k * y)
 
 
-def er_miss_bound(d: float, q: float, y: float) -> float:
+def _scalar_or_array(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
+
+
+def er_miss_bound(d, q: float, y: float):
     """Upper bound on the chance a degree-d substrate node misses the giant.
 
     Combines a Chernoff bound on the retained degree falling below d*q/2
     with the membership decay at that degree:
-    min(1, exp(-d*q/8) + exp(-d*q*y/2)).
+    min(1, exp(-d*q/8) + exp(-d*q*y/2)). `d` may be an array of degrees;
+    a scalar `d` gives a float.
     """
-    if d < 0:
+    d = np.asarray(d, dtype=np.float64)
+    if np.any(d < 0):
         raise ValueError("d must be >= 0")
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1]")
     if not 0.0 <= y <= 1.0:
         raise ValueError("y must lie in [0, 1]")
-    return min(1.0, math.exp(-d * q / 8.0) + math.exp(-d * q * y / 2.0))
+    return _scalar_or_array(
+        np.minimum(1.0, np.exp(-d * q / 8.0) + np.exp(-d * q * y / 2.0))
+    )
 
 
 def _rank_weight_partial_sum(n: int, beta: float) -> float:
@@ -123,17 +131,17 @@ def _rank_weight_partial_sum(n: int, beta: float) -> float:
     return float(np.sum(np.arange(1, n + 1, dtype=np.float64) ** (-beta)))
 
 
-def chung_lu_miss_bound(
-    i: int, n: int, d: float, q: float, b: float, alpha: float
-) -> float:
+def chung_lu_miss_bound(i, n: int, d: float, q: float, b: float, alpha: float):
     """Upper bound on the chance rank-i misses the giant in a percolated
     power-law graph.
 
     With beta = 1/b and S = sum_{j=1..n} j**(-beta) computed exactly, the
     bound is min(1, exp(-d * q * alpha * n / (i**beta * S))), where alpha is
-    the giant fraction of the retained graph (measured or assumed).
+    the giant fraction of the retained graph (measured or assumed). `i` may
+    be an array of ranks; a scalar `i` gives a float.
     """
-    if not 1 <= i <= n:
+    i = np.asarray(i, dtype=np.float64)
+    if np.any((i < 1) | (i > n)):
         raise ValueError("rank i must lie in 1..n")
     if d <= 0:
         raise ValueError("d must be > 0")
@@ -145,7 +153,9 @@ def chung_lu_miss_bound(
         raise ValueError("alpha must lie in (0, 1]")
     beta = 1.0 / b
     s = _rank_weight_partial_sum(n, beta)
-    return min(1.0, math.exp(-d * q * alpha * n / (i**beta * s)))
+    return _scalar_or_array(
+        np.minimum(1.0, np.exp(-d * q * alpha * n / (i**beta * s)))
+    )
 
 
 def chung_lu_rank_envelope(b: float) -> RankEnvelope:

@@ -4,7 +4,8 @@ Subcommands: gen, components, sweep, membership, audit, attack. Every run
 takes an optional JSON config plus flag overrides, and writes CSV files
 whose first line is a comment carrying the 64-bit FNV-1a hash of the
 effective config and the tool version. Identical (config, seed) runs write
-byte-identical files at any thread count.
+byte-identical files. Trials run serially; `--threads` is accepted for
+older configs and scripts but changes nothing.
 
 Exit codes: 0 success, 2 configuration error, 3 degenerate conditioning.
 """
@@ -32,9 +33,8 @@ from .graph import (
 from .percolation import (
     DegenerateConditioningError,
     conditional_giant_distributions,
-    connected_components,
     estimate_giant_membership,
-    percolate,
+    worlds,
 )
 from .privacy import (
     MechanismSpec,
@@ -82,7 +82,8 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-# keys that affect where or how fast a run executes, not what it computes
+# keys that do not affect what a run computes ("threads" is accepted and
+# ignored: trials run serially)
 _NON_EXPERIMENT_KEYS = ("threads", "out_dir")
 
 
@@ -220,6 +221,28 @@ def _the_graph(cfg: dict) -> Graph:
     return build_graph(sources[0], int(cfg["seed"]))[1]
 
 
+def _count(cfg: dict, key: str, hi: int | None = None) -> int:
+    """Integer config value `key`, required to be >= 1 (and <= hi if given)."""
+    try:
+        value = int(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be an integer") from exc
+    if value < 1 or (hi is not None and value > hi):
+        raise ConfigError(f"{key} must lie in 1..{'' if hi is None else hi}")
+    return value
+
+
+def _protected(cfg: dict, n: int) -> list[int]:
+    """Protected node ids, each required to lie in 0..n-1."""
+    try:
+        nodes = [int(v) for v in cfg["protected"]]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("protected must be a list of node ids") from exc
+    if not nodes or not all(0 <= v < n for v in nodes):
+        raise ConfigError(f"protected must name node ids in 0..{n - 1}")
+    return nodes
+
+
 def _mechanism(cfg: dict) -> MechanismSpec:
     raw = cfg.get("mechanism")
     if raw is None:
@@ -232,18 +255,19 @@ def _mechanism(cfg: dict) -> MechanismSpec:
         raise ConfigError(f"bad mechanism: {exc}") from exc
 
 
-def _component_stats(g: Graph, q: float, trials: int, seed: int, workers: int):
-    """Mean and std of the two largest retained component sizes."""
-    from .percolation import _map_trials
-
-    def one(t: int):
-        lab = connected_components(percolate(g, q, child_seed(child_seed(seed, t), 0)))
-        return lab.giant_size, lab.second_size
-
-    pairs = _map_trials(one, trials, workers)
-    c1 = np.array([a for a, _ in pairs], dtype=np.float64)
-    c2 = np.array([b for _, b in pairs], dtype=np.float64)
-    return c1, c2
+def _component_stats(g: Graph, q: float, trials: int, seed: int):
+    """Means and stds of the two largest retained component sizes."""
+    pairs = [
+        (lab.giant_size, lab.second_size) for _, lab, _ in worlds(g, q, seed, trials)
+    ]
+    # contiguous rows: a strided column could be summed in another order
+    giant, second = np.array(pairs, dtype=np.float64).T.copy()
+    return (
+        float(giant.mean()),
+        float(second.mean()),
+        float(giant.std()),
+        float(second.std()),
+    )
 
 
 def cmd_gen(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
@@ -256,28 +280,15 @@ def cmd_gen(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
 
 def cmd_components(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     q = _single_q(cfg)
-    trials = int(cfg["trials"])
-    workers = int(cfg["threads"])
+    trials = _count(cfg, "trials")
     master = int(cfg["seed"])
     rows = []
     for idx, source in enumerate(_graph_sources(cfg)):
         name, g = build_graph(source, master)
-        c1, c2 = _component_stats(
-            g, q, trials, child_seed(child_seed(master, _STREAM_TRIALS), idx), workers
+        stats = _component_stats(
+            g, q, trials, child_seed(child_seed(master, _STREAM_TRIALS), idx)
         )
-        rows.append(
-            (
-                name,
-                g.node_count,
-                g.edge_count,
-                q,
-                trials,
-                float(c1.mean()),
-                float(c2.mean()),
-                float(c1.std()),
-                float(c2.std()),
-            )
-        )
+        rows.append((name, g.node_count, g.edge_count, q, trials, *stats))
     write_csv(
         out_dir / "components.csv",
         [
@@ -299,17 +310,14 @@ def cmd_components(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
 
 def cmd_sweep(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     g = _the_graph(cfg)
-    trials = int(cfg["sweep_trials"])
-    workers = int(cfg["threads"])
+    trials = _count(cfg, "sweep_trials")
     master = child_seed(int(cfg["seed"]), _STREAM_SWEEP)
     rows = []
     for qi, q in enumerate(_q_values(cfg)):
         if not 0.0 < q <= 1.0:
             raise ConfigError("q grid values must lie in (0, 1]")
-        c1, c2 = _component_stats(g, q, trials, child_seed(master, qi), workers)
-        rows.append(
-            (q, float(c1.mean()) / g.node_count, float(c2.mean()) / g.node_count)
-        )
+        giant, second = _component_stats(g, q, trials, child_seed(master, qi))[:2]
+        rows.append((q, giant / g.node_count, second / g.node_count))
     write_csv(
         out_dir / "sweep.csv",
         ["q", "mean_giant_frac", "mean_second_frac"],
@@ -322,13 +330,9 @@ def cmd_sweep(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
 def cmd_membership(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     g = _the_graph(cfg)
     q = _single_q(cfg)
-    trials = int(cfg["trials"])
+    trials = _count(cfg, "trials")
     est = estimate_giant_membership(
-        g,
-        q,
-        trials,
-        child_seed(int(cfg["seed"]), _STREAM_TRIALS),
-        workers=int(cfg["threads"]),
+        g, q, trials, child_seed(int(cfg["seed"]), _STREAM_TRIALS)
     )
     rows = []
     for threshold in cfg["thresholds"]:
@@ -347,24 +351,28 @@ def cmd_membership(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
 def cmd_audit(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     g = _the_graph(cfg)
     q = _single_q(cfg)
-    s = int(cfg["s"])
-    trials = int(cfg["trials"])
-    workers = int(cfg["threads"])
+    s = _count(cfg, "s", hi=g.node_count)
+    trials = _count(cfg, "trials")
     epsilon = float(cfg["epsilon"])
     if epsilon <= 0:
         raise ConfigError("epsilon must be > 0")
-    master = child_seed(int(cfg["seed"]), _STREAM_AUDIT)
-    protected = cfg["protected"]
-    report = wasserstein_mechanism_scale(
-        g, q, s, protected, trials, child_seed(master, 0), workers=workers
-    )
+    protected = _protected(cfg, g.node_count)
     comparison = _mechanism(cfg)
+    if comparison.kind == "randomized_response":
+        raise ConfigError(
+            "audit pushes counts through Laplace noise; the comparison "
+            "mechanism must be of kind laplace or wasserstein"
+        )
+    master = child_seed(int(cfg["seed"]), _STREAM_AUDIT)
+    report = wasserstein_mechanism_scale(
+        g, q, s, protected, trials, child_seed(master, 0)
+    )
     # the theta gap and the comparison test are diagnostics; a world whose
     # giant is always (or never) seeded still has a well-defined W, so a
     # one-sided split downgrades them to nan instead of aborting the audit
     try:
         split = conditional_giant_distributions(
-            g, q, s, trials, child_seed(master, 1), workers=workers
+            g, q, s, trials, child_seed(master, 1)
         )
     except DegenerateConditioningError as exc:
         logger.warning("theta split unavailable: %s", exc)
@@ -375,8 +383,10 @@ def cmd_audit(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
             ("comparison_test_error", float("nan")),
         ]
     else:
-        z0 = push_through_mechanism(split.inactive, comparison)
-        z1 = push_through_mechanism(split.active, comparison)
+        # clamp_range takes effect only when the comparison sets clamp
+        n_range = (0.0, float(g.node_count))
+        z0 = push_through_mechanism(split.inactive, comparison, clamp_range=n_range)
+        z1 = push_through_mechanism(split.active, comparison, clamp_range=n_range)
         test = hypothesis_test_error(z0, z1, threshold=split.midpoint)
         theta = (
             split.inactive_max,
@@ -412,16 +422,19 @@ def cmd_attack(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     g = _the_graph(cfg)
     q = _single_q(cfg)
     fixed = cfg.get("decision_threshold")
+    if fixed is not None:
+        fixed = float(fixed)
+        if not 0.0 < fixed < g.node_count:
+            raise ConfigError("decision_threshold must lie in (0, n)")
     evaluation = evaluate_attack(
         g,
         q,
-        int(cfg["s"]),
+        _count(cfg, "s", hi=g.node_count),
         _mechanism(cfg),
         [float(f) for f in cfg["floors"]],
-        int(cfg["trials"]),
+        _count(cfg, "trials"),
         child_seed(int(cfg["seed"]), _STREAM_ATTACK),
-        workers=int(cfg["threads"]),
-        decision_threshold=None if fixed is None else float(fixed),
+        decision_threshold=fixed,
     )
     rows = [
         (fs.floor, fs.predicted_nodes, fs.coverage, fs.precision)
@@ -473,7 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--q", help="transmission probability: X, or X,Y,Z, or start:stop:count"
         )
-        p.add_argument("--threads", type=int, help="worker thread count")
+        p.add_argument(
+            "--threads", type=int, help="accepted and ignored; trials run serially"
+        )
     return parser
 
 

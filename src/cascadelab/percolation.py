@@ -2,17 +2,16 @@
 
 A contagion with per-edge transmission probability q is simulated by
 retaining each edge independently with probability q and activating exactly
-the retained-edge components that contain a seed. All Monte Carlo loops
-derive one child seed per trial, so estimates are reproducible for any
-worker count.
+the retained-edge components that contain a seed. Every Monte Carlo
+estimator is a reduction over `worlds`, which derives each trial's streams
+from (seed, trial index) alone, so estimates are reproducible.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy import sparse
@@ -35,12 +34,11 @@ __all__ = [
     "connected_components",
     "run_cascade",
     "sample_seeds",
+    "worlds",
     "estimate_giant_membership",
     "conditional_count_distributions",
     "conditional_giant_distributions",
 ]
-
-SeedPolicy = Callable[[np.random.Generator, int, int], np.ndarray]
 
 
 class DegenerateConditioningError(RuntimeError):
@@ -144,7 +142,7 @@ def connected_components(h: TriggeringSet) -> ComponentLabeling:
     """Label the connected components of the retained subgraph.
 
     Ranks are deterministic: descending size, then ascending lowest member
-    id, so repeated runs and different thread counts agree bit for bit.
+    id, so repeated runs agree bit for bit.
     """
     n = h.base.node_count
     edges = h.retained_edges
@@ -158,9 +156,9 @@ def connected_components(h: TriggeringSet) -> ComponentLabeling:
         )
         ncomp, raw = csgraph.connected_components(mat, directed=False)
     sizes = np.bincount(raw, minlength=ncomp)
-    # raw labels are 0..ncomp-1; first occurrence index == lowest member id
-    first_member = np.unique(raw, return_index=True)[1]
-    order = np.lexsort((first_member, -sizes))
+    # scipy numbers undirected components in order of their lowest member,
+    # so a stable sort by size breaks ties toward the lowest member id
+    order = np.argsort(-sizes, kind="stable")
     rank = np.empty(ncomp, dtype=np.int64)
     rank[order] = np.arange(ncomp, dtype=np.int64)
     return ComponentLabeling(labels=rank[raw], sizes=sizes[order])
@@ -206,22 +204,50 @@ def run_cascade(
     )
 
 
-def _uniform_seeds(rng: np.random.Generator, n: int, s: int) -> np.ndarray:
-    return np.sort(rng.choice(n, size=s, replace=False))
-
-
 def sample_seeds(n: int, s: int, rng_seed: int) -> np.ndarray:
     """Draw s distinct seed nodes uniformly from 0..n-1, sorted ascending."""
     if not 0 < s <= n:
         raise ValueError("s must satisfy 0 < s <= n")
-    return _uniform_seeds(rng_from_seed(rng_seed), n, s)
+    return np.sort(rng_from_seed(rng_seed).choice(n, size=s, replace=False))
 
 
-def _map_trials(trial_fn, trials: int, workers: int):
-    if workers <= 1:
-        return [trial_fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(trial_fn, range(trials)))
+def worlds(
+    g: Graph, q: float, rng_seed: int, trials: int, s: int | None = None
+) -> Iterator[tuple[int, ComponentLabeling, CascadeOutcome | None]]:
+    """Draw `trials` independent worlds; yield (trial_seed, labeling, outcome).
+
+    Trial t reads only the streams under trial_seed = child_seed(rng_seed, t):
+    sub-stream 0 percolates, sub-stream 1 draws s uniform seeds, and
+    sub-stream 2 is left to the caller for the release. Without `s` no seeds
+    are drawn and the outcome is None. Every estimator below is a reduction
+    over this stream, so each is reproducible from (rng_seed, trials) alone.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    for t in range(trials):
+        trial_seed = child_seed(rng_seed, t)
+        h = percolate(g, q, child_seed(trial_seed, 0))
+        lab = connected_components(h)
+        out = None
+        if s is not None:
+            seeds = sample_seeds(g.node_count, s, child_seed(trial_seed, 1))
+            out = run_cascade(h, seeds, labeling=lab)
+        yield trial_seed, lab, out
+
+
+def _both_branches(
+    inactive: list[int], active: list[int], names: tuple[str, str], trials: int
+) -> tuple[EmpiricalDistribution, EmpiricalDistribution]:
+    for samples, name in zip((inactive, active), names):
+        if not samples:
+            raise DegenerateConditioningError(
+                f"{name} received 0 of {trials} trials; "
+                "the conditional distribution is undefined"
+            )
+    return (
+        EmpiricalDistribution.from_samples(inactive),
+        EmpiricalDistribution.from_samples(active),
+    )
 
 
 def estimate_giant_membership(
@@ -229,50 +255,22 @@ def estimate_giant_membership(
     q: float,
     trials: int,
     rng_seed: int,
-    workers: int = 1,
 ) -> MembershipEstimate:
     """Estimate each node's probability of landing in the giant component.
 
     Runs `trials` independent percolation rounds and counts, per node, the
     rounds whose largest retained component contained it. `frequency * trials`
-    is integral by construction, and the result is identical for any
-    `workers` value. `ties_broken` counts the rounds whose two largest
-    components had equal size and were ordered by the lowest-id rule.
+    is integral by construction. `ties_broken` counts the rounds whose two
+    largest components had equal size and were ordered by the lowest-id rule.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-    def one(trial: int):
-        h = percolate(g, q, child_seed(child_seed(rng_seed, trial), 0))
-        lab = connected_components(h)
-        return lab.labels == 0, lab.tie_at_top
-
     counts = np.zeros(g.node_count, dtype=np.int64)
     ties = 0
-    for in_giant, tie in _map_trials(one, trials, workers):
-        counts += in_giant
-        ties += int(tie)
+    for _, lab, _ in worlds(g, q, rng_seed, trials):
+        counts += lab.labels == 0
+        ties += int(lab.tie_at_top)
     return MembershipEstimate(
         trials=trials, frequency=counts / trials, ties_broken=ties
     )
-
-
-def _joint_trial(
-    g: Graph,
-    q: float,
-    s: int,
-    rng_seed: int,
-    trial: int,
-    seed_policy: SeedPolicy,
-):
-    """One (triggering set, seed set) draw; sub-streams keyed by purpose."""
-    trial_seed = child_seed(rng_seed, trial)
-    h = percolate(g, q, child_seed(trial_seed, 0))
-    lab = connected_components(h)
-    rng = rng_from_seed(child_seed(trial_seed, 1))
-    seeds = seed_policy(rng, g.node_count, s)
-    out = run_cascade(h, seeds, labeling=lab)
-    return lab, out
 
 
 def conditional_count_distributions(
@@ -282,8 +280,6 @@ def conditional_count_distributions(
     v: int,
     trials: int,
     rng_seed: int,
-    workers: int = 1,
-    seed_policy: SeedPolicy = _uniform_seeds,
 ) -> tuple[EmpiricalDistribution, EmpiricalDistribution]:
     """Split the activation count by whether node v itself activated.
 
@@ -295,34 +291,17 @@ def conditional_count_distributions(
         DegenerateConditioningError: one branch received zero samples, e.g.
             a connected graph at q=1 never leaves v inactive.
     """
-    if not 0 < s <= g.node_count:
-        raise ValueError("s must satisfy 0 < s <= node_count")
     if not 0 <= v < g.node_count:
         raise ValueError("v outside 0..node_count-1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-    def one(trial: int):
-        _, out = _joint_trial(g, q, s, rng_seed, trial, seed_policy)
-        return bool(out.activated[v]), out.count
-
     inactive: list[int] = []
     active: list[int] = []
-    for hit, count in _map_trials(one, trials, workers):
-        (active if hit else inactive).append(count)
-    if not inactive:
-        raise DegenerateConditioningError(
-            f"branch x_v=0 for node {v} received 0 of {trials} trials; "
-            "the conditional distribution is undefined"
-        )
-    if not active:
-        raise DegenerateConditioningError(
-            f"branch x_v=1 for node {v} received 0 of {trials} trials; "
-            "the conditional distribution is undefined"
-        )
-    return (
-        EmpiricalDistribution.from_samples(inactive),
-        EmpiricalDistribution.from_samples(active),
+    for _, _, out in worlds(g, q, rng_seed, trials, s):
+        (active if out.activated[v] else inactive).append(out.count)
+    return _both_branches(
+        inactive,
+        active,
+        (f"branch x_v=0 for node {v}", f"branch x_v=1 for node {v}"),
+        trials,
     )
 
 
@@ -332,8 +311,6 @@ def conditional_giant_distributions(
     s: int,
     trials: int,
     rng_seed: int,
-    workers: int = 1,
-    seed_policy: SeedPolicy = _uniform_seeds,
 ) -> ActivitySplit:
     """Split the activation count by whether the giant component activated.
 
@@ -347,33 +324,16 @@ def conditional_giant_distributions(
         DegenerateConditioningError: either branch is empty, e.g. a
             connected graph at q=1 activates the giant in every trial.
     """
-    if not 0 < s <= g.node_count:
-        raise ValueError("s must satisfy 0 < s <= node_count")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-    def one(trial: int):
-        lab, out = _joint_trial(g, q, s, rng_seed, trial, seed_policy)
-        return out.giant_active and not lab.tie_at_top, lab.tie_at_top, out.count
-
     inactive: list[int] = []
     active: list[int] = []
     ties = 0
-    for is_active, tie, count in _map_trials(one, trials, workers):
-        ties += int(tie)
-        (active if is_active else inactive).append(count)
-    if not inactive:
-        raise DegenerateConditioningError(
-            f"giant-inactive branch received 0 of {trials} trials; "
-            "the conditional distribution is undefined"
-        )
-    if not active:
-        raise DegenerateConditioningError(
-            f"giant-active branch received 0 of {trials} trials; "
-            "the conditional distribution is undefined"
-        )
-    x0 = EmpiricalDistribution.from_samples(inactive)
-    x1 = EmpiricalDistribution.from_samples(active)
+    for _, lab, out in worlds(g, q, rng_seed, trials, s):
+        ties += int(lab.tie_at_top)
+        is_active = out.giant_active and not lab.tie_at_top
+        (active if is_active else inactive).append(out.count)
+    x0, x1 = _both_branches(
+        inactive, active, ("giant-inactive branch", "giant-active branch"), trials
+    )
     theta0 = x0.support_max
     theta1 = x1.support_min
     return ActivitySplit(

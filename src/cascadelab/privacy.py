@@ -34,6 +34,7 @@ __all__ = [
     "wasserstein_infinity",
     "laplace_perturb",
     "randomized_response_estimate",
+    "release",
     "wasserstein_mechanism_scale",
     "hypothesis_test_error",
     "push_through_mechanism",
@@ -197,6 +198,24 @@ def randomized_response_estimate(
     return count, float(estimate)
 
 
+def release(spec: MechanismSpec, bits, rng_seed: int) -> float:
+    """Release the activation count of `bits` through the mechanism `spec`.
+
+    The Laplace kinds perturb the count with `laplace_perturb`; randomized
+    response reports the debiased `randomized_response_estimate`. With
+    spec.clamp the output is clipped to [0, n]. Deterministic for a fixed
+    rng_seed.
+    """
+    bits = np.asarray(bits, dtype=bool)
+    n = bits.size
+    if spec.kind == "randomized_response":
+        out = randomized_response_estimate(bits, spec.flip_prob, rng_seed)[1]
+        return min(max(out, 0.0), float(n)) if spec.clamp else out
+    return laplace_perturb(
+        int(bits.sum()), spec.scale, rng_seed, clamp=spec.clamp, value_max=n
+    )
+
+
 def wasserstein_mechanism_scale(
     g: Graph,
     q: float,
@@ -204,7 +223,6 @@ def wasserstein_mechanism_scale(
     protected,
     trials: int,
     rng_seed: int,
-    workers: int = 1,
 ) -> MechanismScaleReport:
     """Calibrate the Wasserstein mechanism over a set of protected nodes.
 
@@ -224,7 +242,7 @@ def wasserstein_mechanism_scale(
     for v in nodes:
         try:
             mu0, mu1 = conditional_count_distributions(
-                g, q, s, v, trials, child_seed(rng_seed, v), workers=workers
+                g, q, s, v, trials, child_seed(rng_seed, v)
             )
         except DegenerateConditioningError as exc:
             logger.warning("skipping node %d: %s", v, exc)

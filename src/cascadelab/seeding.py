@@ -2,7 +2,7 @@
 
 Every trial of every experiment draws from its own generator, seeded by a
 pure function of (master seed, trial index). Results therefore do not depend
-on execution order, chunking, or worker count.
+on execution order or chunking.
 """
 
 from __future__ import annotations

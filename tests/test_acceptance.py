@@ -103,7 +103,7 @@ def _fractions_off(probabilities, reference, tolerance):
 
 def test_er_membership_fractions_at_thresholds():
     g = generate_er(2500, 5 / 2499, rng_seed=2024)
-    est = estimate_giant_membership(g, 0.3, trials=1000, rng_seed=555, workers=4)
+    est = estimate_giant_membership(g, 0.3, trials=1000, rng_seed=555)
     reference = [(0.50, 0.695), (0.75, 0.173), (0.90, 0.004)]
     off = _threshold_fractions(est, reference)
     assert not off, f"node fractions off by more than 5 points: {off}"
@@ -112,7 +112,7 @@ def test_er_membership_fractions_at_thresholds():
 def test_chung_lu_membership_fractions_at_thresholds():
     weights = chung_lu_weights(2500, 5.0, 1.1)
     g = generate_chung_lu(weights, rng_seed=child_seed(31, 0))
-    est = estimate_giant_membership(g, 0.3, trials=1000, rng_seed=991, workers=4)
+    est = estimate_giant_membership(g, 0.3, trials=1000, rng_seed=991)
     # Expected fractions come from message passing on the realized graph,
     # so they hold for this graph whatever parametrization produced it.
     predicted = message_passing_membership(g.node_count, g.edges, 0.3)
@@ -196,7 +196,6 @@ def test_mechanism_scale_is_constant_fraction_of_n():
         protected=range(5),
         trials=2000,
         rng_seed=child_seed(88, 1),
-        workers=4,
     )
     assert report.w_scale >= 0.3 * n
     # noise calibrated to that scale at epsilon = 1 averages at least the
@@ -216,7 +215,7 @@ def test_root_n_noise_leaves_giant_status_testable():
     n = 2500
     g = generate_er(n, 5 / (n - 1), rng_seed=child_seed(77, 0))
     split = conditional_giant_distributions(
-        g, 0.3, s=1, trials=1000, rng_seed=child_seed(77, 1), workers=4
+        g, 0.3, s=1, trials=1000, rng_seed=child_seed(77, 1)
     )
     spec = MechanismSpec(kind="laplace", scale=math.sqrt(n))
     z0 = push_through_mechanism(split.inactive, spec)

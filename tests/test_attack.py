@@ -22,13 +22,20 @@ from cascadelab.graph import (
 )
 from cascadelab.percolation import (
     MembershipEstimate,
+    conditional_giant_distributions,
     connected_components,
     percolate,
+    sample_seeds,
 )
-from cascadelab.privacy import MechanismSpec
+from cascadelab.privacy import MechanismSpec, laplace_perturb
 from cascadelab.seeding import child_seed
 
-from oracles import all_graph_edge_lists, bfs_activated
+from oracles import (
+    all_graph_edge_lists,
+    bfs_activated,
+    component_sets,
+    giant_component,
+)
 
 
 class TestClassifyGiantStatus:
@@ -161,7 +168,7 @@ class TestEvaluateAttack:
         assert int(g.degrees.max()) >= 16
         spec = MechanismSpec(kind="laplace", scale=math.sqrt(n))
         result = evaluate_attack(
-            g, 0.3, 1, spec, floors=[0.95], trials=1000, rng_seed=600, workers=4
+            g, 0.3, 1, spec, floors=[0.95], trials=1000, rng_seed=600
         )
         stats = result.floors[0]
         assert stats.predicted_nodes > 0
@@ -218,13 +225,38 @@ class TestEvaluateAttack:
             )
 
     def test_schedule_independent(self):
-        g = generate_er(200, 0.02, rng_seed=31)
+        """Calibration reads child_seed(seed, 1) and evaluation
+        child_seed(seed, 2). Evaluation trial t percolates, draws seeds and
+        releases on sub-streams 0, 1 and 2 of child_seed(eval_seed, t); an
+        explicit BFS loop over that layout scores identically."""
+        n, q = 200, 0.4
+        g = generate_er(n, 0.02, rng_seed=31)
         spec = MechanismSpec(kind="laplace", scale=3.0)
-        a = evaluate_attack(g, 0.4, 1, spec, floors=[0.6], trials=80, rng_seed=32, workers=1)
-        b = evaluate_attack(g, 0.4, 1, spec, floors=[0.6], trials=80, rng_seed=32, workers=4)
-        assert a.giant_status_accuracy == b.giant_status_accuracy
-        assert np.array_equal(a.per_node_accuracy, b.per_node_accuracy)
-        assert a.config.decision_threshold == b.config.decision_threshold
+        result = evaluate_attack(g, q, 1, spec, floors=[0.6], trials=80, rng_seed=32)
+        cal_seed, eval_seed = child_seed(32, 1), child_seed(32, 2)
+        threshold = conditional_giant_distributions(
+            g, q, 1, trials=80, rng_seed=child_seed(cal_seed, 1)
+        ).midpoint
+        assert result.config.decision_threshold == threshold
+        hits = 0
+        correct = np.zeros(n, dtype=np.int64)
+        for t in range(80):
+            trial_seed = child_seed(eval_seed, t)
+            h = percolate(g, q, child_seed(trial_seed, 0))
+            seeds = sample_seeds(n, 1, child_seed(trial_seed, 1))
+            act = bfs_activated(n, h.retained_edges, seeds)
+            sizes = sorted(len(c) for c in component_sets(n, h.retained_edges))
+            tie = len(sizes) > 1 and sizes[-1] == sizes[-2]
+            giant = giant_component(n, h.retained_edges)
+            truth = not tie and any(int(v) in giant for v in seeds)
+            reported = laplace_perturb(len(act), 3.0, child_seed(trial_seed, 2))
+            judged = reported > threshold
+            hits += judged == truth
+            bits = np.zeros(n, dtype=bool)
+            bits[list(act)] = True
+            correct += bits == judged
+        assert result.giant_status_accuracy == hits / 80
+        assert np.array_equal(result.per_node_accuracy, correct / 80)
 
 
 class TestVulnerableSetEr:

@@ -121,6 +121,15 @@ class TestErMissBound:
             y = float(rng.uniform(0, 1))
             assert 0.0 <= er_miss_bound(d, q, y) <= 1.0
 
+    def test_array_matches_scalar(self):
+        degrees = np.array([0, 3, 17, 40, 120])
+        got = er_miss_bound(degrees, 0.3, 0.6)
+        assert isinstance(got, np.ndarray)
+        assert isinstance(er_miss_bound(17, 0.3, 0.6), float)
+        assert got.tolist() == [er_miss_bound(int(d), 0.3, 0.6) for d in degrees]
+        with pytest.raises(ValueError):
+            er_miss_bound(np.array([3, -1]), 0.3, 0.6)
+
 
 class TestChungLuMissBound:
     def test_top_rank_with_measured_giant_fraction(self):
@@ -162,6 +171,16 @@ class TestChungLuMissBound:
             chung_lu_miss_bound(11, 10, 5, 0.3, 1.1, 0.5)
         with pytest.raises(ValueError):
             chung_lu_miss_bound(1, 10, 5, 0.3, 1.1, 0.0)
+        with pytest.raises(ValueError):
+            chung_lu_miss_bound(np.arange(0, 10), 10, 5, 0.3, 1.1, 0.5)
+
+    def test_array_matches_scalar(self):
+        ranks = np.arange(1, 51)
+        got = chung_lu_miss_bound(ranks, 50, 5, 0.3, 1.5, 0.5)
+        assert isinstance(got, np.ndarray)
+        assert isinstance(chung_lu_miss_bound(7, 50, 5, 0.3, 1.5, 0.5), float)
+        expect = [chung_lu_miss_bound(int(i), 50, 5, 0.3, 1.5, 0.5) for i in ranks]
+        assert got.tolist() == pytest.approx(expect, rel=1e-14)
 
 
 class TestChungLuRankEnvelope:

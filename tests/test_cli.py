@@ -1,5 +1,6 @@
 """End-to-end tests of the experiment runner."""
 
+import hashlib
 import json
 import re
 
@@ -318,6 +319,28 @@ class TestAudit:
         )
         assert 0.0 <= float(metrics["comparison_test_error"]) <= 1.0
 
+    def test_comparison_clamp_folds_noise_into_range(self, tmp_path):
+        # noise scale far above n: clamping folds most mass onto 0 and n,
+        # which changes how far apart the two released laws are
+        tvds = {}
+        for clamp in (False, True):
+            config = write_config(
+                tmp_path,
+                name=f"clamp_{clamp}.json",
+                graph={"kind": "er", "n": 300, "p": 5 / 299, "seed": 12},
+                q=0.4,
+                trials=200,
+                protected=[0],
+                mechanism={"kind": "laplace", "scale": 1000.0, "clamp": clamp},
+            )
+            out = tmp_path / f"out_{clamp}"
+            assert main(["audit", "--config", config, "--out", str(out)]) == 0
+            _, rows = read_csv(out / "audit.csv")
+            tvds[clamp] = float(
+                {r["metric"]: r["value"] for r in rows}["comparison_tvd"]
+            )
+        assert tvds[True] != tvds[False]
+
 
 class TestAttack:
     def test_deterministic_world(self, tmp_path):
@@ -388,6 +411,56 @@ class TestErrorPaths:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "command, entries, flags",
+        [
+            ("membership", {}, ["--trials", "0"]),
+            ("components", {}, ["--trials", "0"]),
+            ("sweep", {"sweep_trials": 0}, []),
+            ("attack", {"decision_threshold": 300.0}, []),
+            ("attack", {"decision_threshold": 0.0}, []),
+            ("attack", {"s": 301, "decision_threshold": 150.0}, []),
+            ("audit", {"protected": [301]}, []),
+            ("audit", {"protected": [-1]}, []),
+            ("audit", {"s": 0}, []),
+            (
+                "audit",
+                {"mechanism": {"kind": "randomized_response", "flip_prob": 0.3}},
+                [],
+            ),
+        ],
+        ids=[
+            "membership-trials-0",
+            "components-trials-0",
+            "sweep-trials-0",
+            "attack-threshold-n",
+            "attack-threshold-0",
+            "attack-s-above-n",
+            "audit-protected-above-n",
+            "audit-protected-negative",
+            "audit-s-0",
+            "audit-randomized-response",
+        ],
+    )
+    def test_bad_config_exits_2_without_traceback(
+        self, tmp_path, capsys, command, entries, flags
+    ):
+        base = {
+            "graph": {"kind": "er", "n": 300, "p": 5 / 299, "seed": 40},
+            "q": 0.4,
+            "trials": 20,
+            "protected": [0],
+            "mechanism": {"kind": "laplace", "scale": 5.0},
+        }
+        config = write_config(tmp_path, **{**base, **entries})
+        out = tmp_path / "out"
+        rc = main([command, "--config", config, "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not any(out.iterdir())
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -434,3 +507,89 @@ class TestDeterminism:
             assert main(["sweep", "--config", config, "--out", str(out)]) == 0
             blobs.append((out / "sweep.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+GOLDEN_CONFIG = {
+    "graph": {"kind": "er", "n": 120, "p": 0.04, "seed": 21},
+    "q": 0.5,
+    "s": 1,
+    "trials": 40,
+    "sweep_trials": 4,
+    "q_grid": [0.2, 0.6],
+    "thresholds": [0.9, 0.5],
+    "floors": [0.9, 0.5],
+    "protected": [0, 1],
+    "epsilon": 1.0,
+    "seed": 7,
+    "mechanism": {"kind": "laplace", "scale": 5.0},
+}
+
+# SHA-256 of every file each subcommand writes for GOLDEN_CONFIG (and, for
+# "attack-rr", the same config releasing through clamped randomized
+# response), recorded before the trial loops were folded into `worlds`.
+# A change here means an RNG stream or an output format moved.
+GOLDEN_DIGESTS = {
+    "gen": {
+        "graph.txt": (
+            "6fbc2ca67d5e2157f681a07f253f881aae0f1adc18c86b9b6c9ba83419ade30b"
+        ),
+    },
+    "components": {
+        "components.csv": (
+            "524e8167726e4f19c90b88299972d9e78dcc64ca9a6dad3fe074426dc243462b"
+        ),
+    },
+    "sweep": {
+        "sweep.csv": (
+            "b23f18483da619787e99c8d976aee7b859112b8a6c20a50189225c93363697ba"
+        ),
+    },
+    "membership": {
+        "membership.csv": (
+            "38ef58c53cf2140b607ed18a170769315c225ac1e9aadf9789c22a619036b354"
+        ),
+    },
+    "audit": {
+        "audit.csv": (
+            "8209e9e350a277c7fc15467924779108ae4e3dc775273d23dc23a871f349826b"
+        ),
+        "audit_nodes.csv": (
+            "00268342171343508e07ee520c1e50240d9a002233b910b783cd04ee8b6bb478"
+        ),
+    },
+    "attack": {
+        "attack.csv": (
+            "fe71160719d7bb82be1f7f6f26662e7cf28cb85c9fcffe28497458f3f0d5d871"
+        ),
+        "attack_summary.csv": (
+            "6aa8345960a1c208662eb015ccd05b339773693d205d845bbfdacc509581c8a5"
+        ),
+    },
+    "attack-rr": {
+        "attack.csv": (
+            "39ea1ded9b46c6893a56284e301a7f6837ae7511a7b4d02499e5007c7f678dcf"
+        ),
+        "attack_summary.csv": (
+            "4a8df0bfe2bf141dac63d896dcbb74ccd8dde4b1636d037eb338191e2e8f4d16"
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
+def test_outputs_match_recorded_digests(tmp_path, case):
+    entries = dict(GOLDEN_CONFIG)
+    if case == "attack-rr":
+        entries["mechanism"] = {
+            "kind": "randomized_response",
+            "flip_prob": 0.2,
+            "clamp": True,
+        }
+    config = write_config(tmp_path, **entries)
+    out = tmp_path / "out"
+    command = case.split("-")[0]
+    assert main([command, "--config", config, "--out", str(out)]) == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+    }
+    assert digests == GOLDEN_DIGESTS[case]

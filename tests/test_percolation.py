@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import sparse, stats
+from scipy.sparse import csgraph
 
-from cascadelab.graph import Graph, generate_er
+from cascadelab.distributions import EmpiricalDistribution
+from cascadelab.graph import Graph, chung_lu_weights, generate_chung_lu, generate_er
 from cascadelab.percolation import (
     DegenerateConditioningError,
     TriggeringSet,
@@ -19,6 +21,7 @@ from cascadelab.percolation import (
     percolate,
     run_cascade,
     sample_seeds,
+    worlds,
 )
 from cascadelab.seeding import child_seed
 
@@ -126,6 +129,32 @@ class TestConnectedComponents:
             assert lab.sizes.sum() == 12
             assert np.all(np.diff(lab.sizes) <= 0)
 
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.9])
+    def test_scipy_labels_components_by_lowest_member(self, q):
+        """The ranking's stable size sort breaks ties toward the lowest
+        member only because scipy numbers undirected components in order of
+        their lowest member; a scipy release that changes this fails here."""
+        n = 2000
+        weights = chung_lu_weights(n, 2.0, 1.5)
+        substrates = [
+            generate_er(n, 5 / (n - 1), rng_seed=child_seed(16, 0)),
+            generate_chung_lu(weights, rng_seed=child_seed(16, 1)),
+        ]
+        for k, g in enumerate(substrates):
+            for t in range(5):
+                h = percolate(g, q, rng_seed=child_seed(17, 10 * k + t))
+                u, v = h.retained_edges.T
+                mat = sparse.csr_matrix((np.ones(u.size), (u, v)), shape=(n, n))
+                _, raw = csgraph.connected_components(mat, directed=False)
+                first_member = np.unique(raw, return_index=True)[1]
+                assert np.all(np.diff(first_member) > 0)
+                # ranks: descending size, then ascending lowest member id
+                sizes = np.bincount(raw)
+                order = np.lexsort((first_member, -sizes))
+                lab = connected_components(h)
+                assert np.array_equal(lab.sizes, sizes[order])
+                assert np.array_equal(lab.labels, np.argsort(order)[raw])
+
 
 class TestRunCascade:
     def test_empty_seeds_flagged(self, caplog):
@@ -196,6 +225,25 @@ class TestSampleSeeds:
         assert np.all(np.diff(s) > 0)
 
 
+class TestWorlds:
+    def test_trial_streams_and_outcomes(self):
+        g = generate_er(40, 0.08, rng_seed=18)
+        drawn = list(worlds(g, 0.5, 19, 6, s=2))
+        assert [ts for ts, _, _ in drawn] == [child_seed(19, t) for t in range(6)]
+        for ts, lab, out in drawn:
+            h = percolate(g, 0.5, child_seed(ts, 0))
+            assert np.array_equal(lab.labels, connected_components(h).labels)
+            assert np.array_equal(out.seeds, sample_seeds(40, 2, child_seed(ts, 1)))
+        assert all(out is None for _, _, out in worlds(g, 0.5, 19, 3))
+
+    def test_validation(self):
+        g = Graph(3, [[0, 1]])
+        with pytest.raises(ValueError, match="trials"):
+            next(worlds(g, 0.5, 1, 0))
+        with pytest.raises(ValueError, match="s must"):
+            next(worlds(g, 0.5, 1, 5, s=4))
+
+
 class TestEstimateGiantMembership:
     def test_complete_graph_full_retention(self):
         g = Graph(5, list(itertools.combinations(range(5), 2)))
@@ -217,11 +265,20 @@ class TestEstimateGiantMembership:
         assert np.allclose(scaled, np.round(scaled))
 
     def test_schedule_independent(self):
+        """Trial t reads only stream child_seed(child_seed(seed, t), 0), so an
+        explicit loop over that layout reproduces the estimate exactly."""
         g = generate_er(150, 0.03, rng_seed=27)
-        a = estimate_giant_membership(g, 0.4, trials=48, rng_seed=28, workers=1)
-        b = estimate_giant_membership(g, 0.4, trials=48, rng_seed=28, workers=6)
-        assert np.array_equal(a.frequency, b.frequency)
-        assert a.ties_broken == b.ties_broken
+        counts = np.zeros(150, dtype=np.int64)
+        ties = 0
+        for t in range(48):
+            h = percolate(g, 0.4, child_seed(child_seed(28, t), 0))
+            for v in giant_component(150, h.retained_edges):
+                counts[v] += 1
+            sizes = sorted(len(c) for c in component_sets(150, h.retained_edges))
+            ties += len(sizes) > 1 and sizes[-1] == sizes[-2]
+        est = estimate_giant_membership(g, 0.4, trials=48, rng_seed=28)
+        assert np.array_equal(est.frequency, counts / 48)
+        assert est.ties_broken == ties
 
     def test_membership_matches_per_trial_oracle(self):
         g = generate_er(25, 0.12, rng_seed=29)
@@ -282,12 +339,22 @@ class TestConditionalCountDistributions:
         assert mu0.sample_count + mu1.sample_count == 300
 
     def test_schedule_independent(self):
+        """Trial t percolates on sub-stream 0 and draws its seeds on
+        sub-stream 1 of child_seed(seed, t); BFS over that explicit loop
+        reproduces both branches exactly."""
         g = generate_er(50, 0.06, rng_seed=32)
-        a = conditional_count_distributions(g, 0.5, 1, 3, trials=120, rng_seed=5, workers=1)
-        b = conditional_count_distributions(g, 0.5, 1, 3, trials=120, rng_seed=5, workers=5)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.values, y.values)
-            assert np.array_equal(x.probs, y.probs)
+        branches = ([], [])
+        for t in range(120):
+            trial_seed = child_seed(5, t)
+            h = percolate(g, 0.5, child_seed(trial_seed, 0))
+            seeds = sample_seeds(50, 1, child_seed(trial_seed, 1))
+            act = bfs_activated(50, h.retained_edges, seeds)
+            branches[3 in act].append(len(act))
+        got = conditional_count_distributions(g, 0.5, 1, 3, trials=120, rng_seed=5)
+        for dist, samples in zip(got, branches):
+            expect = EmpiricalDistribution.from_samples(samples)
+            assert np.array_equal(dist.values, expect.values)
+            assert np.array_equal(dist.probs, expect.probs)
 
 
 class TestConditionalGiantDistributions:
@@ -312,7 +379,7 @@ class TestConditionalGiantDistributions:
         n = 2500
         g = generate_er(n, 5 / (n - 1), rng_seed=child_seed(33, 0))
         split = conditional_giant_distributions(
-            g, 0.3, 1, trials=1000, rng_seed=34, workers=4
+            g, 0.3, 1, trials=1000, rng_seed=34
         )
         assert split.active_min - split.inactive_max >= 0.3 * n
 

@@ -13,6 +13,8 @@ from cascadelab.percolation import (
     DegenerateConditioningError,
     conditional_count_distributions,
     conditional_giant_distributions,
+    percolate,
+    sample_seeds,
 )
 from cascadelab.privacy import (
     MechanismSpec,
@@ -20,13 +22,14 @@ from cascadelab.privacy import (
     laplace_perturb,
     push_through_mechanism,
     randomized_response_estimate,
+    release,
     tvd,
     wasserstein_infinity,
     wasserstein_mechanism_scale,
 )
 from cascadelab.seeding import child_seed
 
-from oracles import winf_bruteforce
+from oracles import bfs_activated, winf_bruteforce
 
 
 def dist(pairs):
@@ -194,6 +197,38 @@ class TestRandomizedResponse:
         assert abs(np.mean(estimates) - n) <= 3 * se
 
 
+class TestRelease:
+    bits = np.array([1, 1, 0, 1, 0, 0, 0, 1, 1, 0], dtype=bool)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_laplace_kinds_use_laplace_perturb(self, clamp):
+        for spec in (
+            MechanismSpec(kind="laplace", scale=20.0, clamp=clamp),
+            MechanismSpec(kind="wasserstein", scale=20.0, epsilon=0.5, clamp=clamp),
+        ):
+            for i in range(20):
+                seed = child_seed(40, i)
+                expect = laplace_perturb(5, 20.0, seed, clamp=clamp, value_max=10)
+                assert release(spec, self.bits, seed) == expect
+
+    def test_randomized_response_uses_debiased_estimate(self):
+        spec = MechanismSpec(kind="randomized_response", flip_prob=0.6)
+        for i in range(20):
+            seed = child_seed(41, i)
+            expect = randomized_response_estimate(self.bits, 0.6, seed)[1]
+            assert release(spec, self.bits, seed) == expect
+
+    def test_clamp_keeps_randomized_response_in_range(self):
+        bits = np.zeros(10, dtype=bool)
+        spec = MechanismSpec(kind="randomized_response", flip_prob=0.9, clamp=True)
+        free = MechanismSpec(kind="randomized_response", flip_prob=0.9)
+        outs = [release(spec, bits, child_seed(42, i)) for i in range(200)]
+        raw = [release(free, bits, child_seed(42, i)) for i in range(200)]
+        assert all(0.0 <= x <= 10.0 for x in outs)
+        assert min(raw) < 0.0 or max(raw) > 10.0
+        assert outs == [min(max(x, 0.0), 10.0) for x in raw]
+
+
 class TestWassersteinMechanismScale:
     def test_single_edge_fully_degenerate(self):
         g = Graph(2, [[0, 1]])
@@ -226,11 +261,28 @@ class TestWassersteinMechanismScale:
             wasserstein_mechanism_scale(g, 0.5, 1, [], trials=10, rng_seed=1)
 
     def test_schedule_independent(self):
+        """Node v's worlds come from master child_seed(seed, v); trial t
+        percolates on sub-stream 0 and draws seeds on sub-stream 1 of
+        child_seed(master, t). An explicit BFS loop over that layout gives
+        the same per-node distances."""
         g = generate_er(80, 0.05, rng_seed=12)
-        a = wasserstein_mechanism_scale(g, 0.5, 1, [0, 1, 2], trials=150, rng_seed=4, workers=1)
-        b = wasserstein_mechanism_scale(g, 0.5, 1, [0, 1, 2], trials=150, rng_seed=4, workers=3)
-        assert a.w_scale == b.w_scale
-        assert a.per_node == b.per_node
+        expect = {}
+        for v in (0, 1, 2):
+            branches = ([], [])
+            for t in range(150):
+                trial_seed = child_seed(child_seed(4, v), t)
+                h = percolate(g, 0.5, child_seed(trial_seed, 0))
+                seeds = sample_seeds(80, 1, child_seed(trial_seed, 1))
+                act = bfs_activated(80, h.retained_edges, seeds)
+                branches[v in act].append(len(act))
+            expect[v] = wasserstein_infinity(
+                *(EmpiricalDistribution.from_samples(b) for b in branches)
+            )
+        report = wasserstein_mechanism_scale(
+            g, 0.5, 1, [0, 1, 2], trials=150, rng_seed=4
+        )
+        assert report.per_node == expect
+        assert report.w_scale == max(expect.values())
 
     def test_gap_forces_scale(self):
         """When the two count laws put different mass at or below the
