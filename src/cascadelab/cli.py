@@ -153,25 +153,40 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
+def _number(value, key: str) -> float:
+    """Config value `value` of `key` as a finite float."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, not {value!r}") from exc
+    if not np.isfinite(x):
+        raise ConfigError(f"{key} must be finite, not {value!r}")
+    return x
+
+
 def _q_values(cfg: dict) -> list[float]:
     grid = cfg.get("q_grid")
     if isinstance(grid, dict):
-        return [
-            float(v)
-            for v in np.linspace(
+        try:
+            values = np.linspace(
                 float(grid["start"]), float(grid["stop"]), int(grid["count"])
-            )
-        ]
-    if isinstance(grid, (list, tuple)):
-        return [float(v) for v in grid]
-    raise ConfigError("q_grid must be a list or {start, stop, count}")
+            ).tolist()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad q_grid {grid!r}: {exc}") from exc
+    elif isinstance(grid, (list, tuple)):
+        values = [_number(v, "q_grid") for v in grid]
+    else:
+        raise ConfigError("q_grid must be a list or {start, stop, count}")
+    if not values:
+        raise ConfigError("q_grid holds no q values")
+    return values
 
 
 def _single_q(cfg: dict) -> float:
     q = cfg["q"]
     if isinstance(q, (list, tuple)):
         raise ConfigError("this subcommand expects a single q value")
-    q = float(q)
+    q = _number(q, "q")
     if not 0.0 < q <= 1.0:
         raise ConfigError("q must lie in (0, 1]")
     return q
@@ -331,12 +346,12 @@ def cmd_membership(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     g = _the_graph(cfg)
     q = _single_q(cfg)
     trials = _count(cfg, "trials")
+    thresholds = [_number(t, "thresholds") for t in cfg["thresholds"]]
     est = estimate_giant_membership(
         g, q, trials, child_seed(int(cfg["seed"]), _STREAM_TRIALS)
     )
     rows = []
-    for threshold in cfg["thresholds"]:
-        threshold = float(threshold)
+    for threshold in thresholds:
         count = int((est.frequency >= threshold).sum())
         rows.append((threshold, count, count / g.node_count))
     write_csv(
@@ -353,7 +368,7 @@ def cmd_audit(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     q = _single_q(cfg)
     s = _count(cfg, "s", hi=g.node_count)
     trials = _count(cfg, "trials")
-    epsilon = float(cfg["epsilon"])
+    epsilon = _number(cfg["epsilon"], "epsilon")
     if epsilon <= 0:
         raise ConfigError("epsilon must be > 0")
     protected = _protected(cfg, g.node_count)
@@ -423,7 +438,7 @@ def cmd_attack(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     q = _single_q(cfg)
     fixed = cfg.get("decision_threshold")
     if fixed is not None:
-        fixed = float(fixed)
+        fixed = _number(fixed, "decision_threshold")
         if not 0.0 < fixed < g.node_count:
             raise ConfigError("decision_threshold must lie in (0, n)")
     evaluation = evaluate_attack(
@@ -431,7 +446,7 @@ def cmd_attack(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
         q,
         _count(cfg, "s", hi=g.node_count),
         _mechanism(cfg),
-        [float(f) for f in cfg["floors"]],
+        [_number(f, "floors") for f in cfg["floors"]],
         _count(cfg, "trials"),
         child_seed(int(cfg["seed"]), _STREAM_ATTACK),
         decision_threshold=fixed,

@@ -341,5 +341,5 @@ def dump_edge_list(g: Graph, path) -> None:
     """
     path = Path(path)
     out = [f"# nodes={g.node_count} edges={g.edge_count}"]
-    out.extend(f"{u} {v}" for u, v in g.edges)
+    out.extend(f"{u} {v}" for u, v in g.edges.tolist())
     path.write_text("\n".join(out) + "\n")

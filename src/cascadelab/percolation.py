@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .distributions import EmpiricalDistribution
 from .graph import Graph
@@ -143,25 +141,38 @@ def connected_components(h: TriggeringSet) -> ComponentLabeling:
 
     Ranks are deterministic: descending size, then ascending lowest member
     id, so repeated runs agree bit for bit.
+
+    Hook-and-jump labeling (Shiloach & Vishkin, J. Algorithms 3, 1982):
+    each round hooks the larger root of every edge that still crosses two
+    trees onto the smaller one, then pointer-jumps until every node points
+    at its root. `root[x] <= x` holds throughout, so each component ends
+    rooted at its lowest member.
     """
     n = h.base.node_count
-    edges = h.retained_edges
-    if edges.shape[0] == 0:
-        raw = np.arange(n, dtype=np.int64)
-        ncomp = n
-    else:
-        mat = sparse.csr_matrix(
-            (np.ones(edges.shape[0], dtype=np.int8), (edges[:, 0], edges[:, 1])),
-            shape=(n, n),
-        )
-        ncomp, raw = csgraph.connected_components(mat, directed=False)
-    sizes = np.bincount(raw, minlength=ncomp)
-    # scipy numbers undirected components in order of their lowest member,
-    # so a stable sort by size breaks ties toward the lowest member id
+    root = np.arange(n, dtype=np.int64)
+    u, v = h.retained_edges[:, 0], h.retained_edges[:, 1]
+    while True:
+        ru, rv = root[u], root[v]
+        cross = ru != rv
+        if not cross.any():
+            break
+        # an edge whose endpoints share a root never crosses again
+        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    sizes = np.bincount(root, minlength=n)
+    lowest = np.flatnonzero(sizes)
+    sizes = sizes[lowest]
+    # lowest members ascend, so a stable sort by size breaks ties toward
+    # the component holding the lowest node id
     order = np.argsort(-sizes, kind="stable")
-    rank = np.empty(ncomp, dtype=np.int64)
-    rank[order] = np.arange(ncomp, dtype=np.int64)
-    return ComponentLabeling(labels=rank[raw], sizes=sizes[order])
+    rank = np.empty(n, dtype=np.int64)
+    rank[lowest[order]] = np.arange(lowest.size, dtype=np.int64)
+    return ComponentLabeling(labels=rank[root], sizes=sizes[order])
 
 
 def run_cascade(

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cascadelab
 from cascadelab.cli import (
     ConfigError,
     _parse_q_flag,
@@ -428,6 +433,12 @@ class TestErrorPaths:
                 {"mechanism": {"kind": "randomized_response", "flip_prob": 0.3}},
                 [],
             ),
+            ("attack", {"floors": ["high"]}, []),
+            ("membership", {"thresholds": ["x"]}, []),
+            ("audit", {"epsilon": "one"}, []),
+            ("attack", {"decision_threshold": "middle"}, []),
+            ("sweep", {"q_grid": {"start": 0.1, "stop": 0.9, "count": 0}}, []),
+            ("sweep", {}, ["--q", "0.1:0.9:0"]),
         ],
         ids=[
             "membership-trials-0",
@@ -440,6 +451,12 @@ class TestErrorPaths:
             "audit-protected-negative",
             "audit-s-0",
             "audit-randomized-response",
+            "attack-floors-non-numeric",
+            "membership-thresholds-non-numeric",
+            "audit-epsilon-non-numeric",
+            "attack-threshold-non-numeric",
+            "sweep-empty-grid",
+            "sweep-empty-grid-flag",
         ],
     )
     def test_bad_config_exits_2_without_traceback(
@@ -460,6 +477,24 @@ class TestErrorPaths:
         assert err.startswith("config error:")
         assert "Traceback" not in err
         assert not any(out.iterdir())
+
+    def test_import_loads_no_scipy(self):
+        """The runtime depends on numpy alone; scipy serves only the tests."""
+        code = (
+            "import sys, cascadelab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = Path(cascadelab.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

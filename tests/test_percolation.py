@@ -23,9 +23,38 @@ from cascadelab.percolation import (
     sample_seeds,
     worlds,
 )
-from cascadelab.seeding import child_seed
+from cascadelab.seeding import child_seed, rng_from_seed
 
-from oracles import bfs_activated, component_sets, giant_component
+from oracles import bfs_activated, component_sets, giant_component, ranked_components
+
+
+def _no_retained_edges():
+    g = Graph(6, [[0, 1], [2, 5], [3, 4]])
+    return TriggeringSet(g, g.edges[:0], 0.5)
+
+
+def _isolated_nodes():
+    g = Graph(7, [[1, 4], [4, 6], [2, 3]])
+    return TriggeringSet(g, g.edges, 1.0)
+
+
+def _equal_sizes():
+    # four 3-node paths on scrambled ids, each hooking in a different order
+    g = Graph(12, [[11, 4], [4, 7], [10, 2], [9, 10], [8, 5], [5, 1], [6, 3], [3, 0]])
+    return TriggeringSet(g, g.edges, 1.0)
+
+
+def _full_retention_connected():
+    g = generate_er(300, 0.05, rng_seed=child_seed(18, 0))
+    return percolate(g, 1.0, rng_seed=child_seed(18, 1))
+
+
+def _permuted_path():
+    # adversarial for hooking: a long path whose ids are in random order
+    n = 100_000
+    ids = rng_from_seed(child_seed(18, 2)).permutation(n)
+    g = Graph(n, np.column_stack([ids[:-1], ids[1:]]))
+    return TriggeringSet(g, g.edges, 1.0)
 
 
 def retained_set(h):
@@ -129,11 +158,42 @@ class TestConnectedComponents:
             assert lab.sizes.sum() == 12
             assert np.all(np.diff(lab.sizes) <= 0)
 
+    @pytest.mark.parametrize(
+        "world",
+        [
+            _no_retained_edges,
+            _isolated_nodes,
+            _equal_sizes,
+            _full_retention_connected,
+            _permuted_path,
+        ],
+        ids=lambda f: f.__name__.lstrip("_"),
+    )
+    def test_matches_bfs_oracle_on_degenerate_worlds(self, world):
+        h = world()
+        n = h.base.node_count
+        labels, sizes = ranked_components(n, h.retained_edges)
+        lab = connected_components(h)
+        assert np.array_equal(lab.sizes, sizes)
+        assert np.array_equal(lab.labels, labels)
+
+    def test_equal_sizes_rank_by_lowest_member(self):
+        lab = connected_components(_equal_sizes())
+        assert lab.sizes.tolist() == [3, 3, 3, 3]
+        # {0,3,6} holds 0, {1,5,8} holds 1, {2,9,10} holds 2, {4,7,11} holds 4
+        assert lab.labels.tolist() == [0, 1, 2, 0, 3, 1, 0, 3, 1, 2, 2, 3]
+
+    def test_full_retention_on_connected_graph_is_one_component(self):
+        lab = connected_components(_full_retention_connected())
+        assert lab.sizes.tolist() == [300]
+        assert not lab.labels.any()
+
     @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.9])
     def test_scipy_labels_components_by_lowest_member(self, q):
-        """The ranking's stable size sort breaks ties toward the lowest
-        member only because scipy numbers undirected components in order of
-        their lowest member; a scipy release that changes this fails here."""
+        """scipy's csgraph serves as an independent oracle: it numbers
+        undirected components in order of their lowest member, so ranking
+        its labels by descending size, then ascending lowest member, must
+        reproduce the package's labeling exactly."""
         n = 2000
         weights = chung_lu_weights(n, 2.0, 1.5)
         substrates = [
