@@ -1,6 +1,6 @@
 """cascadelab: percolated contagion, count-release privacy, and inference attacks."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .distributions import EmpiricalDistribution
 from .graph import (

@@ -116,12 +116,11 @@ def infer_nodes(
         raise ValueError("giant_status must be 'active' or 'inactive'")
     if not 0.0 <= confidence_floor <= 1.0:
         raise ValueError("confidence_floor must lie in [0, 1]")
-    freq = membership.frequency
-    predicted = freq >= confidence_floor
-    labels = np.zeros(freq.size, dtype=np.int8)
+    predicted = membership.at_least(confidence_floor)
+    labels = np.zeros(predicted.size, dtype=np.int8)
     if giant_status == "active":
         labels[predicted] = 1
-    confidence = np.where(predicted, freq, 0.0)
+    confidence = np.where(predicted, membership.frequency, 0.0)
     return AttackVerdict(
         giant_status=giant_status,
         predicted=predicted,
@@ -207,7 +206,7 @@ def evaluate_attack(
     per_node_accuracy = correct / trials
     stats = []
     for floor in sorted(floors, reverse=True):
-        sel = membership.frequency >= floor
+        sel = membership.at_least(floor)
         count = int(sel.sum())
         precision = float(per_node_accuracy[sel].mean()) if count else float("nan")
         stats.append(

@@ -164,6 +164,15 @@ def _number(value, key: str) -> float:
     return x
 
 
+def _numbers(values, key: str) -> list[float]:
+    """Config list `values` of `key` as finite floats, at least one."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, not {values!r}")
+    if not values:
+        raise ConfigError(f"{key} holds no values")
+    return [_number(v, key) for v in values]
+
+
 def _q_values(cfg: dict) -> list[float]:
     grid = cfg.get("q_grid")
     if isinstance(grid, dict):
@@ -174,7 +183,7 @@ def _q_values(cfg: dict) -> list[float]:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad q_grid {grid!r}: {exc}") from exc
     elif isinstance(grid, (list, tuple)):
-        values = [_number(v, "q_grid") for v in grid]
+        values = _numbers(grid, "q_grid")
     else:
         raise ConfigError("q_grid must be a list or {start, stop, count}")
     if not values:
@@ -346,13 +355,13 @@ def cmd_membership(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     g = _the_graph(cfg)
     q = _single_q(cfg)
     trials = _count(cfg, "trials")
-    thresholds = [_number(t, "thresholds") for t in cfg["thresholds"]]
+    thresholds = _numbers(cfg["thresholds"], "thresholds")
     est = estimate_giant_membership(
         g, q, trials, child_seed(int(cfg["seed"]), _STREAM_TRIALS)
     )
     rows = []
     for threshold in thresholds:
-        count = int((est.frequency >= threshold).sum())
+        count = int(est.at_least(threshold).sum())
         rows.append((threshold, count, count / g.node_count))
     write_csv(
         out_dir / "membership.csv",
@@ -446,7 +455,7 @@ def cmd_attack(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
         q,
         _count(cfg, "s", hi=g.node_count),
         _mechanism(cfg),
-        [_number(f, "floors") for f in cfg["floors"]],
+        _numbers(cfg["floors"], "floors"),
         _count(cfg, "trials"),
         child_seed(int(cfg["seed"]), _STREAM_ATTACK),
         decision_threshold=fixed,

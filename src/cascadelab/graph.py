@@ -204,6 +204,17 @@ def generate_chung_lu(weights: NodeWeights, rng_seed: int) -> Graph:
     min(1, w_i * w_j / total). Node id i carries rank i + 1, so id 0 is the
     heaviest node.
 
+    The sampler never visits the pairs one by one. Ranks are cut into
+    layers whose weights lie within a factor `_LAYER_RATIO` of the layer's
+    heaviest node, and every pair of layers is a block whose pair
+    probabilities are all at most the block's bound, the probability of its
+    two heaviest nodes. A block whose bound reaches 1/2 makes every pair a
+    candidate; any other block draws a Binomial(pairs, bound) number of
+    distinct candidate pairs uniformly. Each candidate is then kept with
+    probability p_ij / bound, so every pair is an edge independently with
+    probability p_ij, whatever the weight order. For m edges and L layers
+    the work is O(n + m log m + L**2) and the memory O(n + m + L**2).
+
     Args:
         weights: weight sequence from `chung_lu_weights`.
         rng_seed: 64-bit seed; equal seeds give equal graphs.
@@ -212,17 +223,84 @@ def generate_chung_lu(weights: NodeWeights, rng_seed: int) -> Graph:
     n = weights.node_count
     total = weights.total
     rng = rng_from_seed(rng_seed)
-    rows = []
-    for i in range(n - 1):
-        probs = w[i] * w[i + 1:] / total
-        np.minimum(probs, 1.0, out=probs)
-        hits = np.nonzero(rng.random(n - 1 - i) < probs)[0]
-        if hits.size:
-            rows.append(
-                np.column_stack([np.full(hits.size, i, dtype=np.int64), i + 1 + hits])
-            )
-    edges = np.vstack(rows) if rows else np.empty((0, 2), dtype=np.int64)
-    return Graph(n, edges)
+
+    level = np.floor(np.log(w[0] / w) / -math.log(_LAYER_RATIO)).astype(np.int64)
+    starts = np.flatnonzero(np.diff(level, prepend=level[0] - 1))
+    sizes = np.diff(starts, append=n)
+    top = np.maximum.reduceat(w, starts)
+    # block k joins layers a[k] <= b[k]; its pairs are numbered from offset[k]
+    a, b = np.triu_indices(starts.size)
+    pairs = np.where(a == b, sizes[a] * (sizes[a] - 1) // 2, sizes[a] * sizes[b])
+    offset = np.cumsum(pairs) - pairs
+    bound = np.minimum(1.0, top[a] * top[b] / total)
+    dense = bound >= 0.5
+    bound[dense] = 1.0
+    counts = rng.binomial(pairs, bound)
+
+    sparse = np.repeat(np.flatnonzero(~dense), counts[~dense])
+    keys = offset[sparse] + rng.integers(pairs[sparse])
+    keys = _distinct_keys(keys, offset, pairs, rng)
+    # every pair number of the dense blocks, block after block
+    size = pairs[dense]
+    shift = np.repeat(offset[dense] - (np.cumsum(size) - size), size)
+    keys = np.concatenate([shift + np.arange(shift.size), keys])
+
+    # thin in chunks so the per-candidate temporaries stay bounded
+    edges = [np.empty((0, 2), dtype=np.int64)]
+    for lo in range(0, keys.size, _CHUNK):
+        part = keys[lo:lo + _CHUNK]
+        blk = np.searchsorted(offset, part, side="right") - 1
+        la, lb = a[blk], b[blk]
+        i, j = _block_pair(
+            part - offset[blk], starts[la], starts[lb], sizes[lb], la == lb
+        )
+        probs = np.minimum(1.0, w[i] * w[j] / total)
+        keep = rng.random(part.size) < probs / bound[blk]
+        edges.append(np.column_stack([i[keep], j[keep]]))
+    return Graph(n, np.concatenate(edges))
+
+
+# least ratio of a Chung-Lu layer's weights to its heaviest one; a sparse
+# block keeps at least the square of it (0.71) of its candidates
+_LAYER_RATIO = 2.0 ** -0.25
+
+# candidates mapped and thinned at a time
+_CHUNK = 1 << 18
+
+
+def _block_pair(pos, row0, col0, width, same):
+    """Node ids (i, j), i < j, of pair number `pos` within its block.
+
+    Across two layers the pairs run row by row, `width` to a row, from node
+    (row0, col0). Within one layer (`same`), pair y * (y - 1) / 2 + x is
+    (row0 + x, row0 + y) for x < y.
+    """
+    i = row0 + pos // width
+    j = col0 + pos % width
+    tri = np.flatnonzero(same)
+    p = pos[tri]
+    y = ((1.0 + np.sqrt(1.0 + 8.0 * p)) / 2.0).astype(np.int64)
+    y -= y * (y - 1) // 2 > p
+    y += (y + 1) * y // 2 <= p
+    i[tri] = row0[tri] + p - y * (y - 1) // 2
+    j[tri] = row0[tri] + y
+    return i, j
+
+
+def _distinct_keys(keys, offset, pairs, rng) -> np.ndarray:
+    """Sort `keys`, redrawing repeats within their own block until none is left.
+
+    Which copies are redrawn depends only on the multiset of keys, so each
+    block's final set is a uniform subset of its size.
+    """
+    keys = np.sort(keys)
+    while True:
+        again = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+        if not again.size:
+            return keys
+        blk = np.searchsorted(offset, keys[again], side="right") - 1
+        keys[again] = offset[blk] + rng.integers(pairs[blk])
+        keys.sort(kind="stable")
 
 
 def load_edge_list(path) -> Graph:

@@ -104,6 +104,10 @@ class MembershipEstimate:
     frequency: np.ndarray
     ties_broken: int
 
+    def at_least(self, floor: float) -> np.ndarray:
+        """Mask of the nodes whose membership frequency reaches `floor`."""
+        return self.frequency >= floor
+
 
 @dataclass(frozen=True)
 class ActivitySplit:

@@ -148,3 +148,24 @@ def message_passing_membership(n, edges, q, tol=1e-12, max_sweeps=10_000):
         raise RuntimeError("message passing did not converge")
     into = np.bincount(dst, weights=np.log1p(-q * u), minlength=n)
     return -np.expm1(into)
+
+
+def chung_lu_expected_edges(weights, total):
+    """Mean and variance of the Chung-Lu edge count, in O(n log n).
+
+    Pair {i, j} is an edge with probability min(1, w_i * w_j / total), and
+    `weights` is non-increasing. Row i's clamped columns j > i therefore
+    form a run that ends at the row's clamp cut, the first column with
+    w_j < total / w_i, found by binary search. The columns past the cut add
+    w_i * w_j / total each, summed from suffix sums of w and of w**2.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    n = w.size
+    rows = np.arange(n)
+    tail1 = np.append(np.cumsum(w[::-1])[::-1], 0.0)
+    tail2 = np.append(np.cumsum((w * w)[::-1])[::-1], 0.0)
+    cut = np.maximum(rows + 1, np.searchsorted(-w, -total / w, side="right"))
+    scaled = w / total
+    mean = (cut - rows - 1).sum() + (scaled * tail1[cut]).sum()
+    var = (scaled * tail1[cut] - scaled**2 * tail2[cut]).sum()
+    return float(mean), float(var)

@@ -213,6 +213,17 @@ class TestEvaluateAttack:
         assert math.isnan(by_floor[2.0].precision)
         assert by_floor[0.5].predicted_nodes >= 1
 
+    def test_floor_selection_is_infer_nodes_rule(self):
+        """Each floor scores exactly the nodes `infer_nodes` would predict."""
+        g = generate_er(200, 0.02, rng_seed=31)
+        spec = MechanismSpec(kind="laplace", scale=3.0)
+        result = evaluate_attack(
+            g, 0.4, 1, spec, floors=[0.9, 0.6, 0.3], trials=40, rng_seed=33
+        )
+        for fs in result.floors:
+            verdict = infer_nodes("active", result.config.membership, fs.floor)
+            assert fs.predicted_nodes == int(verdict.predicted.sum())
+
     def test_validation(self):
         g = Graph(3, [[0, 1]])
         spec = MechanismSpec(kind="laplace", scale=1.0)

@@ -439,6 +439,9 @@ class TestErrorPaths:
             ("attack", {"decision_threshold": "middle"}, []),
             ("sweep", {"q_grid": {"start": 0.1, "stop": 0.9, "count": 0}}, []),
             ("sweep", {}, ["--q", "0.1:0.9:0"]),
+            ("attack", {"floors": 0.9}, []),
+            ("membership", {"thresholds": 0.5}, []),
+            ("attack", {"floors": []}, []),
         ],
         ids=[
             "membership-trials-0",
@@ -457,6 +460,9 @@ class TestErrorPaths:
             "attack-threshold-non-numeric",
             "sweep-empty-grid",
             "sweep-empty-grid-flag",
+            "attack-floors-bare-number",
+            "membership-thresholds-bare-number",
+            "attack-floors-empty",
         ],
     )
     def test_bad_config_exits_2_without_traceback(
@@ -495,6 +501,15 @@ class TestErrorPaths:
             check=True,
         )
         assert done.stdout.strip() == "[]"
+
+    def test_pyproject_version_is_package_version(self):
+        """pyproject.toml and `cascadelab.__version__` name one release.
+
+        Read with a regex: `tomllib` needs Python 3.11 and the package
+        supports 3.10."""
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        found = re.findall(r'^version\s*=\s*"([^"]+)"', pyproject.read_text(), re.M)
+        assert found == [cascadelab.__version__]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -560,9 +575,10 @@ GOLDEN_CONFIG = {
 }
 
 # SHA-256 of every file each subcommand writes for GOLDEN_CONFIG (and, for
-# "attack-rr", the same config releasing through clamped randomized
-# response), recorded before the trial loops were folded into `worlds`.
-# A change here means an RNG stream or an output format moved.
+# the cases in GOLDEN_VARIANTS, the config with those entries replaced).
+# The CSV digests cover the tool_version header line. "gen-chung-lu" pins
+# the Chung-Lu graph stream, recorded at version 0.2.0. A change here
+# means an RNG stream, the version or an output format moved.
 GOLDEN_DIGESTS = {
     "gen": {
         "graph.txt": (
@@ -571,55 +587,65 @@ GOLDEN_DIGESTS = {
     },
     "components": {
         "components.csv": (
-            "524e8167726e4f19c90b88299972d9e78dcc64ca9a6dad3fe074426dc243462b"
+            "397b0040d3af76e1148cb23725033889e9e9d02d29efa44e155f6ff9d525c72f"
         ),
     },
     "sweep": {
         "sweep.csv": (
-            "b23f18483da619787e99c8d976aee7b859112b8a6c20a50189225c93363697ba"
+            "e646dc7b647b702eee5c0b91a58328767148f061a583990ed4fe7d715f63d98b"
         ),
     },
     "membership": {
         "membership.csv": (
-            "38ef58c53cf2140b607ed18a170769315c225ac1e9aadf9789c22a619036b354"
+            "dd074e0c46b9c93ac84f2e8ac1fb7eb0454c4ecd83d5db2b629653209bab109d"
         ),
     },
     "audit": {
         "audit.csv": (
-            "8209e9e350a277c7fc15467924779108ae4e3dc775273d23dc23a871f349826b"
+            "3573ec6a3023bb4aa96da9fb24d8baee9b9e90fe7dff7d1aa32ff54fe590f4f0"
         ),
         "audit_nodes.csv": (
-            "00268342171343508e07ee520c1e50240d9a002233b910b783cd04ee8b6bb478"
+            "b0e4ba6451dfedbec188fe34356922d8d64cd23ac186bbd8cb1313f69fef5d59"
         ),
     },
     "attack": {
         "attack.csv": (
-            "fe71160719d7bb82be1f7f6f26662e7cf28cb85c9fcffe28497458f3f0d5d871"
+            "d6fc6c1dc74d0a611a69f62597d5d7883f627aad1c8675905e613bfb1d08d7aa"
         ),
         "attack_summary.csv": (
-            "6aa8345960a1c208662eb015ccd05b339773693d205d845bbfdacc509581c8a5"
+            "13c7076aa97803fb351db6ea1bdfc735f6071ff6b3d0d7a14dd7a7670db811d4"
         ),
     },
     "attack-rr": {
         "attack.csv": (
-            "39ea1ded9b46c6893a56284e301a7f6837ae7511a7b4d02499e5007c7f678dcf"
+            "5a5bf3de86579515a90f9869a2b5a1de5680fd4382c3a19138985768b9284756"
         ),
         "attack_summary.csv": (
-            "4a8df0bfe2bf141dac63d896dcbb74ccd8dde4b1636d037eb338191e2e8f4d16"
+            "4bd3ee08b0684de65cdbe691940d4b95b1b5a11aafe80695b7394da89858cb7e"
         ),
+    },
+    "gen-chung-lu": {
+        "graph.txt": (
+            "b1c6908b671ed4244a16a337046b89a57dfb144e62970dbe6375fa92a72da0e5"
+        ),
+    },
+}
+
+
+# config entries that differ from GOLDEN_CONFIG, by case
+GOLDEN_VARIANTS = {
+    "attack-rr": {
+        "mechanism": {"kind": "randomized_response", "flip_prob": 0.2, "clamp": True}
+    },
+    "gen-chung-lu": {
+        "graph": {"kind": "chung_lu", "n": 120, "d": 2.0, "b": 1.5, "seed": 21}
     },
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
 def test_outputs_match_recorded_digests(tmp_path, case):
-    entries = dict(GOLDEN_CONFIG)
-    if case == "attack-rr":
-        entries["mechanism"] = {
-            "kind": "randomized_response",
-            "flip_prob": 0.2,
-            "clamp": True,
-        }
+    entries = {**GOLDEN_CONFIG, **GOLDEN_VARIANTS.get(case, {})}
     config = write_config(tmp_path, **entries)
     out = tmp_path / "out"
     command = case.split("-")[0]

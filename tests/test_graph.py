@@ -10,6 +10,8 @@ from scipy import stats
 from cascadelab.graph import (
     EdgeListFormatError,
     Graph,
+    NodeWeights,
+    _block_pair,
     chung_lu_weights,
     dump_edge_list,
     generate_chung_lu,
@@ -17,6 +19,8 @@ from cascadelab.graph import (
     load_edge_list,
 )
 from cascadelab.seeding import child_seed
+
+from oracles import chung_lu_expected_edges
 
 
 class TestGraph:
@@ -183,6 +187,89 @@ class TestGenerateChungLu:
         )
         se = math.sqrt(var / reps)
         assert abs(got - expected) <= 3 * se
+
+
+def plateau_weights() -> NodeWeights:
+    """Sixteen non-increasing weights in runs of near-equal values.
+
+    The runs put several nodes on each side of a weight step, and the pair
+    probabilities cover clamped pairs (22 of 120), pairs in [1/2, 1) (14)
+    and pairs below 1/2 (84).
+    """
+    w = np.array(
+        [40, 38, 36, 14, 13, 12, 11.5, 6, 5.6, 5.2, 4.8, 4.4, 2.4, 2.2, 2.0, 1.8]
+    )
+    return NodeWeights(
+        weights=w, min_degree=1.8, scale=1.0, beta=1.0, total=math.fsum(w)
+    )
+
+
+class TestChungLuExactness:
+    """Every pair is an edge independently with probability
+    min(1, w_i w_j / total), judged on many draws of one small graph."""
+
+    DRAWS = 10000
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        weights = plateau_weights()
+        n = weights.node_count
+        hits = np.zeros((n, n), dtype=np.int64)
+        counts = np.empty(self.DRAWS, dtype=np.int64)
+        for t in range(self.DRAWS):
+            g = generate_chung_lu(weights, rng_seed=child_seed(61, t))
+            hits[g.edges[:, 0], g.edges[:, 1]] += 1
+            counts[t] = g.edge_count
+        w = weights.weights
+        upper = np.triu_indices(n, 1)
+        probs = np.minimum(1.0, w[upper[0]] * w[upper[1]] / weights.total)
+        return probs, hits[upper], counts
+
+    def test_clamped_pairs_in_every_draw(self, draws):
+        probs, hits, _ = draws
+        assert (probs >= 1.0).sum() == 22
+        assert np.all(hits[probs >= 1.0] == self.DRAWS)
+
+    def test_pair_frequencies_chi_squared(self, draws):
+        probs, hits, _ = draws
+        free = probs < 1.0
+        p, o = probs[free], hits[free]
+        chi2 = ((o - self.DRAWS * p) ** 2 / (self.DRAWS * p * (1 - p))).sum()
+        assert chi2 <= stats.chi2.ppf(0.999, df=free.sum())
+
+    def test_edge_count_follows_poisson_binomial(self, draws):
+        """Independent pairs make the edge count a sum of independent
+        Bernoulli variables; its exact law is built by convolution."""
+        probs, _, counts = draws
+        pmf = np.ones(1)
+        for p in probs:
+            pmf = np.convolve(pmf, [1.0 - p, p])
+        cdf = np.cumsum(pmf)
+        cuts = np.unique(np.searchsorted(cdf, np.linspace(0.1, 0.9, 9)))
+        observed = np.bincount(
+            np.searchsorted(cuts, counts), minlength=cuts.size + 1
+        )
+        expected = self.DRAWS * np.diff(np.concatenate([[0.0], cdf[cuts], [1.0]]))
+        chi2 = ((observed - expected) ** 2 / expected).sum()
+        assert chi2 <= stats.chi2.ppf(0.999, df=cuts.size)
+
+    def test_pair_numbering_inverts_within_huge_layers(self):
+        """Within one layer pair number y * (y - 1) / 2 + x decodes to
+        (x, y), also where 8 * pos no longer fits a double's mantissa."""
+        y = np.array([3, 1000, 10**6, 2 * 10**8, 3 * 10**9], dtype=np.int64)
+        first = y * (y - 1) // 2
+        pos = np.concatenate([first - 1, first, first + y - 1])
+        zero = np.zeros(pos.size, dtype=np.int64)
+        i, j = _block_pair(pos, zero, zero, zero + 1, np.ones(pos.size, bool))
+        assert np.all(i < j)
+        assert np.array_equal(j * (j - 1) // 2 + i, pos)
+
+    @pytest.mark.parametrize("d, b", [(2.0, 1.5), (1.0, 0.8)])
+    def test_large_edge_count_matches_oracle(self, d, b):
+        weights = chung_lu_weights(200_000, d, b)
+        mean, var = chung_lu_expected_edges(weights.weights, weights.total)
+        g = generate_chung_lu(weights, rng_seed=child_seed(62, 0))
+        assert abs(g.edge_count - mean) <= 4 * math.sqrt(var)
 
 
 class TestEdgeListFiles:
