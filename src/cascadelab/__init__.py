@@ -1,6 +1,6 @@
 """cascadelab: percolated contagion, count-release privacy, and inference attacks."""
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .distributions import EmpiricalDistribution
 from .graph import (
@@ -21,11 +21,13 @@ from .percolation import (
     DegenerateConditioningError,
     MembershipEstimate,
     TriggeringSet,
+    WorldRecord,
     conditional_count_distributions,
     conditional_giant_distributions,
     connected_components,
     estimate_giant_membership,
     percolate,
+    record_worlds,
     run_cascade,
     sample_seeds,
     worlds,
@@ -51,6 +53,7 @@ from .privacy import (
     push_through_mechanism,
     randomized_response_estimate,
     release,
+    sample_wasserstein_infinity,
     tvd,
     wasserstein_infinity,
     wasserstein_mechanism_scale,

@@ -19,12 +19,7 @@ from .bounds import (
     solve_giant_fraction,
 )
 from .graph import Graph, NodeWeights
-from .percolation import (
-    MembershipEstimate,
-    conditional_giant_distributions,
-    estimate_giant_membership,
-    worlds,
-)
+from .percolation import MembershipEstimate, record_worlds, worlds
 from .privacy import MechanismSpec, release
 from .seeding import child_seed
 
@@ -153,11 +148,12 @@ def evaluate_attack(
 ) -> AttackEvaluation:
     """Measure the attack end to end against a release mechanism.
 
-    Calibration phase: `trials` rounds estimate per-node membership
-    frequencies and the activity split whose midpoint becomes the decision
-    threshold. Evaluation phase: `trials` fresh rounds release a perturbed
-    count, the adversary classifies giant activity and predicts node bits,
-    and predictions are scored against the true activation vectors.
+    Calibration phase: one recorded pass of `trials` rounds
+    (`record_worlds`) gives both the per-node membership frequencies and
+    the activity split whose midpoint becomes the decision threshold.
+    Evaluation phase: `trials` fresh rounds release a perturbed count, the
+    adversary classifies giant activity and predicts node bits, and
+    predictions are scored against the true activation vectors.
 
     Passing `decision_threshold` skips the split calibration and pins the
     cut directly; the split fields of the result are then nan/0. Needed for
@@ -173,11 +169,10 @@ def evaluate_attack(
         raise ValueError("floors must name at least one confidence floor")
     cal_seed = child_seed(rng_seed, 1)
     eval_seed = child_seed(rng_seed, 2)
-    membership = estimate_giant_membership(g, q, trials, child_seed(cal_seed, 0))
+    calibration = record_worlds(g, q, s, trials, child_seed(cal_seed, 0))
+    membership = calibration.membership()
     if decision_threshold is None:
-        split = conditional_giant_distributions(
-            g, q, s, trials, child_seed(cal_seed, 1)
-        )
+        split = calibration.giant_split()
         threshold = split.midpoint
         inactive_max, active_min = split.inactive_max, split.active_min
         tie_trials = split.tie_trials

@@ -32,7 +32,6 @@ from .graph import (
 )
 from .percolation import (
     DegenerateConditioningError,
-    conditional_giant_distributions,
     estimate_giant_membership,
     worlds,
 )
@@ -257,11 +256,17 @@ def _count(cfg: dict, key: str, hi: int | None = None) -> int:
 
 
 def _protected(cfg: dict, n: int) -> list[int]:
-    """Protected node ids, each required to lie in 0..n-1."""
+    """Protected node ids, each in 0..n-1; "all" names every node."""
+    raw = cfg["protected"]
+    if raw == "all":
+        return list(range(n))
+    message = 'protected must be a list of node ids or "all"'
+    if isinstance(raw, str):
+        raise ConfigError(message)
     try:
-        nodes = [int(v) for v in cfg["protected"]]
+        nodes = [int(v) for v in raw]
     except (TypeError, ValueError) as exc:
-        raise ConfigError("protected must be a list of node ids") from exc
+        raise ConfigError(message) from exc
     if not nodes or not all(0 <= v < n for v in nodes):
         raise ConfigError(f"protected must name node ids in 0..{n - 1}")
     return nodes
@@ -391,51 +396,39 @@ def cmd_audit(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     report = wasserstein_mechanism_scale(
         g, q, s, protected, trials, child_seed(master, 0)
     )
-    # the theta gap and the comparison test are diagnostics; a world whose
-    # giant is always (or never) seeded still has a well-defined W, so a
-    # one-sided split downgrades them to nan instead of aborting the audit
+    # the theta gap and the comparison test are diagnostics read from the
+    # same worlds; a world whose giant is always (or never) seeded still has
+    # a well-defined W, so a one-sided split downgrades them to nan instead
+    # of aborting the audit
+    theta_lo = theta_hi = test_tvd = test_error = float("nan")
     try:
-        split = conditional_giant_distributions(
-            g, q, s, trials, child_seed(master, 1)
-        )
+        split = report.worlds.giant_split()
     except DegenerateConditioningError as exc:
         logger.warning("theta split unavailable: %s", exc)
-        theta = (float("nan"), float("nan"), float("nan"))
-        test_rows = [
-            ("comparison_kind", comparison.kind),
-            ("comparison_tvd", float("nan")),
-            ("comparison_test_error", float("nan")),
-        ]
     else:
         # clamp_range takes effect only when the comparison sets clamp
         n_range = (0.0, float(g.node_count))
         z0 = push_through_mechanism(split.inactive, comparison, clamp_range=n_range)
         z1 = push_through_mechanism(split.active, comparison, clamp_range=n_range)
         test = hypothesis_test_error(z0, z1, threshold=split.midpoint)
-        theta = (
-            split.inactive_max,
-            split.active_min,
-            split.active_min - split.inactive_max,
-        )
-        test_rows = [
-            ("comparison_kind", comparison.kind),
-            ("comparison_tvd", test.tvd),
-            ("comparison_test_error", test.test_error),
-        ]
+        theta_lo, theta_hi = split.inactive_max, split.active_min
+        test_tvd, test_error = test.tvd, test.test_error
     lap_scale = report.w_scale / epsilon
     rows = [
         ("w_scale", report.w_scale),
         ("epsilon", epsilon),
         ("laplace_scale", lap_scale),
         ("mean_abs_noise", lap_scale),
-        ("theta_inactive_max", theta[0]),
-        ("theta_active_min", theta[1]),
-        ("theta_gap", theta[2]),
-        *test_rows,
+        ("theta_inactive_max", theta_lo),
+        ("theta_active_min", theta_hi),
+        ("theta_gap", theta_hi - theta_lo),
+        ("comparison_kind", comparison.kind),
+        ("comparison_tvd", test_tvd),
+        ("comparison_test_error", test_error),
         ("degenerate_nodes", len(report.degenerate)),
     ]
     write_csv(out_dir / "audit.csv", ["metric", "value"], rows, cfg_hash)
-    node_rows = [(v, w) for v, w in sorted(report.per_node.items())]
+    node_rows = sorted(report.per_node.items())
     write_csv(
         out_dir / "audit_nodes.csv", ["node", "w_infinity"], node_rows, cfg_hash
     )

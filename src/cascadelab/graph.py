@@ -70,16 +70,17 @@ class Graph:
         if edges.size:
             if edges.min() < 0 or edges.max() >= node_count:
                 raise ValueError("edge endpoint outside 0..node_count-1")
-            lo = edges.min(axis=1)
-            hi = edges.max(axis=1)
+            lo = np.minimum(edges[:, 0], edges[:, 1])
+            hi = np.maximum(edges[:, 0], edges[:, 1])
             if (lo == hi).any():
                 raise ValueError("self-loops are not allowed")
-            edges = np.column_stack([lo, hi])
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
-            edges = edges[order]
-            same = (np.diff(edges[:, 0]) == 0) & (np.diff(edges[:, 1]) == 0)
-            if same.any():
+            # one int64 key per edge sorts as (lo, hi) does
+            key = lo * node_count + hi
+            key.sort()
+            if (np.diff(key) == 0).any():
                 raise ValueError("duplicate edges are not allowed")
+            edges = np.empty((key.size, 2), dtype=np.int64)
+            np.divmod(key, node_count, out=(edges[:, 0], edges[:, 1]))
         self.node_count = node_count
         self.edges = edges
         self.external_ids = external_ids

@@ -28,11 +28,13 @@ __all__ = [
     "CascadeOutcome",
     "MembershipEstimate",
     "ActivitySplit",
+    "WorldRecord",
     "percolate",
     "connected_components",
     "run_cascade",
     "sample_seeds",
     "worlds",
+    "record_worlds",
     "estimate_giant_membership",
     "conditional_count_distributions",
     "conditional_giant_distributions",
@@ -125,6 +127,64 @@ class ActivitySplit:
     active_min: float
     midpoint: float
     tie_trials: int
+
+
+@dataclass(frozen=True)
+class WorldRecord:
+    """What one pass over `worlds` with seeds leaves for its estimators.
+
+    Rows are the trials ordered by ascending activation count (stably, so
+    equal counts keep trial order). Row t holds the count `counts[t]`, the
+    activation vector `packed[t]` (packed by `np.packbits`), whether a seed
+    fell in the largest component (`giant_active[t]`) and whether the two
+    largest components tied (`tie[t]`). `giant_hits[v]` counts the trials
+    whose largest component held node v.
+    """
+
+    counts: np.ndarray
+    packed: np.ndarray
+    giant_active: np.ndarray
+    tie: np.ndarray
+    giant_hits: np.ndarray
+
+    def activated(self, v: int) -> np.ndarray:
+        """Node v's activation bit in every row."""
+        return (self.packed[:, v >> 3] >> (7 - (v & 7)) & 1).astype(bool)
+
+    def _split(self, mask: np.ndarray, names: tuple[str, str]):
+        """Ascending counts of the rows outside `mask` and of those inside.
+
+        Raises:
+            DegenerateConditioningError: a branch, named by `names`, is empty.
+        """
+        branches = self.counts[~mask], self.counts[mask]
+        for samples, name in zip(branches, names):
+            if not samples.size:
+                raise DegenerateConditioningError(
+                    f"{name} received 0 of {self.counts.size} trials; "
+                    "the conditional distribution is undefined"
+                )
+        return branches
+
+    def node_split(self, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """Counts where node v stayed inactive and where it activated."""
+        names = (f"branch x_v=0 for node {v}", f"branch x_v=1 for node {v}")
+        return self._split(self.activated(v), names)
+
+    def giant_split(self) -> ActivitySplit:
+        """The `conditional_giant_distributions` split of these trials."""
+        names = ("giant-inactive branch", "giant-active branch")
+        x0, x1 = map(
+            EmpiricalDistribution.from_samples,
+            self._split(self.giant_active & ~self.tie, names),
+        )
+        lo, hi = x0.support_max, x1.support_min
+        return ActivitySplit(x0, x1, lo, hi, 0.5 * (lo + hi), int(self.tie.sum()))
+
+    def membership(self) -> MembershipEstimate:
+        """The `estimate_giant_membership` reduction of these trials."""
+        trials = self.counts.size
+        return MembershipEstimate(trials, self.giant_hits / trials, int(self.tie.sum()))
 
 
 def percolate(g: Graph, q: float, rng_seed: int) -> TriggeringSet:
@@ -250,18 +310,29 @@ def worlds(
         yield trial_seed, lab, out
 
 
-def _both_branches(
-    inactive: list[int], active: list[int], names: tuple[str, str], trials: int
-) -> tuple[EmpiricalDistribution, EmpiricalDistribution]:
-    for samples, name in zip((inactive, active), names):
-        if not samples:
-            raise DegenerateConditioningError(
-                f"{name} received 0 of {trials} trials; "
-                "the conditional distribution is undefined"
-            )
-    return (
-        EmpiricalDistribution.from_samples(inactive),
-        EmpiricalDistribution.from_samples(active),
+def record_worlds(
+    g: Graph, q: float, s: int, trials: int, rng_seed: int
+) -> WorldRecord:
+    """Record every trial of `worlds(g, q, rng_seed, trials, s)` in one pass.
+
+    Each estimator that splits the activation count, by one node's bit or
+    by giant activity, reads this record, so a calibration over any number
+    of nodes draws `trials` worlds in all. Memory is one bit per node and
+    trial.
+    """
+    n = g.node_count
+    counts = np.empty(trials, dtype=np.int64)
+    packed = np.empty((trials, (n + 7) // 8), dtype=np.uint8)
+    giant_active = np.empty(trials, dtype=bool)
+    tie = np.empty(trials, dtype=bool)
+    giant_hits = np.zeros(n, dtype=np.int64)
+    for t, (_, lab, out) in enumerate(worlds(g, q, rng_seed, trials, s)):
+        counts[t], packed[t] = out.count, np.packbits(out.activated)
+        giant_active[t], tie[t] = out.giant_active, lab.tie_at_top
+        giant_hits += lab.labels == 0
+    order = np.argsort(counts, kind="stable")
+    return WorldRecord(
+        counts[order], packed[order], giant_active[order], tie[order], giant_hits
     )
 
 
@@ -308,16 +379,9 @@ def conditional_count_distributions(
     """
     if not 0 <= v < g.node_count:
         raise ValueError("v outside 0..node_count-1")
-    inactive: list[int] = []
-    active: list[int] = []
-    for _, _, out in worlds(g, q, rng_seed, trials, s):
-        (active if out.activated[v] else inactive).append(out.count)
-    return _both_branches(
-        inactive,
-        active,
-        (f"branch x_v=0 for node {v}", f"branch x_v=1 for node {v}"),
-        trials,
-    )
+    record = record_worlds(g, q, s, trials, rng_seed)
+    mu0, mu1 = map(EmpiricalDistribution.from_samples, record.node_split(v))
+    return mu0, mu1
 
 
 def conditional_giant_distributions(
@@ -339,23 +403,4 @@ def conditional_giant_distributions(
         DegenerateConditioningError: either branch is empty, e.g. a
             connected graph at q=1 activates the giant in every trial.
     """
-    inactive: list[int] = []
-    active: list[int] = []
-    ties = 0
-    for _, lab, out in worlds(g, q, rng_seed, trials, s):
-        ties += int(lab.tie_at_top)
-        is_active = out.giant_active and not lab.tie_at_top
-        (active if is_active else inactive).append(out.count)
-    x0, x1 = _both_branches(
-        inactive, active, ("giant-inactive branch", "giant-active branch"), trials
-    )
-    theta0 = x0.support_max
-    theta1 = x1.support_min
-    return ActivitySplit(
-        inactive=x0,
-        active=x1,
-        inactive_max=theta0,
-        active_min=theta1,
-        midpoint=0.5 * (theta0 + theta1),
-        tie_trials=ties,
-    )
+    return record_worlds(g, q, s, trials, rng_seed).giant_split()

@@ -11,17 +11,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import EmpiricalDistribution
 from .graph import Graph
-from .percolation import (
-    DegenerateConditioningError,
-    conditional_count_distributions,
-)
-from .seeding import child_seed, rng_from_seed
+from .percolation import DegenerateConditioningError, WorldRecord, record_worlds
+from .seeding import rng_from_seed
 
 logger = logging.getLogger(__name__)
 
@@ -32,6 +29,7 @@ __all__ = [
     "EmpiricalDistribution",
     "tvd",
     "wasserstein_infinity",
+    "sample_wasserstein_infinity",
     "laplace_perturb",
     "randomized_response_estimate",
     "release",
@@ -101,11 +99,13 @@ class MechanismScaleReport:
     two count distributions conditioned on any protected node's activation
     bit; Laplace noise with scale w_scale / epsilon masks any one node's
     bit. Nodes whose conditioning degenerated are listed with the reason.
+    `worlds` is the recorded pass every distance was read from.
     """
 
     w_scale: float
     per_node: dict[int, float]
     degenerate: dict[int, str]
+    worlds: WorldRecord = field(repr=False, compare=False)
 
 
 def tvd(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> float:
@@ -151,6 +151,22 @@ def wasserstein_infinity(
             cum_b = next_b
             j += 1
     return best
+
+
+def sample_wasserstein_infinity(x0: np.ndarray, x1: np.ndarray) -> int:
+    """Infinity-order Wasserstein distance between two samples' empirical laws.
+
+    Both samples are ascending integer arrays. The quantile functions are
+    steps that change only at k/N0 and l/N1, so the distance is the largest
+    gap at those breakpoints. At k/N0 the other sample's quantile index is
+    ceil(k*N1/N0) - 1, taken in integers, so the result is exact at any
+    sample size.
+    """
+    n0, n1 = x0.size, x1.size
+    k0, k1 = np.arange(1, n0 + 1), np.arange(1, n1 + 1)
+    at_k0 = np.abs(x0 - x1[(k0 * n1 + n0 - 1) // n0 - 1]).max()
+    at_k1 = np.abs(x1 - x0[(k1 * n0 + n1 - 1) // n1 - 1]).max()
+    return int(max(at_k0, at_k1))
 
 
 def laplace_perturb(
@@ -226,37 +242,38 @@ def wasserstein_mechanism_scale(
 ) -> MechanismScaleReport:
     """Calibrate the Wasserstein mechanism over a set of protected nodes.
 
-    For each protected node v, estimates the count distributions conditioned
-    on x_v = 0 and x_v = 1 with `trials` fresh (percolation, seed) draws and
-    measures their infinity-order Wasserstein distance; the mechanism scale
-    is the maximum over nodes. Empirical supports make this a lower bound on
-    the population scale. Nodes whose conditioning degenerates are skipped
-    with a warning and reported; if every node degenerates the error is
-    raised.
+    One pass of `trials` (percolation, seed) draws is recorded
+    (`record_worlds`); each protected node v splits its counts by x_v into
+    the samples conditioned on x_v = 0 and x_v = 1, whose infinity-order
+    Wasserstein distance is computed exactly from the sorted counts. The
+    mechanism scale is the maximum over nodes. All nodes share the pass, so
+    their estimates are correlated; empirical supports make each a lower
+    bound on its population value. Nodes whose conditioning degenerates are
+    skipped with a warning and reported; if every node degenerates the
+    error is raised.
     """
     nodes = sorted({int(v) for v in protected})
     if not nodes:
         raise ValueError("protected must name at least one node")
+    if nodes[0] < 0 or nodes[-1] >= g.node_count:
+        raise ValueError("protected node outside 0..node_count-1")
+    record = record_worlds(g, q, s, trials, rng_seed)
     per_node: dict[int, float] = {}
     degenerate: dict[int, str] = {}
     for v in nodes:
         try:
-            mu0, mu1 = conditional_count_distributions(
-                g, q, s, v, trials, child_seed(rng_seed, v)
-            )
+            x0, x1 = record.node_split(v)
         except DegenerateConditioningError as exc:
             logger.warning("skipping node %d: %s", v, exc)
             degenerate[v] = str(exc)
             continue
-        per_node[v] = wasserstein_infinity(mu0, mu1)
+        per_node[v] = float(sample_wasserstein_infinity(x0, x1))
     if not per_node:
         raise DegenerateConditioningError(
             "conditioning degenerated for every protected node: "
             + "; ".join(degenerate.values())
         )
-    return MechanismScaleReport(
-        w_scale=max(per_node.values()), per_node=per_node, degenerate=degenerate
-    )
+    return MechanismScaleReport(max(per_node.values()), per_node, degenerate, record)
 
 
 def hypothesis_test_error(

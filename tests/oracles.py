@@ -2,12 +2,13 @@
 
 Everything here is deliberately naive: breadth-first search over adjacency
 dictionaries, exhaustive subset enumeration, Hall-condition feasibility
-checks. The package code must agree with these slow oracles, not the other
-way around.
+checks, exact rational arithmetic. The package code must agree with these
+slow oracles, not the other way around.
 """
 
 import itertools
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -92,6 +93,34 @@ def winf_bruteforce(mu, nu, mass_tol=1e-12):
         else:
             lo = mid
     return cands[hi]
+
+
+def winf_exact(x0, x1):
+    """W-infinity between two samples' empirical laws, in rational arithmetic.
+
+    Each distinct value carries mass count / sample size as a Fraction. The
+    walk advances through both atom lists in step with their exact
+    cumulative masses, as the comonotone coupling does, and keeps the
+    largest gap between atoms that share mass. No float is compared.
+    """
+
+    def atoms(x):
+        values, counts = np.unique(np.asarray(x, dtype=np.int64), return_counts=True)
+        return values.tolist(), [Fraction(int(c), len(x)) for c in counts]
+
+    va, pa = atoms(x0)
+    vb, pb = atoms(x1)
+    i = j = 0
+    cum_a = cum_b = Fraction(0)
+    best = 0
+    while i < len(va) and j < len(vb):
+        best = max(best, abs(va[i] - vb[j]))
+        next_a, next_b = cum_a + pa[i], cum_b + pb[j]
+        if next_a <= next_b:
+            cum_a, i = next_a, i + 1
+        if next_b <= next_a:
+            cum_b, j = next_b, j + 1
+    return best
 
 
 def all_edge_subsets(edges):

@@ -24,6 +24,7 @@ from cascadelab.percolation import (
     MembershipEstimate,
     conditional_giant_distributions,
     connected_components,
+    estimate_giant_membership,
     percolate,
     sample_seeds,
 )
@@ -236,7 +237,8 @@ class TestEvaluateAttack:
             )
 
     def test_schedule_independent(self):
-        """Calibration reads child_seed(seed, 1) and evaluation
+        """Calibration reads one pass at child_seed(child_seed(seed, 1), 0)
+        for both the membership and the split, and evaluation reads
         child_seed(seed, 2). Evaluation trial t percolates, draws seeds and
         releases on sub-streams 0, 1 and 2 of child_seed(eval_seed, t); an
         explicit BFS loop over that layout scores identically."""
@@ -245,10 +247,15 @@ class TestEvaluateAttack:
         spec = MechanismSpec(kind="laplace", scale=3.0)
         result = evaluate_attack(g, q, 1, spec, floors=[0.6], trials=80, rng_seed=32)
         cal_seed, eval_seed = child_seed(32, 1), child_seed(32, 2)
+        pass_seed = child_seed(cal_seed, 0)
         threshold = conditional_giant_distributions(
-            g, q, 1, trials=80, rng_seed=child_seed(cal_seed, 1)
+            g, q, 1, trials=80, rng_seed=pass_seed
         ).midpoint
         assert result.config.decision_threshold == threshold
+        membership = estimate_giant_membership(g, q, 80, pass_seed)
+        assert np.array_equal(
+            result.config.membership.frequency, membership.frequency
+        )
         hits = 0
         correct = np.zeros(n, dtype=np.int64)
         for t in range(80):

@@ -324,6 +324,37 @@ class TestAudit:
         )
         assert 0.0 <= float(metrics["comparison_test_error"]) <= 1.0
 
+    def test_protected_all_equals_every_node_listed(self, tmp_path):
+        """"all" audits every node from the one pass and writes the rows an
+        explicit list of 0..n-1 writes; nodes that never (or always)
+        activated are counted as degenerate instead of written."""
+        n = 40
+        bodies = {}
+        for name, protected in (("all", "all"), ("listed", list(range(n)))):
+            config = write_config(
+                tmp_path,
+                name=f"{name}.json",
+                graph={"kind": "er", "n": n, "p": 0.05, "seed": 6},
+                q=0.5,
+                trials=40,
+                seed=3,
+                protected=protected,
+                mechanism={"kind": "laplace", "scale": 5.0},
+            )
+            out = tmp_path / name
+            assert main(["audit", "--config", config, "--out", str(out)]) == 0
+            # line 1 carries the config hash, which differs between the two
+            bodies[name] = [
+                (out / f).read_text().splitlines()[1:]
+                for f in ("audit.csv", "audit_nodes.csv")
+            ]
+        assert bodies["all"] == bodies["listed"]
+        _, rows = read_csv(out / "audit.csv")
+        degenerate = int({r["metric"]: r["value"] for r in rows}["degenerate_nodes"])
+        _, node_rows = read_csv(out / "audit_nodes.csv")
+        assert degenerate > 0
+        assert len(node_rows) + degenerate == n
+
     def test_comparison_clamp_folds_noise_into_range(self, tmp_path):
         # noise scale far above n: clamping folds most mass onto 0 and n,
         # which changes how far apart the two released laws are
@@ -442,6 +473,8 @@ class TestErrorPaths:
             ("attack", {"floors": 0.9}, []),
             ("membership", {"thresholds": 0.5}, []),
             ("attack", {"floors": []}, []),
+            ("audit", {"protected": "every"}, []),
+            ("audit", {"protected": "01"}, []),
         ],
         ids=[
             "membership-trials-0",
@@ -463,6 +496,8 @@ class TestErrorPaths:
             "attack-floors-bare-number",
             "membership-thresholds-bare-number",
             "attack-floors-empty",
+            "audit-protected-other-string",
+            "audit-protected-digit-string",
         ],
     )
     def test_bad_config_exits_2_without_traceback(
@@ -577,8 +612,9 @@ GOLDEN_CONFIG = {
 # SHA-256 of every file each subcommand writes for GOLDEN_CONFIG (and, for
 # the cases in GOLDEN_VARIANTS, the config with those entries replaced).
 # The CSV digests cover the tool_version header line. "gen-chung-lu" pins
-# the Chung-Lu graph stream, recorded at version 0.2.0. A change here
-# means an RNG stream, the version or an output format moved.
+# the Chung-Lu graph stream, recorded at version 0.2.0; the audit and attack
+# streams, with "audit-all", were recorded at 0.2.1. A change here means an
+# RNG stream, the version or an output format moved.
 GOLDEN_DIGESTS = {
     "gen": {
         "graph.txt": (
@@ -587,41 +623,49 @@ GOLDEN_DIGESTS = {
     },
     "components": {
         "components.csv": (
-            "397b0040d3af76e1148cb23725033889e9e9d02d29efa44e155f6ff9d525c72f"
+            "342e90a7fdd64bf78bcaa970b3a40f9b2fb60d158c4e9d5d9054baefb460acab"
         ),
     },
     "sweep": {
         "sweep.csv": (
-            "e646dc7b647b702eee5c0b91a58328767148f061a583990ed4fe7d715f63d98b"
+            "eb3bcdabd12c492b8c1e74336c3e099ca2906a5f149dcb17339f1c9475a32f2a"
         ),
     },
     "membership": {
         "membership.csv": (
-            "dd074e0c46b9c93ac84f2e8ac1fb7eb0454c4ecd83d5db2b629653209bab109d"
+            "db3b71209456d791d441d46d002c7190f3a321c6816faedfc401145007d84ab5"
         ),
     },
     "audit": {
         "audit.csv": (
-            "3573ec6a3023bb4aa96da9fb24d8baee9b9e90fe7dff7d1aa32ff54fe590f4f0"
+            "097785af5e035747e36c269c9e15a8ef81173c34371f658e3e644d1c6cdfc44a"
         ),
         "audit_nodes.csv": (
-            "b0e4ba6451dfedbec188fe34356922d8d64cd23ac186bbd8cb1313f69fef5d59"
+            "d2d5b4b92f486952cdf53706ef87bd67737b81f2fece9aa5641f736224047d51"
         ),
     },
     "attack": {
         "attack.csv": (
-            "d6fc6c1dc74d0a611a69f62597d5d7883f627aad1c8675905e613bfb1d08d7aa"
+            "a96c454911d1d910128744583100cbdd5af3b4ee760abda63ae35cd3c3ae75ae"
         ),
         "attack_summary.csv": (
-            "13c7076aa97803fb351db6ea1bdfc735f6071ff6b3d0d7a14dd7a7670db811d4"
+            "73fa3c217f8fa0c6c8a958d67690e62d5025f8f47a42d2e08a2c2227df0d8e1b"
+        ),
+    },
+    "audit-all": {
+        "audit.csv": (
+            "2c858fcbc5051b3abb53a47b29147f221538b99ea3db4d42a8bad1f6f53684aa"
+        ),
+        "audit_nodes.csv": (
+            "727e15a674eb3443bb29f0a273bb5009792bacc89dc168defc7f4d5725d52237"
         ),
     },
     "attack-rr": {
         "attack.csv": (
-            "5a5bf3de86579515a90f9869a2b5a1de5680fd4382c3a19138985768b9284756"
+            "1f067f0ddfa6be74a0665648ed89482d69b72f8d76abde508ab17ee78c1c1ba1"
         ),
         "attack_summary.csv": (
-            "4bd3ee08b0684de65cdbe691940d4b95b1b5a11aafe80695b7394da89858cb7e"
+            "019fb1db2355212892a37d8538ed6265e92cd1f92df4752e6005ab3633027df3"
         ),
     },
     "gen-chung-lu": {
@@ -640,6 +684,7 @@ GOLDEN_VARIANTS = {
     "gen-chung-lu": {
         "graph": {"kind": "chung_lu", "n": 120, "d": 2.0, "b": 1.5, "seed": 21}
     },
+    "audit-all": {"protected": "all"},
 }
 
 

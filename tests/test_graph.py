@@ -29,6 +29,17 @@ class TestGraph:
         assert g.edges.tolist() == [[0, 2], [1, 2], [1, 3]]
         assert g.edge_count == 3
 
+    def test_canonical_order_matches_sorted_pairs(self):
+        """Shuffled rows in random orientation come out as the sorted pairs;
+        at n = 3e9 the sort key lo * n + hi nears the int64 limit."""
+        rng = np.random.default_rng(5)
+        for n in (50, 3_000_000_000):
+            draws = rng.integers(0, n, size=(400, 2)).tolist()
+            pairs = sorted({(min(u, v), max(u, v)) for u, v in draws if u != v})
+            rows = [p if rng.random() < 0.5 else p[::-1] for p in pairs]
+            g = Graph(n, [rows[i] for i in rng.permutation(len(rows))])
+            assert g.edges.tolist() == [list(p) for p in pairs]
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph(3, [[1, 1]])

@@ -19,6 +19,7 @@ from cascadelab.percolation import (
     connected_components,
     estimate_giant_membership,
     percolate,
+    record_worlds,
     run_cascade,
     sample_seeds,
     worlds,
@@ -302,6 +303,45 @@ class TestWorlds:
             next(worlds(g, 0.5, 1, 0))
         with pytest.raises(ValueError, match="s must"):
             next(worlds(g, 0.5, 1, 5, s=4))
+
+
+class TestRecordWorlds:
+    def test_rows_are_worlds_ordered_by_count(self):
+        """Row r is the trial of r-th smallest count (ties in trial order);
+        n = 70 leaves padding bits in the last packed byte."""
+        n, q, s, trials, seed = 70, 0.5, 2, 90, 42
+        g = generate_er(n, 0.05, rng_seed=41)
+        drawn = [(lab, out) for _, lab, out in worlds(g, q, seed, trials, s)]
+        order = sorted(range(trials), key=lambda t: drawn[t][1].count)
+        rec = record_worlds(g, q, s, trials, seed)
+        assert rec.counts.tolist() == [drawn[t][1].count for t in order]
+        assert rec.giant_active.tolist() == [drawn[t][1].giant_active for t in order]
+        assert rec.tie.tolist() == [drawn[t][0].tie_at_top for t in order]
+        bits = np.array([drawn[t][1].activated for t in order])
+        for v in range(n):
+            assert np.array_equal(rec.activated(v), bits[:, v])
+        assert rec.packed.shape == (trials, 9)
+
+    def test_membership_and_splits_match_estimators(self):
+        n, q, s, trials, seed = 90, 0.4, 1, 120, 43
+        g = generate_er(n, 0.04, rng_seed=44)
+        rec = record_worlds(g, q, s, trials, seed)
+        est = estimate_giant_membership(g, q, trials, seed)
+        assert np.array_equal(rec.membership().frequency, est.frequency)
+        assert rec.membership().ties_broken == est.ties_broken
+        got, want = rec.giant_split(), conditional_giant_distributions(
+            g, q, s, trials, seed
+        )
+        assert (got.midpoint, got.tie_trials) == (want.midpoint, want.tie_trials)
+        for a, b in ((got.inactive, want.inactive), (got.active, want.active)):
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.probs, b.probs)
+        x0, x1 = rec.node_split(5)
+        mu0, mu1 = conditional_count_distributions(g, q, s, 5, trials, seed)
+        assert np.array_equal(np.unique(x0), mu0.values)
+        assert np.array_equal(np.unique(x1), mu1.values)
+        assert (x0.size, x1.size) == (mu0.sample_count, mu1.sample_count)
+        assert np.all(np.diff(x0) >= 0) and np.all(np.diff(x1) >= 0)
 
 
 class TestEstimateGiantMembership:

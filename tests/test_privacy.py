@@ -23,13 +23,14 @@ from cascadelab.privacy import (
     push_through_mechanism,
     randomized_response_estimate,
     release,
+    sample_wasserstein_infinity,
     tvd,
     wasserstein_infinity,
     wasserstein_mechanism_scale,
 )
 from cascadelab.seeding import child_seed
 
-from oracles import bfs_activated, winf_bruteforce
+from oracles import bfs_activated, winf_bruteforce, winf_exact
 
 
 def dist(pairs):
@@ -125,6 +126,50 @@ class TestWassersteinInfinity:
             assert wasserstein_infinity(mu, nu) == pytest.approx(
                 wasserstein_infinity(nu, mu), abs=1e-12
             )
+
+
+def random_sample(rng, max_size=40, max_value=12):
+    """Ascending integer sample; a small value range forces ties."""
+    size = int(rng.integers(1, max_size + 1))
+    return np.sort(rng.integers(0, max_value + 1, size=size))
+
+
+class TestSampleWassersteinInfinity:
+    def test_matches_exact_oracle_on_random_pairs(self):
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            x0, x1 = random_sample(rng), random_sample(rng)
+            assert sample_wasserstein_infinity(x0, x1) == winf_exact(x0, x1)
+
+    def test_exact_oracle_matches_bruteforce(self):
+        rng = np.random.default_rng(22)
+        for _ in range(60):
+            x0 = random_sample(rng, max_size=9, max_value=6)
+            x1 = random_sample(rng, max_size=9, max_value=6)
+            atoms = [EmpiricalDistribution.from_samples(x) for x in (x0, x1)]
+            assert winf_exact(x0, x1) == pytest.approx(winf_bruteforce(*atoms))
+
+    def test_symmetric_and_zero_on_equal_laws(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            x0, x1 = random_sample(rng), random_sample(rng)
+            d = sample_wasserstein_infinity(x0, x1)
+            assert d == sample_wasserstein_infinity(x1, x0)
+            # repeating every observation leaves the empirical law unchanged
+            assert sample_wasserstein_infinity(x0, np.repeat(x0, 3)) == 0
+
+    @pytest.mark.parametrize("offset", [4, 5])
+    def test_large_support_is_exact(self, offset):
+        """mu holds K = 200000 atoms 3i; nu holds K/2 atoms 6j + offset,
+        each drawn three times, so its masses have another denominator.
+        Quantile coupling sends 6j and 6j + 3 to 6j + offset, so the
+        distance is max(offset, |3 - offset|) = offset. A float merge of the
+        cumulative masses drifts by one atom at this support and returns
+        offset + 3."""
+        k = 200_000
+        x0 = 3 * np.arange(k, dtype=np.int64)
+        x1 = np.repeat(6 * np.arange(k // 2, dtype=np.int64) + offset, 3)
+        assert sample_wasserstein_infinity(x0, x1) == offset
 
 
 class TestLaplacePerturb:
@@ -261,19 +306,21 @@ class TestWassersteinMechanismScale:
             wasserstein_mechanism_scale(g, 0.5, 1, [], trials=10, rng_seed=1)
 
     def test_schedule_independent(self):
-        """Node v's worlds come from master child_seed(seed, v); trial t
-        percolates on sub-stream 0 and draws seeds on sub-stream 1 of
-        child_seed(master, t). An explicit BFS loop over that layout gives
-        the same per-node distances."""
+        """Every node reads one shared pass: trial t percolates on
+        sub-stream 0 and draws seeds on sub-stream 1 of child_seed(seed, t).
+        An explicit BFS loop over that layout, split by each node's bit,
+        gives the same per-node distances."""
         g = generate_er(80, 0.05, rng_seed=12)
+        runs = []
+        for t in range(150):
+            trial_seed = child_seed(4, t)
+            h = percolate(g, 0.5, child_seed(trial_seed, 0))
+            seeds = sample_seeds(80, 1, child_seed(trial_seed, 1))
+            runs.append(bfs_activated(80, h.retained_edges, seeds))
         expect = {}
         for v in (0, 1, 2):
             branches = ([], [])
-            for t in range(150):
-                trial_seed = child_seed(child_seed(4, v), t)
-                h = percolate(g, 0.5, child_seed(trial_seed, 0))
-                seeds = sample_seeds(80, 1, child_seed(trial_seed, 1))
-                act = bfs_activated(80, h.retained_edges, seeds)
+            for act in runs:
                 branches[v in act].append(len(act))
             expect[v] = wasserstein_infinity(
                 *(EmpiricalDistribution.from_samples(b) for b in branches)
@@ -283,6 +330,22 @@ class TestWassersteinMechanismScale:
         )
         assert report.per_node == expect
         assert report.w_scale == max(expect.values())
+
+    def test_per_node_is_conditional_count_distance(self):
+        """Each node's distance is W-infinity between the two distributions
+        `conditional_count_distributions` draws at the same seed."""
+        n, q, s, trials, seed = 60, 0.5, 1, 200, 17
+        g = generate_er(n, 0.06, rng_seed=16)
+        report = wasserstein_mechanism_scale(g, q, s, range(n), trials, seed)
+        assert report.degenerate == {} and len(report.per_node) == n
+        for v in range(0, n, 7):
+            mu0, mu1 = conditional_count_distributions(g, q, s, v, trials, seed)
+            assert report.per_node[v] == wasserstein_infinity(mu0, mu1)
+
+    def test_protected_outside_graph_rejected(self):
+        g = Graph(3, [[0, 1]])
+        with pytest.raises(ValueError, match="outside"):
+            wasserstein_mechanism_scale(g, 0.5, 1, [0, 3], trials=10, rng_seed=1)
 
     def test_gap_forces_scale(self):
         """When the two count laws put different mass at or below the
