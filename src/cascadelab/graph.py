@@ -33,7 +33,19 @@ __all__ = [
     "dump_edge_list",
 ]
 
-_HEADER_RE = re.compile(r"^#\s*nodes=(\d+)\s+edges=(\d+)\s*$")
+# str.split splits at these characters and str.splitlines breaks at the
+# second group ("\r\n" reads as "\n"); the loader maps them to " " and "\n"
+_WHITESPACE = str.maketrans(
+    dict.fromkeys("\t\x1f\xa0\u1680\u202f\u205f\u3000", " ")
+    | dict.fromkeys(map(chr, range(0x2000, 0x200B)), " ")
+    | dict.fromkeys("\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029", "\n")
+)
+# the first line that is not blank, once whitespace is mapped
+_HEADER_RE = re.compile(r"\s*# *nodes=(\d+) +edges=(\d+) *(?:\n|\Z)")
+# a word holding a token's first w bytes keeps them by _LOW[w] and takes
+# spaces from _FILL[w] in the rest
+_LOW = np.array([(1 << 8 * w) - 1 for w in range(9)], dtype=np.uint64)
+_FILL = np.uint64(0x2020202020202020) & ~_LOW
 
 
 class EdgeListFormatError(ValueError):
@@ -94,19 +106,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Per-node degree; sums to 2 * edge_count."""
         return np.bincount(self.edges.ravel(), minlength=self.node_count)
-
-    @cached_property
-    def adjacency(self) -> list[np.ndarray]:
-        """Neighbor array per node, each sorted ascending."""
-        n = self.node_count
-        if self.edge_count == 0:
-            return [np.empty(0, dtype=np.int64) for _ in range(n)]
-        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        bounds = np.searchsorted(src, np.arange(n + 1))
-        return [dst[bounds[i]:bounds[i + 1]] for i in range(n)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -323,92 +322,95 @@ def load_edge_list(path) -> Graph:
         OSError: the file cannot be read.
     """
     path = Path(path)
-    text = path.read_text()
-
-    header_n: int | None = None
-    lines = text.splitlines()
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        m = _HEADER_RE.match(stripped)
-        if m is not None:
-            header_n = int(m.group(1))
-        break
-
-    id_map: dict[str, int] = {}
-    external: list[str] = []
-    seen: set[tuple[int, int]] = set()
-    pairs: list[tuple[int, int]] = []
-    duplicates = 0
-    self_loops = 0
-
-    def intern(token: str, lineno: int) -> int:
-        if header_n is not None:
+    text = path.read_text().translate(_WHITESPACE)
+    header_n = int(m.group(1)) if (m := _HEADER_RE.match(text)) else None
+    # the trailing spaces let every token be read as whole 8-byte words
+    b = np.frombuffer(text.encode() + b" " * 8, dtype=np.uint8)
+    del text, m
+    brk = b == ord("\n")
+    breaks = np.flatnonzero(brk)
+    # tokens are the runs of bytes between spaces and line breaks
+    bounds = np.flatnonzero(np.diff(brk | (b == ord(" ")), prepend=True, append=True))
+    starts, lengths = bounds[0::2], bounds[1::2] - bounds[0::2]
+    # per line that holds tokens: its first token, token count and comment flag
+    head = np.zeros(starts.size + 1, dtype=bool)
+    head[np.r_[0, np.searchsorted(starts, breaks)]] = True  # first, or after a break
+    head = np.flatnonzero(head[:-1])
+    count = np.diff(head, append=starts.size)
+    comment = b[starts[head]] == ord("#")
+    bad = np.flatnonzero(~comment & (count != 2))[:1]
+    found = [f"expected two node ids, found {c} tokens" for c in count[bad]]
+    problems = list(zip(starts[head[bad]], found))  # (byte offset, message)
+    keep = np.repeat(~comment & (count == 2), count)
+    del brk, head, count, comment, bounds
+    starts, lengths = starts[keep], lengths[keep]
+    ids, first, tokens = _intern(b, starts, lengths)
+    if header_n is not None:
+        # ids number tokens as first seen, so the first bad id is the file's
+        values = np.empty(len(tokens), dtype=np.int64)
+        for i, token in enumerate(tokens):
             try:
                 value = int(token)
             except ValueError:
-                raise EdgeListFormatError(
-                    f"{path}:{lineno}: non-integer id {token!r} under canonical header"
-                ) from None
-            if not 0 <= value < header_n:
-                raise EdgeListFormatError(
-                    f"{path}:{lineno}: id {value} outside 0..{header_n - 1}"
-                )
-            return value
-        idx = id_map.get(token)
-        if idx is None:
-            idx = len(id_map)
-            id_map[token] = idx
-            external.append(token)
-        return idx
+                found = f"non-integer id {token!r} under canonical header"
+            else:
+                if 0 <= value < header_n:
+                    values[i] = value
+                    continue
+                found = f"id {value} outside 0..{header_n - 1}"
+            problems.append((starts[first[i]], found))
+            break
+        else:
+            ids = values[ids]
+    if problems:
+        offset, message = min(problems)  # the first in the file
+        lineno = np.searchsorted(breaks, offset) + 1
+        raise EdgeListFormatError(f"{path}:{lineno}: {message}")
 
-    for lineno, line in enumerate(lines, 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise EdgeListFormatError(
-                f"{path}:{lineno}: expected two node ids, found {len(parts)} tokens"
-            )
-        u = intern(parts[0], lineno)
-        v = intern(parts[1], lineno)
-        if u == v:
-            self_loops += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
-        pairs.append(key)
-
+    n = len(tokens) if header_n is None else header_n
+    lo, hi = np.minimum(ids[0::2], ids[1::2]), np.maximum(ids[0::2], ids[1::2])
+    key = np.sort((lo * n + hi)[lo != hi])
+    edges = key[np.diff(key, prepend=-1) != 0]
+    duplicates, self_loops = key.size - edges.size, lo.size - key.size
     if duplicates or self_loops:
-        logger.warning(
-            "%s: dropped %d duplicate edge(s) and %d self-loop(s)",
-            path,
-            duplicates,
-            self_loops,
-        )
-
-    if header_n is not None:
-        n = header_n
-        ids = None
-    else:
-        n = len(id_map)
-        ids = external
+        dropped = "%s: dropped %d duplicate edge(s) and %d self-loop(s)"
+        logger.warning(dropped, path, duplicates, self_loops)
     if n < 1:
         raise EdgeListFormatError(f"{path}: no nodes found")
-    edges = (
-        np.array(pairs, dtype=np.int64) if pairs else np.empty((0, 2), dtype=np.int64)
-    )
-    return Graph(
-        n,
-        edges,
-        external_ids=ids,
-        source_report=EdgeListReport(duplicates, self_loops),
-    )
+    external = tokens if header_n is None else None
+    report = EdgeListReport(duplicates, self_loops)
+    return Graph(n, np.column_stack(np.divmod(edges, n)), external, report)
+
+
+def _intern(b, starts, lengths):
+    """Dense ids of the byte tokens b[starts:starts + lengths], first seen first.
+
+    Each token is read as a key of whole little-endian 8-byte words whose
+    bytes past the token are spaces, which no token holds; keys of one width
+    are sorted together. Returns each token's id and, per id, its first
+    token and its text.
+    """
+    windows = np.ndarray((b.size - 7,), dtype="<u8", buffer=b, strides=(1,))
+    inverse = np.empty(starts.size, dtype=np.int64)
+    firsts, texts = [np.empty(0, dtype=np.int64)], []
+    for k in np.flatnonzero(np.bincount((lengths + 7) // 8)).tolist():
+        members = np.flatnonzero((lengths + 7) // 8 == k)
+        word = 8 * np.arange(k)
+        width = np.clip(lengths[members, None] - word, 0, 8)
+        keys = windows[starts[members, None] + word] & _LOW[width] | _FILL[width]
+        del width
+        keys = keys.view(np.uint64 if k == 1 else np.dtype((np.void, 8 * k))).ravel()
+        order = np.argsort(keys)
+        keys = keys[order]
+        new = np.r_[True, keys[1:] != keys[:-1]]
+        keys = keys[new]
+        inverse[members[order]] = np.cumsum(new) + (len(texts) - 1)
+        texts += keys.tobytes().decode().split()
+        # the first token of each run of equal keys
+        firsts.append(members[np.minimum.reduceat(order, np.flatnonzero(new))])
+    first = np.concatenate(firsts)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse], first[order], [texts[i] for i in order.tolist()]
 
 
 def dump_edge_list(g: Graph, path) -> None:
@@ -418,7 +420,5 @@ def dump_edge_list(g: Graph, path) -> None:
     with u < v, sorted lexicographically. `load_edge_list` reproduces an
     identical Graph from this format.
     """
-    path = Path(path)
-    out = [f"# nodes={g.node_count} edges={g.edge_count}"]
-    out.extend(f"{u} {v}" for u, v in g.edges.tolist())
-    path.write_text("\n".join(out) + "\n")
+    body = ("%d %d\n" * g.edge_count) % tuple(g.edges.ravel().tolist())
+    Path(path).write_text(f"# nodes={g.node_count} edges={g.edge_count}\n" + body)

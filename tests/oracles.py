@@ -2,15 +2,20 @@
 
 Everything here is deliberately naive: breadth-first search over adjacency
 dictionaries, exhaustive subset enumeration, Hall-condition feasibility
-checks, exact rational arithmetic. The package code must agree with these
-slow oracles, not the other way around.
+checks, exact rational arithmetic, an edge-list parse one line at a time.
+The package code must agree with these slow oracles, not the other way
+around. `adjacency` is a test helper kept here, out of the package.
 """
 
 import itertools
+import re
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+
+from cascadelab.graph import EdgeListFormatError, EdgeListReport, Graph, logger
 
 
 def bfs_activated(n, retained_edges, seeds):
@@ -198,3 +203,128 @@ def chung_lu_expected_edges(weights, total):
     mean = (cut - rows - 1).sum() + (scaled * tail1[cut]).sum()
     var = (scaled * tail1[cut] - scaled**2 * tail2[cut]).sum()
     return float(mean), float(var)
+
+
+def adjacency(g):
+    """Neighbor array per node of a Graph, each sorted ascending."""
+    n = g.node_count
+    if g.edge_count == 0:
+        return [np.empty(0, dtype=np.int64) for _ in range(n)]
+    src = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    dst = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    bounds = np.searchsorted(src, np.arange(n + 1))
+    return [dst[bounds[i]:bounds[i + 1]] for i in range(n)]
+
+
+# the edge-list loader as one Python pass per line: `load_edge_list` must
+# return an equal graph with the same ids and counts, or raise the same error
+_HEADER_RE = re.compile(r"^#\s*nodes=(\d+)\s+edges=(\d+)\s*$")
+
+
+def load_edge_list_per_line(path) -> Graph:
+    """Parse a whitespace edge-list file into a Graph.
+
+    Each non-comment line is `u v`. Lines starting with '#' are skipped.
+    Self-loops and repeated edges (in either orientation) are dropped and
+    counted in the returned graph's `source_report`, with one warning logged
+    per file. Node ids may be arbitrary tokens; they are compacted to dense
+    0-based ids in first-seen order and kept in `external_ids`.
+
+    A leading `# nodes=<n> edges=<m>` header (as written by
+    `dump_edge_list`) switches to verbatim integer ids so canonical dumps
+    round-trip exactly, including isolated nodes.
+
+    Raises:
+        EdgeListFormatError: a line does not hold exactly two tokens, or ids
+            under a canonical header are not integers in range.
+        OSError: the file cannot be read.
+    """
+    path = Path(path)
+    text = path.read_text()
+
+    header_n: int | None = None
+    lines = text.splitlines()
+    for line in lines:
+        stripped = line.strip()
+        if not stripped:
+            continue
+        m = _HEADER_RE.match(stripped)
+        if m is not None:
+            header_n = int(m.group(1))
+        break
+
+    id_map: dict[str, int] = {}
+    external: list[str] = []
+    seen: set[tuple[int, int]] = set()
+    pairs: list[tuple[int, int]] = []
+    duplicates = 0
+    self_loops = 0
+
+    def intern(token: str, lineno: int) -> int:
+        if header_n is not None:
+            try:
+                value = int(token)
+            except ValueError:
+                raise EdgeListFormatError(
+                    f"{path}:{lineno}: non-integer id {token!r} under canonical header"
+                ) from None
+            if not 0 <= value < header_n:
+                raise EdgeListFormatError(
+                    f"{path}:{lineno}: id {value} outside 0..{header_n - 1}"
+                )
+            return value
+        idx = id_map.get(token)
+        if idx is None:
+            idx = len(id_map)
+            id_map[token] = idx
+            external.append(token)
+        return idx
+
+    for lineno, line in enumerate(lines, 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise EdgeListFormatError(
+                f"{path}:{lineno}: expected two node ids, found {len(parts)} tokens"
+            )
+        u = intern(parts[0], lineno)
+        v = intern(parts[1], lineno)
+        if u == v:
+            self_loops += 1
+            continue
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            duplicates += 1
+            continue
+        seen.add(key)
+        pairs.append(key)
+
+    if duplicates or self_loops:
+        logger.warning(
+            "%s: dropped %d duplicate edge(s) and %d self-loop(s)",
+            path,
+            duplicates,
+            self_loops,
+        )
+
+    if header_n is not None:
+        n = header_n
+        ids = None
+    else:
+        n = len(id_map)
+        ids = external
+    if n < 1:
+        raise EdgeListFormatError(f"{path}: no nodes found")
+    edges = (
+        np.array(pairs, dtype=np.int64) if pairs else np.empty((0, 2), dtype=np.int64)
+    )
+    return Graph(
+        n,
+        edges,
+        external_ids=ids,
+        source_report=EdgeListReport(duplicates, self_loops),
+    )

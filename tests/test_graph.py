@@ -2,12 +2,14 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from cascadelab.graph import (
+    _WHITESPACE,
     EdgeListFormatError,
     Graph,
     NodeWeights,
@@ -20,7 +22,7 @@ from cascadelab.graph import (
 )
 from cascadelab.seeding import child_seed
 
-from oracles import chung_lu_expected_edges
+from oracles import adjacency, chung_lu_expected_edges, load_edge_list_per_line
 
 
 class TestGraph:
@@ -70,7 +72,7 @@ class TestGraph:
 
     def test_adjacency_is_symmetric_and_sorted(self):
         g = generate_er(40, 0.15, rng_seed=4)
-        adj = g.adjacency
+        adj = adjacency(g)
         for v in range(40):
             assert np.all(np.diff(adj[v]) > 0)
             for u in adj[v]:
@@ -320,6 +322,24 @@ class TestEdgeListFiles:
         with pytest.raises(EdgeListFormatError, match=r"g\.txt:2"):
             load_edge_list(f)
 
+    def test_one_token_line_reports_line_number(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("# a comment\n\n0 1\n  # indented\n\t\n5\n1 2\n")
+        with pytest.raises(EdgeListFormatError, match=r"g\.txt:6: .* found 1 tokens"):
+            load_edge_list(f)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [("x 2", r"non-integer id 'x'"), ("0 7", r"id 7 outside 0\.\.2")],
+    )
+    def test_canonical_header_errors_report_line_number(
+        self, tmp_path, record, message
+    ):
+        f = tmp_path / "g.txt"
+        f.write_text(f"\n# nodes=3 edges=2\n# a comment\n\n0 1\n{record}\n1 2 3\n")
+        with pytest.raises(EdgeListFormatError, match=rf"g\.txt:6: {message}"):
+            load_edge_list(f)
+
     def test_dump_then_load_round_trip(self, tmp_path):
         g = generate_er(40, 0.12, rng_seed=8)
         path = tmp_path / "dump.txt"
@@ -333,6 +353,12 @@ class TestEdgeListFiles:
         path = tmp_path / "dump.txt"
         dump_edge_list(g, path)
         assert load_edge_list(path).node_count == 5
+
+    def test_dump_of_edgeless_graph_is_the_header_line(self, tmp_path):
+        path = tmp_path / "dump.txt"
+        dump_edge_list(Graph(3, []), path)
+        assert path.read_text() == "# nodes=3 edges=0\n"
+        assert load_edge_list(path) == Graph(3, [])
 
     def test_canonical_header_rejects_bad_ids(self, tmp_path):
         f = tmp_path / "g.txt"
@@ -348,3 +374,161 @@ class TestEdgeListFiles:
         f.write_text("# only a comment\n")
         with pytest.raises(EdgeListFormatError, match="no nodes"):
             load_edge_list(f)
+
+
+def write_snap_like(path, seed, pool, draws):
+    """Write a SNAP-form file: tab-separated rows listing every edge both
+    ways, sorted by source, under `#` comment lines, with a few self-loops
+    and sparse integer ids (rank weights, degree exponent 2.5)."""
+    rng = np.random.default_rng(seed)
+    weights = (pool / np.arange(1, pool + 1)) ** (2 / 3)
+    cum = np.cumsum(weights)
+    ends = np.searchsorted(cum, rng.random((draws, 2)) * cum[-1], side="right")
+    ends = np.unique(np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1), axis=0)
+    ids = rng.choice(100 * pool, size=pool, replace=False)
+    rows = np.concatenate([ends, ends[:, ::-1], np.repeat(ends[:7, :1], 2, axis=1)])
+    rows = ids[rows[np.lexsort((ids[rows[:, 1]], ids[rows[:, 0]]))]]
+    body = "".join(f"{u}\t{v}\n" for u, v in rows.tolist())
+    header = f"# Undirected graph\n# Nodes: {pool}\n# FromNodeId\tToNodeId\n"
+    path.write_text(header + body)
+
+
+def load_outcome(loader, path, caplog):
+    """What a loader makes of a file: its graph, ids, report and warnings,
+    or its error message."""
+    caplog.clear()
+    try:
+        g = loader(path)
+    except EdgeListFormatError as exc:
+        return "error", str(exc)
+    warnings = [r.getMessage() for r in caplog.records]
+    return g.node_count, g.edges.tolist(), g.external_ids, g.source_report, warnings
+
+
+# pieces of the random edge-list files: ids that differ only by leading
+# zeros, non-ASCII ids, ids of exactly 8 and of more than 8 UTF-8 bytes,
+# and ids that int() reads (`+3`, `1_0`, Arabic-Indic three)
+TOKENS = ["7", "07", "007", "0", "1", "12", "a", "\xe9", "\xdf", "\u65e5\u672c",
+          "\u65e5\u672c\u8a9e", "x", "x\x00", "abcdefgh", "abcdefghi",
+          "abcdefghijklmnopq", "+3", "1_0", "\u0663", "-1"]
+SEPARATORS = [" ", "\t", "  ", " \t ", "\x1f", "\xa0", "\u3000", "\u2009"]
+# line breaks for str.splitlines, met inside lines as well as at their ends
+BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+def random_edge_list(rng) -> str:
+    """A small file mixing records, comments, blank lines and odd spacing."""
+    header = rng.random() < 0.3
+    n = int(rng.integers(0, 6))
+    pool = TOKENS
+    if header:
+        pool = [str(i) for i in range(n)] * 6
+        pool += ["+1", "02", "\u0661", "-0", "9", "x"]
+    lines = [""] * int(rng.integers(0, 2))
+    if header:
+        lines.append(str(rng.choice(
+            ["# nodes=%d edges=3", "#nodes=%d  edges=0 ", "  # nodes=%d edges=1"]
+        )) % n)
+    records = []
+    for _ in range(int(rng.integers(0, 12))):
+        kind = rng.random()
+        seps = SEPARATORS + BREAKS[:1] if rng.random() < 0.05 else SEPARATORS
+        sep = str(rng.choice(seps))
+        if kind < 0.12:
+            lines.append(str(rng.choice(["", "  ", "\t", "\xa0"])))
+        elif kind < 0.24:
+            lines.append(str(rng.choice(["# c", "  # indented", "#", "\t#7 8"])))
+        elif kind < 0.34 and records:
+            # a repeat of an earlier record, in either orientation
+            u, v = records[int(rng.integers(len(records)))]
+            lines.append(sep.join([u, v] if rng.random() < 0.5 else [v, u]))
+        else:
+            width = 2 if rng.random() < 0.93 else int(rng.choice([1, 3]))
+            ids = [str(rng.choice(pool)) for _ in range(width)]
+            records += [ids] if width == 2 else []
+            indent, tail = str(rng.choice(["", " ", "\t"])), str(rng.choice(["", " "]))
+            lines.append(indent + sep.join(ids) + tail)
+    ends = [
+        str(rng.choice(BREAKS if rng.random() < 0.05 else LINE_ENDS)) for _ in lines
+    ]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if rng.random() < 0.8 else text.rstrip("\r\n")
+
+
+class TestLoaderMatchesPerLineOracle:
+    """The array loader against the per-line loader it replaced."""
+
+    def test_snap_file(self, tmp_path, caplog):
+        path = tmp_path / "snap.txt"
+        write_snap_like(path, seed=801, pool=30000, draws=84000)
+        with caplog.at_level(logging.WARNING):
+            got = load_outcome(load_edge_list, path, caplog)
+            want = load_outcome(load_edge_list_per_line, path, caplog)
+        assert got[0] > 20000 and got[3].duplicates_dropped > 50000
+        assert got == want
+
+    def test_random_small_files(self, tmp_path, caplog):
+        rng = np.random.default_rng(802)
+        path = tmp_path / "g.txt"
+        errors = 0
+        with caplog.at_level(logging.WARNING):
+            for _ in range(400):
+                path.write_bytes(random_edge_list(rng).encode())
+                got = load_outcome(load_edge_list, path, caplog)
+                assert got == load_outcome(load_edge_list_per_line, path, caplog)
+                errors += got[0] == "error"
+        # both outcomes are well represented
+        assert 80 <= errors <= 320
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x x\x00\nx\x00 x\n",
+            "7 07\n07 007\n7 007\n",
+            "abcdefgh abcdefghi\nabcdefghi abcdefgh\nabcdefgh\x00 abcdefgh\n",
+            "# nodes=3 edges=0",
+            "# nodes=3 edges=1 more\n0 1\n",
+            "\u3000# nodes=3 edges=1\u2028 0 +2\x851 \u0662\r\n2\t0",
+            "\n\n  # nodes=2 edges=1 \n0 1\n# nodes=1 edges=0\n1 0\n",
+            "a\x0bb\n",
+        ],
+    )
+    def test_edge_cases(self, tmp_path, caplog, text):
+        path = tmp_path / "g.txt"
+        path.write_bytes(text.encode())
+        with caplog.at_level(logging.WARNING):
+            got = load_outcome(load_edge_list, path, caplog)
+            assert got == load_outcome(load_edge_list_per_line, path, caplog)
+
+    def test_every_ascii_character_between_ids(self, tmp_path, caplog):
+        path = tmp_path / "g.txt"
+        with caplog.at_level(logging.WARNING):
+            for code in range(0x80):
+                path.write_bytes(f"# c\na{chr(code)}b\nc d\n".encode())
+                got = load_outcome(load_edge_list, path, caplog)
+                assert got == load_outcome(load_edge_list_per_line, path, caplog)
+
+    def test_whitespace_table_matches_str_methods(self):
+        """Every character that str.split splits at maps to a space, or to a
+        newline where str.splitlines also breaks."""
+        spaces = [c for c in range(0x110000) if chr(c).isspace()]
+        assert sorted(_WHITESPACE) == [c for c in spaces if chr(c) not in " \n"]
+        for c in _WHITESPACE:
+            breaks = len(f"a{chr(c)}b".splitlines()) == 2
+            assert _WHITESPACE[c] == ("\n" if breaks else " ")
+
+    def test_peak_memory_within_per_line_loader(self, tmp_path):
+        path = tmp_path / "snap.txt"
+        write_snap_like(path, seed=803, pool=6000, draws=12000)
+        assert len(path.read_text().splitlines()) >= 20000
+        peaks = []
+        tracemalloc.start()
+        try:
+            for loader in (load_edge_list, load_edge_list_per_line):
+                tracemalloc.reset_peak()
+                loader(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
