@@ -385,16 +385,16 @@ def load_edge_list(path) -> Graph:
 def _intern(b, starts, lengths):
     """Dense ids of the byte tokens b[starts:starts + lengths], first seen first.
 
-    Each token is read as a key of whole little-endian 8-byte words whose
-    bytes past the token are spaces, which no token holds; keys of one width
-    are sorted together. Returns each token's id and, per id, its first
-    token and its text.
+    Each token is read as a key of whole little-endian 8-byte words padded
+    with at least one space, which no token holds, so each distinct key
+    decodes to one text; keys of one width are sorted together. Returns
+    each token's id and, per id, its first token and its text.
     """
     windows = np.ndarray((b.size - 7,), dtype="<u8", buffer=b, strides=(1,))
     inverse = np.empty(starts.size, dtype=np.int64)
     firsts, texts = [np.empty(0, dtype=np.int64)], []
-    for k in np.flatnonzero(np.bincount((lengths + 7) // 8)).tolist():
-        members = np.flatnonzero((lengths + 7) // 8 == k)
+    for k in np.flatnonzero(np.bincount((lengths + 8) // 8)).tolist():
+        members = np.flatnonzero((lengths + 8) // 8 == k)
         word = 8 * np.arange(k)
         width = np.clip(lengths[members, None] - word, 0, 8)
         keys = windows[starts[members, None] + word] & _LOW[width] | _FILL[width]

@@ -406,11 +406,12 @@ def load_outcome(loader, path, caplog):
 
 
 # pieces of the random edge-list files: ids that differ only by leading
-# zeros, non-ASCII ids, ids of exactly 8 and of more than 8 UTF-8 bytes,
-# and ids that int() reads (`+3`, `1_0`, Arabic-Indic three)
+# zeros, non-ASCII ids, ids of exactly 8 and 16 and of other lengths above
+# 8 UTF-8 bytes, and ids that int() reads (`+3`, `1_0`, Arabic-Indic three)
 TOKENS = ["7", "07", "007", "0", "1", "12", "a", "\xe9", "\xdf", "\u65e5\u672c",
-          "\u65e5\u672c\u8a9e", "x", "x\x00", "abcdefgh", "abcdefghi",
-          "abcdefghijklmnopq", "+3", "1_0", "\u0663", "-1"]
+          "\u65e5\u672c\u8a9e", "x", "x\x00", "abcdefgh", "abcdefgi", "abcdefghi",
+          "12345678", "abcdefghijklmnop", "abcdefghijklmnoq", "abcdefghijklmnopq",
+          "+3", "1_0", "\u0663", "-1"]
 SEPARATORS = [" ", "\t", "  ", " \t ", "\x1f", "\xa0", "\u3000", "\u2009"]
 # line breaks for str.splitlines, met inside lines as well as at their ends
 BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -487,6 +488,8 @@ class TestLoaderMatchesPerLineOracle:
             "x x\x00\nx\x00 x\n",
             "7 07\n07 007\n7 007\n",
             "abcdefgh abcdefghi\nabcdefghi abcdefgh\nabcdefgh\x00 abcdefgh\n",
+            "12345678 12345679\n",
+            "1234567812345678 1234567812345679\n12345678 1234567812345678\n",
             "# nodes=3 edges=0",
             "# nodes=3 edges=1 more\n0 1\n",
             "\u3000# nodes=3 edges=1\u2028 0 +2\x851 \u0662\r\n2\t0",
