@@ -20,7 +20,6 @@ from .percolation import (
     ComponentLabeling,
     DegenerateConditioningError,
     MembershipEstimate,
-    TriggeringSet,
     WorldRecord,
     conditional_count_distributions,
     conditional_giant_distributions,

@@ -205,7 +205,10 @@ def build_graph(source: dict, master_seed: int) -> tuple[str, Graph]:
     if not isinstance(source, dict) or "kind" not in source:
         raise ConfigError("graph source must be an object with a 'kind'")
     kind = source["kind"]
-    seed = int(source.get("seed", child_seed(master_seed, _STREAM_GRAPH)))
+    if "seed" in source:
+        seed = _integer(source["seed"], "graph seed")
+    else:
+        seed = child_seed(master_seed, _STREAM_GRAPH)
     try:
         if kind == "er":
             n, p = int(source["n"]), float(source["p"])
@@ -237,19 +240,27 @@ def _graph_sources(cfg: dict) -> list[dict]:
     raise ConfigError("'graph' must be an object or a non-empty list of objects")
 
 
-def _the_graph(cfg: dict) -> Graph:
+def _the_graph(cfg: dict, master_seed: int) -> tuple[str, Graph]:
     sources = _graph_sources(cfg)
     if len(sources) != 1:
         raise ConfigError("this subcommand expects exactly one graph source")
-    return build_graph(sources[0], int(cfg["seed"]))[1]
+    return build_graph(sources[0], master_seed)
+
+
+def _integer(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be an integer, not {value!r}") from exc
+
+
+def _master_seed(cfg: dict) -> int:
+    return _integer(cfg["seed"], "seed")
 
 
 def _count(cfg: dict, key: str, hi: int | None = None) -> int:
     """Integer config value `key`, required to be >= 1 (and <= hi if given)."""
-    try:
-        value = int(cfg[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be an integer") from exc
+    value = _integer(cfg[key], key)
     if value < 1 or (hi is not None and value > hi):
         raise ConfigError(f"{key} must lie in 1..{'' if hi is None else hi}")
     return value
@@ -300,7 +311,7 @@ def _component_stats(g: Graph, q: float, trials: int, seed: int):
 
 
 def cmd_gen(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
-    name, g = build_graph(_graph_sources(cfg)[0], int(cfg["seed"]))
+    name, g = _the_graph(cfg, _master_seed(cfg))
     path = out_dir / "graph.txt"
     dump_edge_list(g, path)
     print(f"wrote {path} ({name}: {g.node_count} nodes, {g.edge_count} edges)")
@@ -310,7 +321,7 @@ def cmd_gen(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
 def cmd_components(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     q = _single_q(cfg)
     trials = _count(cfg, "trials")
-    master = int(cfg["seed"])
+    master = _master_seed(cfg)
     rows = []
     for idx, source in enumerate(_graph_sources(cfg)):
         name, g = build_graph(source, master)
@@ -338,9 +349,10 @@ def cmd_components(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
 
 
 def cmd_sweep(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
-    g = _the_graph(cfg)
+    master = _master_seed(cfg)
+    _, g = _the_graph(cfg, master)
     trials = _count(cfg, "sweep_trials")
-    master = child_seed(int(cfg["seed"]), _STREAM_SWEEP)
+    master = child_seed(master, _STREAM_SWEEP)
     rows = []
     for qi, q in enumerate(_q_values(cfg)):
         if not 0.0 < q <= 1.0:
@@ -357,12 +369,13 @@ def cmd_sweep(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
 
 
 def cmd_membership(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
-    g = _the_graph(cfg)
+    master = _master_seed(cfg)
+    _, g = _the_graph(cfg, master)
     q = _single_q(cfg)
     trials = _count(cfg, "trials")
     thresholds = _numbers(cfg["thresholds"], "thresholds")
     est = estimate_giant_membership(
-        g, q, trials, child_seed(int(cfg["seed"]), _STREAM_TRIALS)
+        g, q, trials, child_seed(master, _STREAM_TRIALS)
     )
     rows = []
     for threshold in thresholds:
@@ -378,7 +391,8 @@ def cmd_membership(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
 
 
 def cmd_audit(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
-    g = _the_graph(cfg)
+    master = _master_seed(cfg)
+    _, g = _the_graph(cfg, master)
     q = _single_q(cfg)
     s = _count(cfg, "s", hi=g.node_count)
     trials = _count(cfg, "trials")
@@ -392,7 +406,7 @@ def cmd_audit(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
             "audit pushes counts through Laplace noise; the comparison "
             "mechanism must be of kind laplace or wasserstein"
         )
-    master = child_seed(int(cfg["seed"]), _STREAM_AUDIT)
+    master = child_seed(master, _STREAM_AUDIT)
     report = wasserstein_mechanism_scale(
         g, q, s, protected, trials, child_seed(master, 0)
     )
@@ -436,7 +450,8 @@ def cmd_audit(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
 
 
 def cmd_attack(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
-    g = _the_graph(cfg)
+    master = _master_seed(cfg)
+    _, g = _the_graph(cfg, master)
     q = _single_q(cfg)
     fixed = cfg.get("decision_threshold")
     if fixed is not None:
@@ -450,7 +465,7 @@ def cmd_attack(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
         _mechanism(cfg),
         _numbers(cfg["floors"], "floors"),
         _count(cfg, "trials"),
-        child_seed(int(cfg["seed"]), _STREAM_ATTACK),
+        child_seed(master, _STREAM_ATTACK),
         decision_threshold=fixed,
     )
     rows = [

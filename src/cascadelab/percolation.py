@@ -23,7 +23,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "DegenerateConditioningError",
-    "TriggeringSet",
     "ComponentLabeling",
     "CascadeOutcome",
     "MembershipEstimate",
@@ -46,46 +45,29 @@ class DegenerateConditioningError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TriggeringSet:
-    """Retained-edge world drawn by one percolation round."""
-
-    base: Graph
-    retained_edges: np.ndarray
-    q: float
-
-    @property
-    def retained_count(self) -> int:
-        return int(self.retained_edges.shape[0])
-
-
-@dataclass(frozen=True)
 class ComponentLabeling:
-    """Connected components of a retained-edge world, ranked by size.
+    """Connected components of a retained-edge world and its largest one.
 
-    `labels[v]` is the rank of v's component; rank 0 is the largest.
-    `sizes` is non-increasing and sums to the node count. Equal sizes rank
-    the component containing the lowest node id first.
+    `root[v]` is the lowest member of v's component. The giant is the
+    largest component, rooted at `giant_root`; equal sizes give it to the
+    component holding the lowest node id. `second_size` is the size of the
+    next largest component, 0 when there is only one.
     """
 
-    labels: np.ndarray
-    sizes: np.ndarray
+    root: np.ndarray
+    giant_root: int
+    giant_size: int
+    second_size: int
 
     @property
-    def component_count(self) -> int:
-        return int(self.sizes.size)
-
-    @property
-    def giant_size(self) -> int:
-        return int(self.sizes[0])
-
-    @property
-    def second_size(self) -> int:
-        return int(self.sizes[1]) if self.sizes.size > 1 else 0
+    def in_giant(self) -> np.ndarray:
+        """Mask of the nodes in the giant component."""
+        return self.root == self.giant_root
 
     @property
     def tie_at_top(self) -> bool:
         """True when the two largest components have equal size."""
-        return self.sizes.size > 1 and int(self.sizes[0]) == int(self.sizes[1])
+        return self.second_size == self.giant_size
 
 
 @dataclass(frozen=True)
@@ -187,24 +169,20 @@ class WorldRecord:
         return MembershipEstimate(trials, self.giant_hits / trials, int(self.tie.sum()))
 
 
-def percolate(g: Graph, q: float, rng_seed: int) -> TriggeringSet:
+def percolate(g: Graph, q: float, rng_seed: int) -> np.ndarray:
     """Retain each edge of g independently with probability q.
 
-    One coin per undirected edge; q must lie in (0, 1]. Deterministic for a
-    fixed (g, q, rng_seed).
+    One coin per undirected edge; q must lie in (0, 1]. Returns the retained
+    rows of `g.edges`, deterministic for a fixed (g, q, rng_seed).
     """
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1]")
     rng = rng_from_seed(rng_seed)
-    mask = rng.random(g.edge_count) < q
-    return TriggeringSet(base=g, retained_edges=g.edges[mask], q=q)
+    return g.edges[rng.random(g.edge_count) < q]
 
 
-def connected_components(h: TriggeringSet) -> ComponentLabeling:
-    """Label the connected components of the retained subgraph.
-
-    Ranks are deterministic: descending size, then ascending lowest member
-    id, so repeated runs agree bit for bit.
+def connected_components(n: int, retained_edges: np.ndarray) -> ComponentLabeling:
+    """Label the components of the n-node graph on `retained_edges`.
 
     Hook-and-jump labeling (Shiloach & Vishkin, J. Algorithms 3, 1982):
     each round hooks the larger root of every edge that still crosses two
@@ -212,9 +190,8 @@ def connected_components(h: TriggeringSet) -> ComponentLabeling:
     at its root. `root[x] <= x` holds throughout, so each component ends
     rooted at its lowest member.
     """
-    n = h.base.node_count
     root = np.arange(n, dtype=np.int64)
-    u, v = h.retained_edges[:, 0], h.retained_edges[:, 1]
+    u, v = retained_edges[:, 0], retained_edges[:, 1]
     while True:
         ru, rv = root[u], root[v]
         cross = ru != rv
@@ -229,53 +206,36 @@ def connected_components(h: TriggeringSet) -> ComponentLabeling:
                 break
             root = jumped
     sizes = np.bincount(root, minlength=n)
-    lowest = np.flatnonzero(sizes)
-    sizes = sizes[lowest]
-    # lowest members ascend, so a stable sort by size breaks ties toward
-    # the component holding the lowest node id
-    order = np.argsort(-sizes, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[lowest[order]] = np.arange(lowest.size, dtype=np.int64)
-    return ComponentLabeling(labels=rank[root], sizes=sizes[order])
+    # argmax takes the first maximum: the tied component with the lowest root
+    giant_root = int(np.argmax(sizes))
+    second_size = int(np.partition(sizes, -2)[-2]) if n > 1 else 0
+    return ComponentLabeling(root, giant_root, int(sizes[giant_root]), second_size)
 
 
-def run_cascade(
-    h: TriggeringSet,
-    seeds: Iterable[int],
-    labeling: ComponentLabeling | None = None,
-) -> CascadeOutcome:
+def run_cascade(labeling: ComponentLabeling, seeds: Iterable[int]) -> CascadeOutcome:
     """Activate every node sharing a retained-edge component with a seed.
 
-    Equivalent to breadth-first contagion over the retained edges. An empty
-    seed set is allowed (activates nothing) but logged, since experiments
-    assume at least one seed. Pass `labeling` to reuse a precomputed
-    component labeling of the same world.
+    Equivalent to breadth-first contagion over the labeled world's retained
+    edges. An empty seed set is allowed (activates nothing) but logged,
+    since experiments assume at least one seed.
     """
-    n = h.base.node_count
+    root = labeling.root
     if isinstance(seeds, np.ndarray):
         seed_arr = np.unique(seeds.astype(np.int64))
     else:
         seed_arr = np.unique(np.fromiter(seeds, dtype=np.int64))
-    if seed_arr.size and (seed_arr[0] < 0 or seed_arr[-1] >= n):
+    if seed_arr.size and (seed_arr[0] < 0 or seed_arr[-1] >= root.size):
         raise ValueError("seed id outside 0..node_count-1")
     if seed_arr.size == 0:
         logger.warning("cascade run with an empty seed set; nothing activates")
-        return CascadeOutcome(
-            seeds=seed_arr,
-            activated=np.zeros(n, dtype=bool),
-            count=0,
-            giant_active=False,
-        )
-    if labeling is None:
-        labeling = connected_components(h)
-    seeded = np.zeros(labeling.component_count, dtype=bool)
-    seeded[labeling.labels[seed_arr]] = True
-    activated = seeded[labeling.labels]
+    seeded = np.zeros(root.size, dtype=bool)
+    seeded[root[seed_arr]] = True
+    activated = seeded[root]
     return CascadeOutcome(
         seeds=seed_arr,
         activated=activated,
         count=int(activated.sum()),
-        giant_active=bool(seeded[0]),
+        giant_active=bool(seeded[labeling.giant_root]),
     )
 
 
@@ -301,12 +261,12 @@ def worlds(
         raise ValueError("trials must be >= 1")
     for t in range(trials):
         trial_seed = child_seed(rng_seed, t)
-        h = percolate(g, q, child_seed(trial_seed, 0))
-        lab = connected_components(h)
+        retained = percolate(g, q, child_seed(trial_seed, 0))
+        lab = connected_components(g.node_count, retained)
         out = None
         if s is not None:
             seeds = sample_seeds(g.node_count, s, child_seed(trial_seed, 1))
-            out = run_cascade(h, seeds, labeling=lab)
+            out = run_cascade(lab, seeds)
         yield trial_seed, lab, out
 
 
@@ -329,7 +289,7 @@ def record_worlds(
     for t, (_, lab, out) in enumerate(worlds(g, q, rng_seed, trials, s)):
         counts[t], packed[t] = out.count, np.packbits(out.activated)
         giant_active[t], tie[t] = out.giant_active, lab.tie_at_top
-        giant_hits += lab.labels == 0
+        giant_hits += lab.in_giant
     order = np.argsort(counts, kind="stable")
     return WorldRecord(
         counts[order], packed[order], giant_active[order], tie[order], giant_hits
@@ -352,7 +312,7 @@ def estimate_giant_membership(
     counts = np.zeros(g.node_count, dtype=np.int64)
     ties = 0
     for _, lab, _ in worlds(g, q, rng_seed, trials):
-        counts += lab.labels == 0
+        counts += lab.in_giant
         ties += int(lab.tie_at_top)
     return MembershipEstimate(
         trials=trials, frequency=counts / trials, ties_broken=ties

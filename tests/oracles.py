@@ -47,16 +47,12 @@ def component_sets(n, retained_edges):
     return comps
 
 
-def ranked_components(n, retained_edges):
-    """Per-node component rank and the ranked sizes.
-
-    Components rank by descending size, then by ascending lowest member.
-    """
-    comps = sorted(component_sets(n, retained_edges), key=lambda c: (-len(c), min(c)))
-    labels = np.empty(n, dtype=np.int64)
-    for rank, comp in enumerate(comps):
-        labels[list(comp)] = rank
-    return labels, np.array([len(c) for c in comps], dtype=np.int64)
+def lowest_members(n, retained_edges):
+    """Each node's lowest component member, from `component_sets`."""
+    root = np.empty(n, dtype=np.int64)
+    for comp in component_sets(n, retained_edges):
+        root[list(comp)] = min(comp)
+    return root
 
 
 def giant_component(n, retained_edges):

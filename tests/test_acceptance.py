@@ -29,7 +29,6 @@ from cascadelab.graph import (
     load_edge_list,
 )
 from cascadelab.percolation import (
-    TriggeringSet,
     conditional_giant_distributions,
     connected_components,
     estimate_giant_membership,
@@ -73,7 +72,7 @@ def er_component_trials():
     giants = []
     seconds = []
     for t in range(50):
-        lab = connected_components(percolate(g, 0.3, child_seed(stream, t)))
+        lab = connected_components(2500, percolate(g, 0.3, child_seed(stream, t)))
         giants.append(lab.giant_size)
         seconds.append(lab.second_size)
     return float(np.mean(giants)), float(np.mean(seconds))
@@ -142,10 +141,10 @@ def test_miss_rate_by_retained_degree_matches_exponential():
     outside_counts = np.zeros(6)
     degree_counts = np.zeros(6)
     for t in range(trials):
-        h = percolate(g, 0.3, child_seed(stream, t))
-        lab = connected_components(h)
-        deg = np.bincount(h.retained_edges.ravel(), minlength=n)
-        outside = lab.labels != 0
+        retained = percolate(g, 0.3, child_seed(stream, t))
+        lab = connected_components(n, retained)
+        deg = np.bincount(retained.ravel(), minlength=n)
+        outside = ~lab.in_giant
         for k in range(1, 6):
             sel = deg == k
             degree_counts[k] += sel.sum()
@@ -225,10 +224,9 @@ def test_root_n_noise_leaves_giant_status_testable():
 
 
 def _check_world(g, retained, checked):
-    world = TriggeringSet(g, retained, 1.0)
-    labeling = connected_components(world)
+    labeling = connected_components(g.node_count, retained)
     for seed in range(g.node_count):
-        got = run_cascade(world, np.array([seed]), labeling=labeling)
+        got = run_cascade(labeling, np.array([seed]))
         want = bfs_activated(g.node_count, retained, [seed])
         assert set(np.flatnonzero(got.activated)) == want
         assert got.count == len(want)
@@ -271,7 +269,9 @@ def test_collaboration_network_component_sizes():
     giants = []
     seconds = []
     for t in range(1000):
-        lab = connected_components(percolate(g, 0.3, child_seed(stream, t)))
+        lab = connected_components(
+            g.node_count, percolate(g, 0.3, child_seed(stream, t))
+        )
         giants.append(lab.giant_size)
         seconds.append(lab.second_size)
     assert float(np.mean(giants)) == pytest.approx(1577.3, rel=0.10)

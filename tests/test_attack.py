@@ -113,16 +113,16 @@ class TestWindowedClassification:
         e_m = 0.4
         for edges in all_graph_edge_lists(4):
             g = Graph(4, edges) if len(edges) else Graph(4, [])
-            h = percolate(g, 1.0, rng_seed=1)
-            lab = connected_components(h)
+            retained = percolate(g, 1.0, rng_seed=1)
+            lab = connected_components(4, retained)
             c1 = lab.giant_size
             c2 = lab.second_size
             for s in (1, 2):
                 for seeds in itertools.combinations(range(4), s):
                     active = bool(
-                        (lab.labels[list(seeds)] == 0).any()
+                        lab.in_giant[list(seeds)].any()
                     ) and not lab.tie_at_top
-                    x = len(bfs_activated(4, h.retained_edges, seeds))
+                    x = len(bfs_activated(4, retained, seeds))
                     lo, hi = s * c2 + e_m, c1 - e_m
                     if lo >= hi:
                         continue
@@ -135,7 +135,7 @@ class TestWindowedClassification:
 class TestEvaluateAttack:
     def test_deterministic_world_is_fully_recovered(self):
         g = generate_er(60, 0.2, rng_seed=20)
-        assert connected_components(percolate(g, 1.0, rng_seed=0)).giant_size == 60
+        assert connected_components(60, percolate(g, 1.0, rng_seed=0)).giant_size == 60
         spec = MechanismSpec(kind="laplace", scale=1e-9)
         result = evaluate_attack(
             g, 1.0, 1, spec, floors=[0.99], trials=40, rng_seed=21,
@@ -260,12 +260,12 @@ class TestEvaluateAttack:
         correct = np.zeros(n, dtype=np.int64)
         for t in range(80):
             trial_seed = child_seed(eval_seed, t)
-            h = percolate(g, q, child_seed(trial_seed, 0))
+            retained = percolate(g, q, child_seed(trial_seed, 0))
             seeds = sample_seeds(n, 1, child_seed(trial_seed, 1))
-            act = bfs_activated(n, h.retained_edges, seeds)
-            sizes = sorted(len(c) for c in component_sets(n, h.retained_edges))
+            act = bfs_activated(n, retained, seeds)
+            sizes = sorted(len(c) for c in component_sets(n, retained))
             tie = len(sizes) > 1 and sizes[-1] == sizes[-2]
-            giant = giant_component(n, h.retained_edges)
+            giant = giant_component(n, retained)
             truth = not tie and any(int(v) in giant for v in seeds)
             reported = laplace_perturb(len(act), 3.0, child_seed(trial_seed, 2))
             judged = reported > threshold
@@ -354,7 +354,7 @@ class TestVulnerableSetCl:
         g = generate_chung_lu(w, rng_seed=child_seed(37, 0))
         fractions = [
             connected_components(
-                percolate(g, q, rng_seed=child_seed(38, t))
+                n, percolate(g, q, rng_seed=child_seed(38, t))
             ).giant_size
             / n
             for t in range(20)

@@ -138,7 +138,7 @@ class TestChungLuMissBound:
         g = generate_chung_lu(w, rng_seed=child_seed(50, 0))
         fractions = [
             connected_components(
-                percolate(g, q, rng_seed=child_seed(51, t))
+                n, percolate(g, q, rng_seed=child_seed(51, t))
             ).giant_size
             / n
             for t in range(20)
@@ -230,7 +230,7 @@ class TestPercolationThreshold:
         q = min(1.0, 3 * thr)
         sizes = [
             connected_components(
-                percolate(g, q, rng_seed=child_seed(53, t))
+                800, percolate(g, q, rng_seed=child_seed(53, t))
             ).giant_size
             for t in range(10)
         ]

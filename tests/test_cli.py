@@ -21,7 +21,7 @@ from cascadelab.cli import (
     main,
 )
 from cascadelab.graph import Graph, generate_er, load_edge_list
-from cascadelab.percolation import TriggeringSet, connected_components
+from cascadelab.percolation import connected_components
 from cascadelab.seeding import child_seed
 
 COMMENT_RE = re.compile(r"^# config_hash=[0-9a-f]{16} tool_version=\d")
@@ -185,7 +185,7 @@ class TestComponents:
         rc = main(["components", "--config", config, "--out", str(out), "--q", "1"])
         assert rc == 0
         g = generate_er(60, 0.05, rng_seed=8)
-        lab = connected_components(TriggeringSet(g, g.edges, 1.0))
+        lab = connected_components(g.node_count, g.edges)
         _, rows = read_csv(out / "components.csv")
         row = rows[0]
         assert float(row["mean_giant"]) == lab.giant_size
@@ -220,7 +220,7 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["sweep", "--config", config, "--out", str(out)]) == 0
         g = generate_er(50, 0.06, rng_seed=9)
-        lab = connected_components(TriggeringSet(g, g.edges, 1.0))
+        lab = connected_components(g.node_count, g.edges)
         _, rows = read_csv(out / "sweep.csv")
         assert len(rows) == 1
         assert float(rows[0]["q"]) == 1.0
@@ -475,6 +475,22 @@ class TestErrorPaths:
             ("attack", {"floors": []}, []),
             ("audit", {"protected": "every"}, []),
             ("audit", {"protected": "01"}, []),
+            ("components", {"seed": "abc"}, []),
+            (
+                "gen",
+                {"graph": {"kind": "er", "n": 300, "p": 5 / 299, "seed": "abc"}},
+                [],
+            ),
+            (
+                "gen",
+                {
+                    "graph": [
+                        {"kind": "er", "n": 30, "p": 0.1},
+                        {"kind": "er", "n": 40, "p": 0.1},
+                    ]
+                },
+                [],
+            ),
         ],
         ids=[
             "membership-trials-0",
@@ -498,6 +514,9 @@ class TestErrorPaths:
             "attack-floors-empty",
             "audit-protected-other-string",
             "audit-protected-digit-string",
+            "components-seed-non-integer",
+            "gen-graph-seed-non-integer",
+            "gen-several-graph-sources",
         ],
     )
     def test_bad_config_exits_2_without_traceback(

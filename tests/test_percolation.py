@@ -13,7 +13,6 @@ from cascadelab.distributions import EmpiricalDistribution
 from cascadelab.graph import Graph, chung_lu_weights, generate_chung_lu, generate_er
 from cascadelab.percolation import (
     DegenerateConditioningError,
-    TriggeringSet,
     conditional_count_distributions,
     conditional_giant_distributions,
     connected_components,
@@ -26,28 +25,28 @@ from cascadelab.percolation import (
 )
 from cascadelab.seeding import child_seed, rng_from_seed
 
-from oracles import bfs_activated, component_sets, giant_component, ranked_components
+from oracles import bfs_activated, component_sets, giant_component, lowest_members
 
 
 def _no_retained_edges():
     g = Graph(6, [[0, 1], [2, 5], [3, 4]])
-    return TriggeringSet(g, g.edges[:0], 0.5)
+    return g.node_count, g.edges[:0]
 
 
 def _isolated_nodes():
     g = Graph(7, [[1, 4], [4, 6], [2, 3]])
-    return TriggeringSet(g, g.edges, 1.0)
+    return g.node_count, g.edges
 
 
 def _equal_sizes():
     # four 3-node paths on scrambled ids, each hooking in a different order
     g = Graph(12, [[11, 4], [4, 7], [10, 2], [9, 10], [8, 5], [5, 1], [6, 3], [3, 0]])
-    return TriggeringSet(g, g.edges, 1.0)
+    return g.node_count, g.edges
 
 
 def _full_retention_connected():
     g = generate_er(300, 0.05, rng_seed=child_seed(18, 0))
-    return percolate(g, 1.0, rng_seed=child_seed(18, 1))
+    return g.node_count, percolate(g, 1.0, rng_seed=child_seed(18, 1))
 
 
 def _permuted_path():
@@ -55,24 +54,28 @@ def _permuted_path():
     n = 100_000
     ids = rng_from_seed(child_seed(18, 2)).permutation(n)
     g = Graph(n, np.column_stack([ids[:-1], ids[1:]]))
-    return TriggeringSet(g, g.edges, 1.0)
+    return g.node_count, g.edges
 
 
-def retained_set(h):
-    return {tuple(e) for e in h.retained_edges.tolist()}
+def _one_node():
+    g = Graph(1, [])
+    return g.node_count, g.edges
+
+
+def retained_set(retained):
+    return {tuple(e) for e in retained.tolist()}
 
 
 class TestPercolate:
     def test_q_one_keeps_everything(self):
         g = generate_er(30, 0.2, rng_seed=1)
-        h = percolate(g, 1.0, rng_seed=2)
-        assert np.array_equal(h.retained_edges, g.edges)
+        assert np.array_equal(percolate(g, 1.0, rng_seed=2), g.edges)
 
     def test_tiny_q_keeps_nothing(self):
         # union bound: P(any of 1e4 edges) < 1e4 * 1e-12 = 1e-8
         g = generate_er(200, 0.51, rng_seed=3)
         assert g.edge_count >= 10_000
-        assert percolate(g, 1e-12, rng_seed=4).retained_count == 0
+        assert len(percolate(g, 1e-12, rng_seed=4)) == 0
 
     def test_q_validation(self):
         g = Graph(2, [[0, 1]])
@@ -85,21 +88,20 @@ class TestPercolate:
         g = generate_er(50, 0.2, rng_seed=5)
         a = percolate(g, 0.4, rng_seed=6)
         b = percolate(g, 0.4, rng_seed=6)
-        assert np.array_equal(a.retained_edges, b.retained_edges)
+        assert np.array_equal(a, b)
         c = percolate(g, 0.4, rng_seed=7)
-        assert not np.array_equal(a.retained_edges, c.retained_edges)
+        assert not np.array_equal(a, c)
 
     def test_retained_is_subset(self):
         g = generate_er(50, 0.3, rng_seed=8)
-        h = percolate(g, 0.5, rng_seed=9)
-        assert retained_set(h) <= {tuple(e) for e in g.edges.tolist()}
+        retained = percolate(g, 0.5, rng_seed=9)
+        assert retained_set(retained) <= {tuple(e) for e in g.edges.tolist()}
 
     def test_retention_rate_binomial(self):
         g = generate_er(100, 0.4, rng_seed=10)
         q, reps = 0.3, 200
         kept = sum(
-            percolate(g, q, rng_seed=child_seed(11, i)).retained_count
-            for i in range(reps)
+            len(percolate(g, q, rng_seed=child_seed(11, i))) for i in range(reps)
         )
         total = reps * g.edge_count
         se = math.sqrt(total * q * (1 - q))
@@ -112,11 +114,10 @@ class TestPercolate:
         direct = []
         for i in range(reps):
             g = generate_er(n, p, rng_seed=child_seed(12, 2 * i))
-            h = percolate(g, q, rng_seed=child_seed(12, 2 * i + 1))
-            thinned.append(connected_components(h).giant_size)
+            retained = percolate(g, q, rng_seed=child_seed(12, 2 * i + 1))
+            thinned.append(connected_components(n, retained).giant_size)
             g2 = generate_er(n, p * q, rng_seed=child_seed(13, i))
-            h2 = TriggeringSet(g2, g2.edges, 1.0)
-            direct.append(connected_components(h2).giant_size)
+            direct.append(connected_components(n, g2.edges).giant_size)
         ks = stats.ks_2samp(thinned, direct)
         assert ks.pvalue > 0.01
 
@@ -124,40 +125,43 @@ class TestPercolate:
 class TestConnectedComponents:
     def test_triangle(self):
         g = Graph(3, [[0, 1], [1, 2], [0, 2]])
-        lab = connected_components(percolate(g, 1.0, rng_seed=1))
-        assert lab.sizes.tolist() == [3]
+        lab = connected_components(3, percolate(g, 1.0, rng_seed=1))
+        assert lab.root.tolist() == [0, 0, 0]
         assert lab.giant_size == 3
         assert lab.second_size == 0
+        assert not lab.tie_at_top
 
     def test_isolated_nodes(self):
         g = Graph(4, [])
-        lab = connected_components(percolate(g, 1.0, rng_seed=1))
-        assert lab.sizes.tolist() == [1, 1, 1, 1]
+        lab = connected_components(4, percolate(g, 1.0, rng_seed=1))
+        assert lab.root.tolist() == [0, 1, 2, 3]
+        assert (lab.giant_root, lab.giant_size, lab.second_size) == (0, 1, 1)
+        assert lab.tie_at_top
 
     def test_path_with_middle_edge_dropped(self):
         g = Graph(4, [[0, 1], [2, 3]])
-        lab = connected_components(TriggeringSet(g, g.edges, 1.0))
-        assert lab.sizes.tolist() == [2, 2]
+        lab = connected_components(4, g.edges)
+        assert lab.giant_size == lab.second_size == 2
         assert lab.tie_at_top
 
     def test_tie_rank_goes_to_lowest_min_id(self):
-        # components {1,3} and {0,2}: equal size, {0,2} must take label 0
+        # components {1,3} and {0,2}: equal size, {0,2} must be the giant
         g = Graph(4, [[1, 3], [0, 2]])
-        lab = connected_components(TriggeringSet(g, g.edges, 1.0))
-        assert lab.labels[0] == lab.labels[2] == 0
-        assert lab.labels[1] == lab.labels[3] == 1
+        lab = connected_components(4, g.edges)
+        assert lab.giant_root == 0
+        assert lab.in_giant.tolist() == [True, False, True, False]
 
     def test_labels_match_oracle_on_random_graphs(self):
         for i in range(40):
             g = generate_er(12, 0.18, rng_seed=child_seed(14, i))
-            h = percolate(g, 0.7, rng_seed=child_seed(15, i))
-            lab = connected_components(h)
-            comps = component_sets(12, h.retained_edges)
-            comps.sort(key=lambda c: (-len(c), min(c)))
-            for rank, comp in enumerate(comps):
-                assert {int(v) for v in np.where(lab.labels == rank)[0]} == comp
-            assert lab.sizes.sum() == 12
-            assert np.all(np.diff(lab.sizes) <= 0)
+            retained = percolate(g, 0.7, rng_seed=child_seed(15, i))
+            lab = connected_components(12, retained)
+            assert np.array_equal(lab.root, lowest_members(12, retained))
+            giant = giant_component(12, retained)
+            assert set(np.flatnonzero(lab.in_giant).tolist()) == giant
+            sizes = sorted(len(c) for c in component_sets(12, retained))
+            assert lab.giant_size == sizes[-1]
+            assert lab.second_size == (sizes[-2] if len(sizes) > 1 else 0)
 
     @pytest.mark.parametrize(
         "world",
@@ -167,34 +171,37 @@ class TestConnectedComponents:
             _equal_sizes,
             _full_retention_connected,
             _permuted_path,
+            _one_node,
         ],
         ids=lambda f: f.__name__.lstrip("_"),
     )
     def test_matches_bfs_oracle_on_degenerate_worlds(self, world):
-        h = world()
-        n = h.base.node_count
-        labels, sizes = ranked_components(n, h.retained_edges)
-        lab = connected_components(h)
-        assert np.array_equal(lab.sizes, sizes)
-        assert np.array_equal(lab.labels, labels)
+        n, retained = world()
+        lab = connected_components(n, retained)
+        assert np.array_equal(lab.root, lowest_members(n, retained))
+        sizes = sorted(len(c) for c in component_sets(n, retained))
+        assert lab.giant_size == sizes[-1]
+        assert lab.second_size == (sizes[-2] if len(sizes) > 1 else 0)
 
     def test_equal_sizes_rank_by_lowest_member(self):
-        lab = connected_components(_equal_sizes())
-        assert lab.sizes.tolist() == [3, 3, 3, 3]
+        lab = connected_components(*_equal_sizes())
         # {0,3,6} holds 0, {1,5,8} holds 1, {2,9,10} holds 2, {4,7,11} holds 4
-        assert lab.labels.tolist() == [0, 1, 2, 0, 3, 1, 0, 3, 1, 2, 2, 3]
+        assert lab.root.tolist() == [0, 1, 2, 0, 4, 1, 0, 4, 1, 2, 2, 4]
+        assert lab.giant_root == 0
+        assert lab.tie_at_top
+        assert lab.second_size == 3
 
     def test_full_retention_on_connected_graph_is_one_component(self):
-        lab = connected_components(_full_retention_connected())
-        assert lab.sizes.tolist() == [300]
-        assert not lab.labels.any()
+        lab = connected_components(*_full_retention_connected())
+        assert (lab.giant_size, lab.second_size) == (300, 0)
+        assert not lab.root.any()
 
     @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.9])
     def test_scipy_labels_components_by_lowest_member(self, q):
         """scipy's csgraph serves as an independent oracle: it numbers
-        undirected components in order of their lowest member, so ranking
-        its labels by descending size, then ascending lowest member, must
-        reproduce the package's labeling exactly."""
+        undirected components in order of their lowest member, so mapping
+        each of its labels to that member must reproduce the package's
+        roots, and its first largest label must be the package's giant."""
         n = 2000
         weights = chung_lu_weights(n, 2.0, 1.5)
         substrates = [
@@ -203,61 +210,62 @@ class TestConnectedComponents:
         ]
         for k, g in enumerate(substrates):
             for t in range(5):
-                h = percolate(g, q, rng_seed=child_seed(17, 10 * k + t))
-                u, v = h.retained_edges.T
+                retained = percolate(g, q, rng_seed=child_seed(17, 10 * k + t))
+                u, v = retained.T
                 mat = sparse.csr_matrix((np.ones(u.size), (u, v)), shape=(n, n))
                 _, raw = csgraph.connected_components(mat, directed=False)
                 first_member = np.unique(raw, return_index=True)[1]
                 assert np.all(np.diff(first_member) > 0)
-                # ranks: descending size, then ascending lowest member id
                 sizes = np.bincount(raw)
-                order = np.lexsort((first_member, -sizes))
-                lab = connected_components(h)
-                assert np.array_equal(lab.sizes, sizes[order])
-                assert np.array_equal(lab.labels, np.argsort(order)[raw])
+                lab = connected_components(n, retained)
+                assert np.array_equal(lab.root, first_member[raw])
+                assert lab.giant_root == first_member[np.argmax(sizes)]
+                assert lab.giant_size == sizes.max()
+                assert lab.second_size == np.sort(sizes)[-2]
 
 
 class TestRunCascade:
     def test_empty_seeds_flagged(self, caplog):
         g = Graph(3, [[0, 1]])
-        h = TriggeringSet(g, g.edges, 1.0)
+        lab = connected_components(3, g.edges)
         with caplog.at_level(logging.WARNING):
-            out = run_cascade(h, np.array([], dtype=np.int64))
+            out = run_cascade(lab, np.array([], dtype=np.int64))
         assert out.count == 0
         assert not out.activated.any()
         assert "empty seed" in caplog.text
 
     def test_full_retention_single_seed_activates_all(self):
         g = generate_er(20, 0.4, rng_seed=16)
-        assert connected_components(percolate(g, 1.0, rng_seed=0)).giant_size == 20
-        out = run_cascade(percolate(g, 1.0, rng_seed=0), np.array([7]))
+        lab = connected_components(20, percolate(g, 1.0, rng_seed=0))
+        assert lab.giant_size == 20
+        out = run_cascade(lab, np.array([7]))
         assert out.count == 20
 
     def test_partial_path(self):
-        g = Graph(3, [[0, 1], [1, 2]])
-        h = TriggeringSet(g, np.array([[0, 1]]), 0.5)
-        out = run_cascade(h, np.array([0]))
+        lab = connected_components(3, np.array([[0, 1]]))
+        out = run_cascade(lab, np.array([0]))
         assert out.activated.tolist() == [True, True, False]
         assert out.count == 2
 
     def test_matches_bfs_oracle_on_random_worlds(self):
         for i in range(60):
             g = generate_er(15, 0.15, rng_seed=child_seed(17, i))
-            h = percolate(g, 0.6, rng_seed=child_seed(18, i))
+            retained = percolate(g, 0.6, rng_seed=child_seed(18, i))
             seeds = sample_seeds(15, 3, rng_seed=child_seed(19, i))
-            out = run_cascade(h, seeds)
-            expect = bfs_activated(15, h.retained_edges, seeds)
+            out = run_cascade(connected_components(15, retained), seeds)
+            expect = bfs_activated(15, retained, seeds)
             assert set(np.where(out.activated)[0]) == expect
             assert out.count == len(expect)
 
     def test_giant_active_agrees_with_membership(self):
         for i in range(40):
             g = generate_er(30, 0.08, rng_seed=child_seed(20, i))
-            h = percolate(g, 0.8, rng_seed=child_seed(21, i))
-            lab = connected_components(h)
+            lab = connected_components(
+                30, percolate(g, 0.8, rng_seed=child_seed(21, i))
+            )
             seeds = sample_seeds(30, 2, rng_seed=child_seed(22, i))
-            out = run_cascade(h, seeds, labeling=lab)
-            assert out.giant_active == bool((lab.labels[seeds] == 0).any())
+            out = run_cascade(lab, seeds)
+            assert out.giant_active == bool(lab.in_giant[seeds].any())
             if out.giant_active:
                 assert out.count >= lab.giant_size
 
@@ -292,8 +300,8 @@ class TestWorlds:
         drawn = list(worlds(g, 0.5, 19, 6, s=2))
         assert [ts for ts, _, _ in drawn] == [child_seed(19, t) for t in range(6)]
         for ts, lab, out in drawn:
-            h = percolate(g, 0.5, child_seed(ts, 0))
-            assert np.array_equal(lab.labels, connected_components(h).labels)
+            retained = percolate(g, 0.5, child_seed(ts, 0))
+            assert np.array_equal(lab.root, connected_components(40, retained).root)
             assert np.array_equal(out.seeds, sample_seeds(40, 2, child_seed(ts, 1)))
         assert all(out is None for _, _, out in worlds(g, 0.5, 19, 3))
 
@@ -371,10 +379,10 @@ class TestEstimateGiantMembership:
         counts = np.zeros(150, dtype=np.int64)
         ties = 0
         for t in range(48):
-            h = percolate(g, 0.4, child_seed(child_seed(28, t), 0))
-            for v in giant_component(150, h.retained_edges):
+            retained = percolate(g, 0.4, child_seed(child_seed(28, t), 0))
+            for v in giant_component(150, retained):
                 counts[v] += 1
-            sizes = sorted(len(c) for c in component_sets(150, h.retained_edges))
+            sizes = sorted(len(c) for c in component_sets(150, retained))
             ties += len(sizes) > 1 and sizes[-1] == sizes[-2]
         est = estimate_giant_membership(g, 0.4, trials=48, rng_seed=28)
         assert np.array_equal(est.frequency, counts / 48)
@@ -385,8 +393,8 @@ class TestEstimateGiantMembership:
         trials = 30
         expect = np.zeros(25)
         for t in range(trials):
-            h = percolate(g, 0.6, child_seed(child_seed(30, t), 0))
-            giant = giant_component(25, h.retained_edges)
+            retained = percolate(g, 0.6, child_seed(child_seed(30, t), 0))
+            giant = giant_component(25, retained)
             for v in giant:
                 expect[v] += 1
         est = estimate_giant_membership(g, 0.6, trials=trials, rng_seed=30)
@@ -446,9 +454,9 @@ class TestConditionalCountDistributions:
         branches = ([], [])
         for t in range(120):
             trial_seed = child_seed(5, t)
-            h = percolate(g, 0.5, child_seed(trial_seed, 0))
+            retained = percolate(g, 0.5, child_seed(trial_seed, 0))
             seeds = sample_seeds(50, 1, child_seed(trial_seed, 1))
-            act = bfs_activated(50, h.retained_edges, seeds)
+            act = bfs_activated(50, retained, seeds)
             branches[3 in act].append(len(act))
         got = conditional_count_distributions(g, 0.5, 1, 3, trials=120, rng_seed=5)
         for dist, samples in zip(got, branches):

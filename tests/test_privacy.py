@@ -314,9 +314,9 @@ class TestWassersteinMechanismScale:
         runs = []
         for t in range(150):
             trial_seed = child_seed(4, t)
-            h = percolate(g, 0.5, child_seed(trial_seed, 0))
+            retained = percolate(g, 0.5, child_seed(trial_seed, 0))
             seeds = sample_seeds(80, 1, child_seed(trial_seed, 1))
-            runs.append(bfs_activated(80, h.retained_edges, seeds))
+            runs.append(bfs_activated(80, retained, seeds))
         expect = {}
         for v in (0, 1, 2):
             branches = ([], [])
