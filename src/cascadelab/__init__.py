@@ -1,6 +1,6 @@
 """cascadelab: percolated contagion, count-release privacy, and inference attacks."""
 
-__version__ = "0.2.1"
+__version__ = "0.2.2"
 
 from .distributions import EmpiricalDistribution
 from .graph import (
@@ -24,6 +24,7 @@ from .percolation import (
     conditional_count_distributions,
     conditional_giant_distributions,
     connected_components,
+    coupled_worlds,
     estimate_giant_membership,
     percolate,
     record_worlds,

@@ -32,6 +32,7 @@ from .graph import (
 )
 from .percolation import (
     DegenerateConditioningError,
+    coupled_worlds,
     estimate_giant_membership,
     worlds,
 )
@@ -173,11 +174,14 @@ def _numbers(values, key: str) -> list[float]:
 
 
 def _q_values(cfg: dict) -> list[float]:
+    """The q grid in config order, each value checked to lie in (0, 1]."""
     grid = cfg.get("q_grid")
     if isinstance(grid, dict):
         try:
             values = np.linspace(
-                float(grid["start"]), float(grid["stop"]), int(grid["count"])
+                float(grid["start"]),
+                float(grid["stop"]),
+                _integer(grid["count"], "q_grid count"),
             ).tolist()
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad q_grid {grid!r}: {exc}") from exc
@@ -187,6 +191,8 @@ def _q_values(cfg: dict) -> list[float]:
         raise ConfigError("q_grid must be a list or {start, stop, count}")
     if not values:
         raise ConfigError("q_grid holds no q values")
+    if not all(0.0 < q <= 1.0 for q in values):
+        raise ConfigError("q grid values must lie in (0, 1]")
     return values
 
 
@@ -211,11 +217,11 @@ def build_graph(source: dict, master_seed: int) -> tuple[str, Graph]:
         seed = child_seed(master_seed, _STREAM_GRAPH)
     try:
         if kind == "er":
-            n, p = int(source["n"]), float(source["p"])
+            n, p = _integer(source["n"], "graph n"), float(source["p"])
             g = generate_er(n, p, seed)
             name = source.get("name", f"er_n{n}_p{p:g}")
         elif kind == "chung_lu":
-            n = int(source["n"])
+            n = _integer(source["n"], "graph n")
             d, b = float(source["d"]), float(source["b"])
             g = generate_chung_lu(chung_lu_weights(n, d, b), seed)
             name = source.get("name", f"chung_lu_n{n}_d{d:g}_b{b:g}")
@@ -248,6 +254,11 @@ def _the_graph(cfg: dict, master_seed: int) -> tuple[str, Graph]:
 
 
 def _integer(value, key: str) -> int:
+    """Config value `value` of `key` as an int; bools and fractions are refused."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{key} must be an integer, not {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -271,13 +282,9 @@ def _protected(cfg: dict, n: int) -> list[int]:
     raw = cfg["protected"]
     if raw == "all":
         return list(range(n))
-    message = 'protected must be a list of node ids or "all"'
-    if isinstance(raw, str):
-        raise ConfigError(message)
-    try:
-        nodes = [int(v) for v in raw]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(message) from exc
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError('protected must be a list of node ids or "all"')
+    nodes = [_integer(v, "a protected node id") for v in raw]
     if not nodes or not all(0 <= v < n for v in nodes):
         raise ConfigError(f"protected must name node ids in 0..{n - 1}")
     return nodes
@@ -350,15 +357,21 @@ def cmd_components(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
 
 def cmd_sweep(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     master = _master_seed(cfg)
-    _, g = _the_graph(cfg, master)
+    q_grid = _q_values(cfg)
     trials = _count(cfg, "sweep_trials")
-    master = child_seed(master, _STREAM_SWEEP)
-    rows = []
-    for qi, q in enumerate(_q_values(cfg)):
-        if not 0.0 < q <= 1.0:
-            raise ConfigError("q grid values must lie in (0, 1]")
-        giant, second = _component_stats(g, q, trials, child_seed(master, qi))[:2]
-        rows.append((q, giant / g.node_count, second / g.node_count))
+    _, g = _the_graph(cfg, master)
+    # integer sums: each q's mean is exact whatever order the grid is walked
+    giant = [0] * len(q_grid)
+    second = [0] * len(q_grid)
+    stream = coupled_worlds(g, q_grid, child_seed(master, _STREAM_SWEEP), trials)
+    for _, qi, lab in stream:
+        giant[qi] += lab.giant_size
+        second[qi] += lab.second_size
+    n = g.node_count
+    rows = [
+        (q, gs / trials / n, ss / trials / n)
+        for q, gs, ss in zip(q_grid, giant, second)
+    ]
     write_csv(
         out_dir / "sweep.csv",
         ["q", "mean_giant_frac", "mean_second_frac"],

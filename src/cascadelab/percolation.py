@@ -3,8 +3,9 @@
 A contagion with per-edge transmission probability q is simulated by
 retaining each edge independently with probability q and activating exactly
 the retained-edge components that contain a seed. Every Monte Carlo
-estimator is a reduction over `worlds`, which derives each trial's streams
-from (seed, trial index) alone, so estimates are reproducible.
+estimator is a reduction over `worlds` (or, across a grid of q, over
+`coupled_worlds`), which derive each trial's streams from (seed, trial
+index) alone, so estimates are reproducible.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "run_cascade",
     "sample_seeds",
     "worlds",
+    "coupled_worlds",
     "record_worlds",
     "estimate_giant_membership",
     "conditional_count_distributions",
@@ -58,6 +60,16 @@ class ComponentLabeling:
     giant_root: int
     giant_size: int
     second_size: int
+
+    @classmethod
+    def from_root(cls, root: np.ndarray) -> ComponentLabeling:
+        """Read the giant and the second size off a lowest-member `root`."""
+        sizes = np.bincount(root, minlength=root.size)
+        # argmax takes the first maximum: the tied component with the lowest root
+        giant_root = int(np.argmax(sizes))
+        giant_size = int(sizes[giant_root])
+        sizes[giant_root] = 0
+        return cls(root, giant_root, giant_size, int(sizes.max()))
 
     @property
     def in_giant(self) -> np.ndarray:
@@ -182,21 +194,29 @@ def percolate(g: Graph, q: float, rng_seed: int) -> np.ndarray:
 
 
 def connected_components(n: int, retained_edges: np.ndarray) -> ComponentLabeling:
-    """Label the components of the n-node graph on `retained_edges`.
+    """Label the components of the n-node graph on `retained_edges`."""
+    return ComponentLabeling.from_root(
+        _hook_and_jump(np.arange(n, dtype=np.int64), retained_edges)
+    )
+
+
+def _hook_and_jump(root: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Merge the components joined by `edges` into the forest of stars `root`.
 
     Hook-and-jump labeling (Shiloach & Vishkin, J. Algorithms 3, 1982):
     each round hooks the larger root of every edge that still crosses two
     trees onto the smaller one, then pointer-jumps until every node points
     at its root. `root[x] <= x` holds throughout, so each component ends
-    rooted at its lowest member.
+    rooted at its lowest member, and the result is again a forest of stars
+    that later edges can be merged into. `root` itself is not modified.
     """
-    root = np.arange(n, dtype=np.int64)
-    u, v = retained_edges[:, 0], retained_edges[:, 1]
+    root = root.copy()
+    u, v = edges[:, 0], edges[:, 1]
     while True:
         ru, rv = root[u], root[v]
         cross = ru != rv
         if not cross.any():
-            break
+            return root
         # an edge whose endpoints share a root never crosses again
         u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
         np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
@@ -205,11 +225,6 @@ def connected_components(n: int, retained_edges: np.ndarray) -> ComponentLabelin
             if np.array_equal(jumped, root):
                 break
             root = jumped
-    sizes = np.bincount(root, minlength=n)
-    # argmax takes the first maximum: the tied component with the lowest root
-    giant_root = int(np.argmax(sizes))
-    second_size = int(np.partition(sizes, -2)[-2]) if n > 1 else 0
-    return ComponentLabeling(root, giant_root, int(sizes[giant_root]), second_size)
 
 
 def run_cascade(labeling: ComponentLabeling, seeds: Iterable[int]) -> CascadeOutcome:
@@ -268,6 +283,43 @@ def worlds(
             seeds = sample_seeds(g.node_count, s, child_seed(trial_seed, 1))
             out = run_cascade(lab, seeds)
         yield trial_seed, lab, out
+
+
+def coupled_worlds(
+    g: Graph, q_grid, rng_seed: int, trials: int
+) -> Iterator[tuple[int, int, ComponentLabeling]]:
+    """Draw `trials` worlds, each labeled at every q of `q_grid`.
+
+    Yields (trial_seed, qi, labeling) for each trial and each index qi into
+    `q_grid`, walking the grid in ascending q (equal q in grid order).
+    Trial t draws one uniform coin per edge from child_seed(trial_seed, 0),
+    the stream `percolate` reads, so the labeling at q is exactly
+    `connected_components(n, percolate(g, q, child_seed(trial_seed, 0)))`.
+    All q share the coins (Newman & Ziff, PRL 85, 4104, 2000): retained
+    edge sets nest, so each q only merges the newly admitted edges into the
+    previous q's components. Estimates at different q are correlated within
+    a trial.
+    """
+    q = np.asarray(q_grid, dtype=np.float64)
+    if q.ndim != 1 or not q.size:
+        raise ValueError("q_grid must hold at least one q")
+    if not np.all((q > 0.0) & (q <= 1.0)):
+        raise ValueError("q must lie in (0, 1]")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    walk = np.argsort(q, kind="stable")
+    for t in range(trials):
+        trial_seed = child_seed(rng_seed, t)
+        coins = rng_from_seed(child_seed(trial_seed, 0)).random(g.edge_count)
+        order = np.argsort(coins)
+        # edges[:stop] are those whose coin lies below q, as in `percolate`
+        stops = np.searchsorted(coins[order], q[walk])
+        edges = g.edges[order[: stops[-1]]]
+        root, start = np.arange(g.node_count, dtype=np.int64), 0
+        for qi, stop in zip(walk.tolist(), stops.tolist()):
+            root = _hook_and_jump(root, edges[start:stop])
+            start = stop
+            yield trial_seed, qi, ComponentLabeling.from_root(root)
 
 
 def record_worlds(

@@ -245,6 +245,30 @@ class TestSweep:
         assert all(b - a >= -0.05 for a, b in zip(fracs, fracs[1:]))
         assert fracs[-1] > fracs[0] + 0.2
 
+    def test_unsorted_grid_rows_keep_config_order(self, tmp_path):
+        graph = {"kind": "er", "n": 200, "p": 0.01, "seed": 12}
+        rows = {}
+        for label, grid in (("sorted", [0.2, 0.6]), ("unsorted", [0.6, 0.2, 0.6])):
+            config = write_config(
+                tmp_path, f"{label}.json", graph=graph, q_grid=grid, sweep_trials=6
+            )
+            out = tmp_path / label
+            assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+            _, rows[label] = read_csv(out / "sweep.csv")
+        low, high = rows["sorted"]
+        assert [r["q"] for r in rows["unsorted"]] == ["0.6", "0.2", "0.6"]
+        assert rows["unsorted"] == [high, low, high]
+
+    def test_bad_grid_value_exits_before_graph_is_built(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            graph={"kind": "edge_list", "path": str(tmp_path / "missing.txt")},
+            q_grid=[0.2, 0.6, 1.5],
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        assert "q grid values must lie in (0, 1]" in capsys.readouterr().err
+
 
 class TestMembership:
     def test_zero_threshold_catches_everyone(self, tmp_path):
@@ -491,6 +515,23 @@ class TestErrorPaths:
                 },
                 [],
             ),
+            ("sweep", {"seed": 1.5}, []),
+            ("sweep", {"sweep_trials": 2.7}, []),
+            ("components", {"trials": True}, []),
+            ("sweep", {"q_grid": {"start": 0.1, "stop": 0.9, "count": 2.5}}, []),
+            ("gen", {"graph": {"kind": "er", "n": 30.5, "p": 0.1}}, []),
+            ("audit", {"protected": [0.5]}, []),
+            ("sweep", {"q_grid": [0.2, 0.6, 1.5]}, []),
+            (
+                "sweep",
+                {
+                    "graph": [
+                        {"kind": "er", "n": 30, "p": 0.1},
+                        {"kind": "er", "n": 40, "p": 0.1},
+                    ]
+                },
+                [],
+            ),
         ],
         ids=[
             "membership-trials-0",
@@ -517,6 +558,14 @@ class TestErrorPaths:
             "components-seed-non-integer",
             "gen-graph-seed-non-integer",
             "gen-several-graph-sources",
+            "sweep-seed-fractional",
+            "sweep-trials-fractional",
+            "components-trials-bool",
+            "sweep-grid-count-fractional",
+            "gen-graph-n-fractional",
+            "audit-protected-fractional",
+            "sweep-grid-last-value-above-1",
+            "sweep-several-graph-sources",
         ],
     )
     def test_bad_config_exits_2_without_traceback(
@@ -630,10 +679,11 @@ GOLDEN_CONFIG = {
 
 # SHA-256 of every file each subcommand writes for GOLDEN_CONFIG (and, for
 # the cases in GOLDEN_VARIANTS, the config with those entries replaced).
-# The CSV digests cover the tool_version header line. "gen-chung-lu" pins
-# the Chung-Lu graph stream, recorded at version 0.2.0; the audit and attack
-# streams, with "audit-all", were recorded at 0.2.1. A change here means an
-# RNG stream, the version or an output format moved.
+# The CSV digests cover the tool_version header line, so every CSV digest
+# was re-recorded at 0.2.2. "gen-chung-lu" pins the Chung-Lu graph stream,
+# recorded at version 0.2.0; the audit and attack streams, with "audit-all",
+# were recorded at 0.2.1; the coupled-q sweep stream was recorded at 0.2.2.
+# A change here means an RNG stream, the version or an output format moved.
 GOLDEN_DIGESTS = {
     "gen": {
         "graph.txt": (
@@ -642,49 +692,49 @@ GOLDEN_DIGESTS = {
     },
     "components": {
         "components.csv": (
-            "342e90a7fdd64bf78bcaa970b3a40f9b2fb60d158c4e9d5d9054baefb460acab"
+            "73d9e6ea6639b753c571b72befd21fc04839c3f5b7813cd847bccb507c221d35"
         ),
     },
     "sweep": {
         "sweep.csv": (
-            "eb3bcdabd12c492b8c1e74336c3e099ca2906a5f149dcb17339f1c9475a32f2a"
+            "e6d430920324168aaa161978deaf3638735a7a62efeade484933cb4e72d15ba3"
         ),
     },
     "membership": {
         "membership.csv": (
-            "db3b71209456d791d441d46d002c7190f3a321c6816faedfc401145007d84ab5"
+            "8b46e2c6c6a0fba371a8fd8d8cf5bcf4a85ef7fa2e5956a94c8068accafcc8e3"
         ),
     },
     "audit": {
         "audit.csv": (
-            "097785af5e035747e36c269c9e15a8ef81173c34371f658e3e644d1c6cdfc44a"
+            "73036cba44a7fe9a5722c0f8c32df14d8e0e229699e9b538b2a6f1d6f8b30a0d"
         ),
         "audit_nodes.csv": (
-            "d2d5b4b92f486952cdf53706ef87bd67737b81f2fece9aa5641f736224047d51"
+            "053a32ab6ce665dc199eb023828dac18f4f5e244f01f0181a5733e4b0171c0c5"
         ),
     },
     "attack": {
         "attack.csv": (
-            "a96c454911d1d910128744583100cbdd5af3b4ee760abda63ae35cd3c3ae75ae"
+            "9c4380847df44b4bf7170bc09ee7e9c1d4087743efd750d7ec6e5b5096151698"
         ),
         "attack_summary.csv": (
-            "73fa3c217f8fa0c6c8a958d67690e62d5025f8f47a42d2e08a2c2227df0d8e1b"
+            "b5e8b0a5b122ab17b79f6a1c999b8ea52593cee18e2d44eea1b0d3353cbf5fc1"
         ),
     },
     "audit-all": {
         "audit.csv": (
-            "2c858fcbc5051b3abb53a47b29147f221538b99ea3db4d42a8bad1f6f53684aa"
+            "7371507a78da9ceec2a445a352dfc73c69b3e7ca51a0b9d464fbd7435c8a08c9"
         ),
         "audit_nodes.csv": (
-            "727e15a674eb3443bb29f0a273bb5009792bacc89dc168defc7f4d5725d52237"
+            "0549ff16c4f03aae175a77f538bc181a8baa7862a426863bfd16ee870b71fafa"
         ),
     },
     "attack-rr": {
         "attack.csv": (
-            "1f067f0ddfa6be74a0665648ed89482d69b72f8d76abde508ab17ee78c1c1ba1"
+            "810ac60eabfde38ca0cbdcf257f55de675c35037069386dac8d040d36337ff47"
         ),
         "attack_summary.csv": (
-            "019fb1db2355212892a37d8538ed6265e92cd1f92df4752e6005ab3633027df3"
+            "ebc92f416f2c0aa849430fc2798c8c40c221fbc6858b36ed2811d205c5b9ed66"
         ),
     },
     "gen-chung-lu": {

@@ -16,6 +16,7 @@ from cascadelab.percolation import (
     conditional_count_distributions,
     conditional_giant_distributions,
     connected_components,
+    coupled_worlds,
     estimate_giant_membership,
     percolate,
     record_worlds,
@@ -311,6 +312,68 @@ class TestWorlds:
             next(worlds(g, 0.5, 1, 0))
         with pytest.raises(ValueError, match="s must"):
             next(worlds(g, 0.5, 1, 5, s=4))
+
+
+class TestCoupledWorlds:
+    SUBSTRATES = {
+        "er": lambda: generate_er(400, 4 / 399, rng_seed=31),
+        "chung_lu": lambda: generate_chung_lu(chung_lu_weights(500, 2, 1.5), 32),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SUBSTRATES))
+    @pytest.mark.parametrize(
+        "grid",
+        [[0.6, 0.1, 0.35, 0.6, 1.0, 0.25], [0.3], [1.0]],
+        ids=["unsorted-with-duplicate", "single-q", "q-one"],
+    )
+    def test_each_q_matches_a_world_labeled_from_scratch(self, kind, grid):
+        g = self.SUBSTRATES[kind]()
+        drawn = list(coupled_worlds(g, grid, 33, 5))
+        assert len(drawn) == 5 * len(grid)
+        assert sorted((ts, qi) for ts, qi, _ in drawn) == sorted(
+            (child_seed(33, t), qi) for t in range(5) for qi in range(len(grid))
+        )
+        for ts, qi, lab in drawn:
+            ref = connected_components(
+                g.node_count, percolate(g, grid[qi], child_seed(ts, 0))
+            )
+            assert np.array_equal(lab.root, ref.root)
+            assert (lab.giant_root, lab.giant_size, lab.second_size) == (
+                ref.giant_root,
+                ref.giant_size,
+                ref.second_size,
+            )
+
+    @pytest.mark.parametrize("kind", sorted(SUBSTRATES))
+    def test_giant_never_shrinks_as_q_grows(self, kind):
+        g = self.SUBSTRATES[kind]()
+        grid = [0.9, 0.05, 0.5, 0.2, 0.7, 0.35, 1.0]
+        by_trial = {}
+        for ts, qi, lab in coupled_worlds(g, grid, 34, 8):
+            by_trial.setdefault(ts, {})[grid[qi]] = lab.giant_size
+        assert len(by_trial) == 8
+        for sizes in by_trial.values():
+            walk = [sizes[q] for q in sorted(sizes)]
+            assert all(a <= b for a, b in zip(walk, walk[1:]))
+
+    def test_walks_the_grid_in_ascending_q(self):
+        g = generate_er(60, 0.1, rng_seed=35)
+        drawn = [qi for _, qi, _ in coupled_worlds(g, [0.5, 0.2, 0.5, 0.1], 36, 2)]
+        assert drawn == [3, 1, 0, 2] * 2
+
+    def test_edgeless_graph(self):
+        g = Graph(4, [])
+        for _, _, lab in coupled_worlds(g, [0.5, 1.0], 37, 2):
+            assert lab.root.tolist() == [0, 1, 2, 3]
+            assert (lab.giant_root, lab.giant_size, lab.second_size) == (0, 1, 1)
+
+    def test_validation(self):
+        g = Graph(3, [[0, 1]])
+        with pytest.raises(ValueError, match="trials"):
+            next(coupled_worlds(g, [0.5], 1, 0))
+        for grid in ([], [0.5, 0.0], [1.5]):
+            with pytest.raises(ValueError, match="q"):
+                next(coupled_worlds(g, grid, 1, 2))
 
 
 class TestRecordWorlds:
