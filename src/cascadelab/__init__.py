@@ -1,6 +1,6 @@
 """cascadelab: percolated contagion, count-release privacy, and inference attacks."""
 
-__version__ = "0.2.2"
+__version__ = "0.2.3"
 
 from .distributions import EmpiricalDistribution
 from .graph import (
@@ -55,7 +55,6 @@ from .privacy import (
     release,
     sample_wasserstein_infinity,
     tvd,
-    wasserstein_infinity,
     wasserstein_mechanism_scale,
 )
 from .attack import (

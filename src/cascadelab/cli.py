@@ -217,12 +217,12 @@ def build_graph(source: dict, master_seed: int) -> tuple[str, Graph]:
         seed = child_seed(master_seed, _STREAM_GRAPH)
     try:
         if kind == "er":
-            n, p = _integer(source["n"], "graph n"), float(source["p"])
+            n, p = _integer(source["n"], "graph n"), _number(source["p"], "graph p")
             g = generate_er(n, p, seed)
             name = source.get("name", f"er_n{n}_p{p:g}")
         elif kind == "chung_lu":
             n = _integer(source["n"], "graph n")
-            d, b = float(source["d"]), float(source["b"])
+            d, b = _number(source["d"], "graph d"), _number(source["b"], "graph b")
             g = generate_chung_lu(chung_lu_weights(n, d, b), seed)
             name = source.get("name", f"chung_lu_n{n}_d{d:g}_b{b:g}")
         elif kind == "edge_list":

@@ -142,7 +142,12 @@ class NodeWeights:
 def generate_er(n: int, p: float, rng_seed: int) -> Graph:
     """Sample an Erdos-Renyi graph G(n, p).
 
-    Every unordered pair is an edge independently with probability p.
+    Every unordered pair is an edge independently with probability p. This
+    is the one-layer case of the block sampler behind `generate_chung_lu`:
+    one block of n(n-1)/2 pairs with bound p. For p < 1/2 it draws a
+    Binomial(n(n-1)/2, p) number of distinct uniform pairs and thins none;
+    for larger p every pair is a candidate kept with probability p. For m
+    edges the work is O(n + m log m).
 
     Args:
         n: number of nodes, >= 1.
@@ -156,15 +161,10 @@ def generate_er(n: int, p: float, rng_seed: int) -> Graph:
         raise ValueError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rng = rng_from_seed(rng_seed)
-    rows = []
-    for i in range(n - 1):
-        hits = np.nonzero(rng.random(n - 1 - i) < p)[0]
-        if hits.size:
-            rows.append(
-                np.column_stack([np.full(hits.size, i, dtype=np.int64), i + 1 + hits])
-            )
-    edges = np.vstack(rows) if rows else np.empty((0, 2), dtype=np.int64)
+    edges = _sample_blocks(
+        n, np.zeros(1, dtype=np.int64), np.full((1, 1), float(p)),
+        lambda i, j: p, rng_from_seed(rng_seed),
+    )
     return Graph(n, edges)
 
 
@@ -202,37 +202,54 @@ def generate_chung_lu(weights: NodeWeights, rng_seed: int) -> Graph:
 
     Pair {i, j} is an edge independently with probability
     min(1, w_i * w_j / total). Node id i carries rank i + 1, so id 0 is the
-    heaviest node.
-
-    The sampler never visits the pairs one by one. Ranks are cut into
-    layers whose weights lie within a factor `_LAYER_RATIO` of the layer's
-    heaviest node, and every pair of layers is a block whose pair
-    probabilities are all at most the block's bound, the probability of its
-    two heaviest nodes. A block whose bound reaches 1/2 makes every pair a
-    candidate; any other block draws a Binomial(pairs, bound) number of
-    distinct candidate pairs uniformly. Each candidate is then kept with
-    probability p_ij / bound, so every pair is an edge independently with
-    probability p_ij, whatever the weight order. For m edges and L layers
-    the work is O(n + m log m + L**2) and the memory O(n + m + L**2).
+    heaviest node. Ranks are cut into layers whose weights lie within a
+    factor `_LAYER_RATIO` of the layer's heaviest node; the bound of a pair
+    of layers is the probability of their two heaviest nodes, and
+    `_sample_blocks` draws the edges. For m edges and L layers the work is
+    O(n + m log m + L**2) and the memory O(n + m + L**2).
 
     Args:
         weights: weight sequence from `chung_lu_weights`.
         rng_seed: 64-bit seed; equal seeds give equal graphs.
     """
     w = weights.weights
-    n = weights.node_count
     total = weights.total
-    rng = rng_from_seed(rng_seed)
-
     level = np.floor(np.log(w[0] / w) / -math.log(_LAYER_RATIO)).astype(np.int64)
     starts = np.flatnonzero(np.diff(level, prepend=level[0] - 1))
-    sizes = np.diff(starts, append=n)
     top = np.maximum.reduceat(w, starts)
+    edges = _sample_blocks(
+        weights.node_count, starts, np.minimum(1.0, np.outer(top, top) / total),
+        lambda i, j: np.minimum(1.0, w[i] * w[j] / total), rng_from_seed(rng_seed),
+    )
+    return Graph(weights.node_count, edges)
+
+
+# least ratio of a Chung-Lu layer's weights to its heaviest one; a sparse
+# block keeps at least the square of it (0.71) of its candidates
+_LAYER_RATIO = 2.0 ** -0.25
+
+# candidates mapped and thinned at a time
+_CHUNK = 1 << 18
+
+
+def _sample_blocks(n, starts, bounds, prob, rng) -> np.ndarray:
+    """Edges, as an (m, 2) array, of a graph whose pairs are independent.
+
+    Nodes 0..n-1 are cut into layers beginning at `starts`, and every pair
+    of layers x <= y is a block whose pair probabilities `prob(i, j)` are
+    all at most `bounds[x, y]`. The pairs are never visited one by one. A
+    block whose bound reaches 1/2 makes every pair a candidate; any other
+    block draws a Binomial(pairs, bound) number of distinct candidate pairs
+    uniformly. Each candidate is then kept with probability
+    prob(i, j) / bound, so every pair is an edge independently with
+    probability prob(i, j).
+    """
+    sizes = np.diff(starts, append=n)
     # block k joins layers a[k] <= b[k]; its pairs are numbered from offset[k]
     a, b = np.triu_indices(starts.size)
     pairs = np.where(a == b, sizes[a] * (sizes[a] - 1) // 2, sizes[a] * sizes[b])
     offset = np.cumsum(pairs) - pairs
-    bound = np.minimum(1.0, top[a] * top[b] / total)
+    bound = bounds[a, b]
     dense = bound >= 0.5
     bound[dense] = 1.0
     counts = rng.binomial(pairs, bound)
@@ -254,18 +271,9 @@ def generate_chung_lu(weights: NodeWeights, rng_seed: int) -> Graph:
         i, j = _block_pair(
             part - offset[blk], starts[la], starts[lb], sizes[lb], la == lb
         )
-        probs = np.minimum(1.0, w[i] * w[j] / total)
-        keep = rng.random(part.size) < probs / bound[blk]
+        keep = rng.random(part.size) < prob(i, j) / bound[blk]
         edges.append(np.column_stack([i[keep], j[keep]]))
-    return Graph(n, np.concatenate(edges))
-
-
-# least ratio of a Chung-Lu layer's weights to its heaviest one; a sparse
-# block keeps at least the square of it (0.71) of its candidates
-_LAYER_RATIO = 2.0 ** -0.25
-
-# candidates mapped and thinned at a time
-_CHUNK = 1 << 18
+    return np.concatenate(edges)
 
 
 def _block_pair(pos, row0, col0, width, same):

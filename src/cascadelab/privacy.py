@@ -3,8 +3,8 @@
 The released statistic is the number of activated nodes. Mechanisms
 perturb it (Laplace noise, randomized response over per-node bits, or
 Laplace calibrated to an infinity-order Wasserstein distance between
-conditional count distributions). Distances and test errors operate on
-`EmpiricalDistribution` atoms.
+conditional count distributions). Total variation and test errors operate
+on `EmpiricalDistribution` atoms, W-infinity on sorted integer samples.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "MechanismScaleReport",
     "EmpiricalDistribution",
     "tvd",
-    "wasserstein_infinity",
     "sample_wasserstein_infinity",
     "laplace_perturb",
     "randomized_response_estimate",
@@ -37,8 +36,6 @@ __all__ = [
     "hypothesis_test_error",
     "push_through_mechanism",
 ]
-
-_MASS_TOL = 1e-12
 
 _KINDS = ("laplace", "randomized_response", "wasserstein")
 
@@ -118,39 +115,6 @@ def tvd(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> float:
     # rounding in probs that sum to 1 +- 1e-9 can push the half-L1 a hair
     # past 1; keep the result a probability
     return min(1.0, max(0.0, 0.5 * float(np.abs(pa - pb).sum())))
-
-
-def wasserstein_infinity(
-    mu: EmpiricalDistribution, nu: EmpiricalDistribution
-) -> float:
-    """Infinity-order Wasserstein distance between two atomic distributions.
-
-    On the line the optimum coupling is comonotone, so the distance is the
-    largest |x - y| over quantile-aligned atom pairs. Runs in one merge pass
-    over the sorted atoms.
-    """
-    va, pa = mu.values, mu.probs
-    vb, pb = nu.values, nu.probs
-    i = j = 0
-    cum_a = cum_b = 0.0
-    best = 0.0
-    while i < va.size and j < vb.size:
-        gap = abs(float(va[i]) - float(vb[j]))
-        if gap > best:
-            best = gap
-        next_a = cum_a + float(pa[i])
-        next_b = cum_b + float(pb[j])
-        if abs(next_a - next_b) <= _MASS_TOL:
-            cum_a, cum_b = next_a, next_b
-            i += 1
-            j += 1
-        elif next_a < next_b:
-            cum_a = next_a
-            i += 1
-        else:
-            cum_b = next_b
-            j += 1
-    return best
 
 
 def sample_wasserstein_infinity(x0: np.ndarray, x1: np.ndarray) -> int:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: breadth-first search over adjacency
 dictionaries, exhaustive subset enumeration, Hall-condition feasibility
-checks, exact rational arithmetic, an edge-list parse one line at a time.
+checks, a float merge for W-infinity on atoms, exact rational arithmetic,
+an edge-list parse one line at a time.
 The package code must agree with these slow oracles, not the other way
 around. `adjacency` is a test helper kept here, out of the package.
 """
@@ -59,6 +60,44 @@ def giant_component(n, retained_edges):
     """Largest component; ties broken toward the lowest contained node id."""
     comps = component_sets(n, retained_edges)
     return max(comps, key=lambda c: (len(c), -min(c)))
+
+
+_MASS_TOL = 1e-12
+
+
+def wasserstein_infinity(mu, nu):
+    """Infinity-order Wasserstein distance between two atomic distributions.
+
+    On the line the optimum coupling is comonotone, so the distance is the
+    largest |x - y| over quantile-aligned atom pairs, found in one merge
+    pass over the sorted atoms. The running masses are floats that count as
+    level within `_MASS_TOL`, so at large support the merge can misalign
+    and overshoot; the package computes W-infinity exactly from samples
+    (`sample_wasserstein_infinity`), and this merge serves only as a
+    reference for small atomic laws.
+    """
+    va, pa = mu.values, mu.probs
+    vb, pb = nu.values, nu.probs
+    i = j = 0
+    cum_a = cum_b = 0.0
+    best = 0.0
+    while i < va.size and j < vb.size:
+        gap = abs(float(va[i]) - float(vb[j]))
+        if gap > best:
+            best = gap
+        next_a = cum_a + float(pa[i])
+        next_b = cum_b + float(pb[j])
+        if abs(next_a - next_b) <= _MASS_TOL:
+            cum_a, cum_b = next_a, next_b
+            i += 1
+            j += 1
+        elif next_a < next_b:
+            cum_a = next_a
+            i += 1
+        else:
+            cum_b = next_b
+            j += 1
+    return best
 
 
 def winf_bruteforce(mu, nu, mass_tol=1e-12):

@@ -40,7 +40,6 @@ from cascadelab.privacy import (
     hypothesis_test_error,
     laplace_perturb,
     push_through_mechanism,
-    wasserstein_infinity,
     wasserstein_mechanism_scale,
 )
 from cascadelab.seeding import child_seed
@@ -48,6 +47,7 @@ from oracles import (
     all_graph_edge_lists,
     bfs_activated,
     message_passing_membership,
+    wasserstein_infinity,
     winf_bruteforce,
 )
 

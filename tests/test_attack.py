@@ -162,11 +162,13 @@ class TestEvaluateAttack:
         assert clean.giant_status_accuracy - noisy.giant_status_accuracy >= 0.25
 
     def test_sparse_substrate_with_sublinear_noise(self):
-        # needs a realization with a heavy node: only degrees >= 16 or so
-        # reach membership frequency 0.95 at mean degree 5 and q = 0.3
+        # needs a node far above the mean degree 5: only such nodes reach
+        # membership frequency 0.95 at q = 0.3 (here one of degree 12 does).
+        # About 13.5 nodes of degree >= 12 are expected at n = 2500, so all
+        # but about one draw in a million holds one.
         n = 2500
         g = generate_er(n, 5 / (n - 1), rng_seed=child_seed(500, 10))
-        assert int(g.degrees.max()) >= 16
+        assert int(g.degrees.max()) >= 12
         spec = MechanismSpec(kind="laplace", scale=math.sqrt(n))
         result = evaluate_attack(
             g, 0.3, 1, spec, floors=[0.95], trials=1000, rng_seed=600

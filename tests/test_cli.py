@@ -162,6 +162,19 @@ class TestBuildGraph:
         )
         assert name == "pilot"
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ({"kind": "er", "n": 10, "p": None}, "graph p must be a number"),
+            ({"kind": "er", "n": 10, "p": "nan"}, "graph p must be finite"),
+            ({"kind": "chung_lu", "n": 10, "d": "inf", "b": 1}, "graph d must be finite"),
+            ({"kind": "chung_lu", "n": 10, "d": 2, "b": [1]}, "graph b must be a number"),
+        ],
+    )
+    def test_bad_number_names_its_key(self, source, message):
+        with pytest.raises(ConfigError, match=message):
+            build_graph(source, 0)
+
 
 class TestGen:
     def test_round_trip(self, tmp_path):
@@ -532,6 +545,11 @@ class TestErrorPaths:
                 },
                 [],
             ),
+            ("gen", {"graph": {"kind": "er", "n": 10, "p": None}}, []),
+            ("gen", {"graph": {"kind": "er", "n": 10, "p": [0.1]}}, []),
+            ("gen", {"graph": {"kind": "chung_lu", "n": 10, "d": None, "b": 1.5}}, []),
+            ("gen", {"graph": {"kind": "chung_lu", "n": 10, "d": "inf", "b": 1.5}}, []),
+            ("gen", {"graph": {"kind": "chung_lu", "n": 10, "d": 2.0, "b": None}}, []),
         ],
         ids=[
             "membership-trials-0",
@@ -566,6 +584,11 @@ class TestErrorPaths:
             "audit-protected-fractional",
             "sweep-grid-last-value-above-1",
             "sweep-several-graph-sources",
+            "gen-graph-p-null",
+            "gen-graph-p-list",
+            "gen-graph-d-null",
+            "gen-graph-d-inf",
+            "gen-graph-b-null",
         ],
     )
     def test_bad_config_exits_2_without_traceback(
@@ -680,61 +703,62 @@ GOLDEN_CONFIG = {
 # SHA-256 of every file each subcommand writes for GOLDEN_CONFIG (and, for
 # the cases in GOLDEN_VARIANTS, the config with those entries replaced).
 # The CSV digests cover the tool_version header line, so every CSV digest
-# was re-recorded at 0.2.2. "gen-chung-lu" pins the Chung-Lu graph stream,
-# recorded at version 0.2.0; the audit and attack streams, with "audit-all",
-# were recorded at 0.2.1; the coupled-q sweep stream was recorded at 0.2.2.
+# was re-recorded at 0.2.3, when the ER graph stream moved and with it
+# "gen" and every ER-derived output. "gen-chung-lu" pins the Chung-Lu graph
+# stream, recorded at version 0.2.0; the audit and attack streams, with
+# "audit-all", were recorded at 0.2.1; the coupled-q sweep stream at 0.2.2.
 # A change here means an RNG stream, the version or an output format moved.
 GOLDEN_DIGESTS = {
     "gen": {
         "graph.txt": (
-            "6fbc2ca67d5e2157f681a07f253f881aae0f1adc18c86b9b6c9ba83419ade30b"
+            "2d48cec5cb3961d1c4bda5dbe604ca4c55b10c497130abe6ecc5e5d89d87f335"
         ),
     },
     "components": {
         "components.csv": (
-            "73d9e6ea6639b753c571b72befd21fc04839c3f5b7813cd847bccb507c221d35"
+            "8f07daf8930beae2d1c8b648cd74c042f345d39393f52caaf37b1c4d40b3b340"
         ),
     },
     "sweep": {
         "sweep.csv": (
-            "e6d430920324168aaa161978deaf3638735a7a62efeade484933cb4e72d15ba3"
+            "15c480872cf78f8ec2fe6958cd559a20213302ea5dbfe48bfc63d0aeabe0d0b6"
         ),
     },
     "membership": {
         "membership.csv": (
-            "8b46e2c6c6a0fba371a8fd8d8cf5bcf4a85ef7fa2e5956a94c8068accafcc8e3"
+            "a77c5c212c5b6f21f685f500d8019b0c78e9b00ef7674c8f807de9ec7733a1cc"
         ),
     },
     "audit": {
         "audit.csv": (
-            "73036cba44a7fe9a5722c0f8c32df14d8e0e229699e9b538b2a6f1d6f8b30a0d"
+            "d5a2cca10980380a4ed77553c9a687b37de19594feab2e517bb2fa690895d679"
         ),
         "audit_nodes.csv": (
-            "053a32ab6ce665dc199eb023828dac18f4f5e244f01f0181a5733e4b0171c0c5"
+            "591c4aee477818ebbb37210491d130b47d437f28b3eadb7f5135ea4b9957b9d2"
         ),
     },
     "attack": {
         "attack.csv": (
-            "9c4380847df44b4bf7170bc09ee7e9c1d4087743efd750d7ec6e5b5096151698"
+            "47ca8a43a8d9fcc6dc94e359abd861836dfeb667520049a9f2313f3cd1af75a6"
         ),
         "attack_summary.csv": (
-            "b5e8b0a5b122ab17b79f6a1c999b8ea52593cee18e2d44eea1b0d3353cbf5fc1"
+            "94bfefe254112a5d09799b17a06fe64f6435e508a52de6a474abd7974af84287"
         ),
     },
     "audit-all": {
         "audit.csv": (
-            "7371507a78da9ceec2a445a352dfc73c69b3e7ca51a0b9d464fbd7435c8a08c9"
+            "8fc57f7efe0a2fbaebbbb9985c3670fdc07b331b26dd462e0bdfdf602dc671a5"
         ),
         "audit_nodes.csv": (
-            "0549ff16c4f03aae175a77f538bc181a8baa7862a426863bfd16ee870b71fafa"
+            "bff186bb5d9de04eb43fef7df3af2772c4b6c6e081a8c31deb8f7a78ee8e64fa"
         ),
     },
     "attack-rr": {
         "attack.csv": (
-            "810ac60eabfde38ca0cbdcf257f55de675c35037069386dac8d040d36337ff47"
+            "a05640aefebc582657eb7ae251ee02ad5fd2ede035ef3c5388f7be815fb158a6"
         ),
         "attack_summary.csv": (
-            "ebc92f416f2c0aa849430fc2798c8c40c221fbc6858b36ed2811d205c5b9ed66"
+            "455ab6a37c7bd7c38a11afef152449c8045bdcf15e939212e185bb30e6d828b4"
         ),
     },
     "gen-chung-lu": {

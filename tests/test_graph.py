@@ -217,31 +217,26 @@ def plateau_weights() -> NodeWeights:
     )
 
 
-class TestChungLuExactness:
-    """Every pair is an edge independently with probability
-    min(1, w_i w_j / total), judged on many draws of one small graph."""
+class PairFrequencyChecks:
+    """Every pair is an edge independently with its own probability,
+    judged on many draws of one small graph.
+
+    A subclass gives the fixture `law`: the node count, the probability of
+    each pair in `np.triu_indices(n, 1)` order, and a draw `sample(t)`.
+    """
 
     DRAWS = 10000
 
     @pytest.fixture(scope="class")
-    def draws(self):
-        weights = plateau_weights()
-        n = weights.node_count
+    def draws(self, law):
+        n, probs, sample = law
         hits = np.zeros((n, n), dtype=np.int64)
         counts = np.empty(self.DRAWS, dtype=np.int64)
         for t in range(self.DRAWS):
-            g = generate_chung_lu(weights, rng_seed=child_seed(61, t))
+            g = sample(t)
             hits[g.edges[:, 0], g.edges[:, 1]] += 1
             counts[t] = g.edge_count
-        w = weights.weights
-        upper = np.triu_indices(n, 1)
-        probs = np.minimum(1.0, w[upper[0]] * w[upper[1]] / weights.total)
-        return probs, hits[upper], counts
-
-    def test_clamped_pairs_in_every_draw(self, draws):
-        probs, hits, _ = draws
-        assert (probs >= 1.0).sum() == 22
-        assert np.all(hits[probs >= 1.0] == self.DRAWS)
+        return probs, hits[np.triu_indices(n, 1)], counts
 
     def test_pair_frequencies_chi_squared(self, draws):
         probs, hits, _ = draws
@@ -266,6 +261,27 @@ class TestChungLuExactness:
         chi2 = ((observed - expected) ** 2 / expected).sum()
         assert chi2 <= stats.chi2.ppf(0.999, df=cuts.size)
 
+
+class TestChungLuExactness(PairFrequencyChecks):
+    """Pair {i, j} is an edge with probability min(1, w_i w_j / total)."""
+
+    @pytest.fixture(scope="class")
+    def law(self):
+        weights = plateau_weights()
+        w = weights.weights
+        upper = np.triu_indices(weights.node_count, 1)
+        probs = np.minimum(1.0, w[upper[0]] * w[upper[1]] / weights.total)
+        return (
+            weights.node_count,
+            probs,
+            lambda t: generate_chung_lu(weights, rng_seed=child_seed(61, t)),
+        )
+
+    def test_clamped_pairs_in_every_draw(self, draws):
+        probs, hits, _ = draws
+        assert (probs >= 1.0).sum() == 22
+        assert np.all(hits[probs >= 1.0] == self.DRAWS)
+
     def test_pair_numbering_inverts_within_huge_layers(self):
         """Within one layer pair number y * (y - 1) / 2 + x decodes to
         (x, y), also where 8 * pos no longer fits a double's mantissa."""
@@ -283,6 +299,28 @@ class TestChungLuExactness:
         mean, var = chung_lu_expected_edges(weights.weights, weights.total)
         g = generate_chung_lu(weights, rng_seed=child_seed(62, 0))
         assert abs(g.edge_count - mean) <= 4 * math.sqrt(var)
+
+
+class TestErExactness(PairFrequencyChecks):
+    """G(n, p) through the shared block sampler: below 1/2 the one block
+    draws distinct uniform pairs with redraws; at 1/2 every pair is a
+    candidate, kept with probability p."""
+
+    @pytest.fixture(scope="class", params=[0.2, 0.5], ids=["sparse", "dense"])
+    def law(self, request):
+        n, p = 16, request.param
+        return (
+            n,
+            np.full(n * (n - 1) // 2, p),
+            lambda t: generate_er(n, p, rng_seed=child_seed(63, t)),
+        )
+
+    def test_large_edge_count_matches_binomial(self):
+        n = 200_000
+        p = 5 / (n - 1)
+        pairs = n * (n - 1) // 2
+        g = generate_er(n, p, rng_seed=child_seed(64, 0))
+        assert abs(g.edge_count - pairs * p) <= 4 * math.sqrt(pairs * p * (1 - p))
 
 
 class TestEdgeListFiles:

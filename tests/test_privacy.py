@@ -25,12 +25,16 @@ from cascadelab.privacy import (
     release,
     sample_wasserstein_infinity,
     tvd,
-    wasserstein_infinity,
     wasserstein_mechanism_scale,
 )
 from cascadelab.seeding import child_seed
 
-from oracles import bfs_activated, winf_bruteforce, winf_exact
+from oracles import (
+    bfs_activated,
+    wasserstein_infinity,
+    winf_bruteforce,
+    winf_exact,
+)
 
 
 def dist(pairs):
@@ -96,6 +100,8 @@ class TestTvd:
 
 
 class TestWassersteinInfinity:
+    """Self-tests of the float merge oracle against the Hall brute force."""
+
     def test_identical(self):
         mu = dist([(0, 0.3), (4, 0.7)])
         assert wasserstein_infinity(mu, mu) == 0.0
