@@ -21,8 +21,6 @@ from .percolation import (
     DegenerateConditioningError,
     MembershipEstimate,
     WorldRecord,
-    conditional_count_distributions,
-    conditional_giant_distributions,
     connected_components,
     coupled_worlds,
     estimate_giant_membership,
@@ -45,13 +43,10 @@ from .bounds import (
     solve_giant_fraction,
 )
 from .privacy import (
-    HypothesisTestReport,
     MechanismScaleReport,
     MechanismSpec,
-    hypothesis_test_error,
-    laplace_perturb,
+    mechanism_error_quantile,
     push_through_mechanism,
-    randomized_response_estimate,
     release,
     sample_wasserstein_infinity,
     tvd,

@@ -7,7 +7,6 @@ giant-membership frequency clears a confidence floor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .bounds import (
 )
 from .graph import Graph, NodeWeights
 from .percolation import MembershipEstimate, record_worlds, worlds
-from .privacy import MechanismSpec, release
+from .privacy import MechanismSpec, mechanism_error_quantile, release
 from .seeding import child_seed
 
 __all__ = [
@@ -34,10 +33,6 @@ __all__ = [
     "vulnerable_set_er",
     "vulnerable_set_cl",
 ]
-
-# quantile level for the mechanism's high-probability error bound
-_ERROR_QUANTILE_DELTA = 1e-3
-
 
 @dataclass(frozen=True)
 class AttackConfig:
@@ -124,18 +119,6 @@ def infer_nodes(
     )
 
 
-def _mechanism_error_quantile(spec: MechanismSpec, n: int) -> float:
-    """(1 - delta)-quantile of the mechanism's absolute count error."""
-    if spec.kind in ("laplace", "wasserstein"):
-        return float(spec.scale) * math.log(1.0 / _ERROR_QUANTILE_DELTA)
-    # randomized response: normal-tail bound on the debiased count error
-    f = float(spec.flip_prob)
-    if f == 0.0:
-        return 0.0
-    sd = math.sqrt(n * (f / 2.0) * (1.0 - f / 2.0)) / (1.0 - f)
-    return 3.29 * sd
-
-
 def evaluate_attack(
     g: Graph,
     q: float,
@@ -183,7 +166,7 @@ def evaluate_attack(
         inactive_max = active_min = float("nan")
         tie_trials = 0
     config = AttackConfig(
-        max_mechanism_error=_mechanism_error_quantile(spec, g.node_count),
+        max_mechanism_error=mechanism_error_quantile(spec, g.node_count),
         decision_threshold=threshold,
         membership=membership,
     )

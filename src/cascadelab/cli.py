@@ -38,8 +38,8 @@ from .percolation import (
 )
 from .privacy import (
     MechanismSpec,
-    hypothesis_test_error,
     push_through_mechanism,
+    tvd,
     wasserstein_mechanism_scale,
 )
 from .seeding import child_seed
@@ -154,7 +154,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 
 def _number(value, key: str) -> float:
-    """Config value `value` of `key` as a finite float."""
+    """Config value `value` of `key` as a finite float; bools are refused."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, not {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError) as exc:
@@ -179,8 +181,8 @@ def _q_values(cfg: dict) -> list[float]:
     if isinstance(grid, dict):
         try:
             values = np.linspace(
-                float(grid["start"]),
-                float(grid["stop"]),
+                _number(grid["start"], "q_grid start"),
+                _number(grid["stop"], "q_grid stop"),
                 _integer(grid["count"], "q_grid count"),
             ).tolist()
         except (KeyError, TypeError, ValueError) as exc:
@@ -414,7 +416,7 @@ def cmd_audit(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
         raise ConfigError("epsilon must be > 0")
     protected = _protected(cfg, g.node_count)
     comparison = _mechanism(cfg)
-    if comparison.kind == "randomized_response":
+    if not comparison.is_laplace:
         raise ConfigError(
             "audit pushes counts through Laplace noise; the comparison "
             "mechanism must be of kind laplace or wasserstein"
@@ -433,13 +435,12 @@ def cmd_audit(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     except DegenerateConditioningError as exc:
         logger.warning("theta split unavailable: %s", exc)
     else:
-        # clamp_range takes effect only when the comparison sets clamp
-        n_range = (0.0, float(g.node_count))
-        z0 = push_through_mechanism(split.inactive, comparison, clamp_range=n_range)
-        z1 = push_through_mechanism(split.active, comparison, clamp_range=n_range)
-        test = hypothesis_test_error(z0, z1, threshold=split.midpoint)
+        z0 = push_through_mechanism(split.inactive, comparison, n=g.node_count)
+        z1 = push_through_mechanism(split.active, comparison, n=g.node_count)
         theta_lo, theta_hi = split.inactive_max, split.active_min
-        test_tvd, test_error = test.tvd, test.test_error
+        # the best test telling z0 from z1 errs with probability 1 - tvd
+        test_tvd = tvd(z0, z1)
+        test_error = 1.0 - test_tvd
     lap_scale = report.w_scale / epsilon
     rows = [
         ("w_scale", report.w_scale),

@@ -37,8 +37,6 @@ __all__ = [
     "coupled_worlds",
     "record_worlds",
     "estimate_giant_membership",
-    "conditional_count_distributions",
-    "conditional_giant_distributions",
 ]
 
 
@@ -142,7 +140,9 @@ class WorldRecord:
     giant_hits: np.ndarray
 
     def activated(self, v: int) -> np.ndarray:
-        """Node v's activation bit in every row."""
+        """Node v's activation bit in every row; v must lie in 0..n-1."""
+        if not 0 <= v < self.giant_hits.size:
+            raise ValueError("v outside 0..node_count-1")
         return (self.packed[:, v >> 3] >> (7 - (v & 7)) & 1).astype(bool)
 
     def _split(self, mask: np.ndarray, names: tuple[str, str]):
@@ -161,12 +161,33 @@ class WorldRecord:
         return branches
 
     def node_split(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Counts where node v stayed inactive and where it activated."""
+        """Split the counts by whether node v itself activated.
+
+        Returns the ascending counts of the trials where v stayed inactive
+        and of those where it activated: samples of the count conditioned
+        on x_v = 0 and on x_v = 1.
+
+        Raises:
+            ValueError: v is outside 0..n-1.
+            DegenerateConditioningError: one branch received zero samples,
+                e.g. a connected graph at q=1 never leaves v inactive.
+        """
         names = (f"branch x_v=0 for node {v}", f"branch x_v=1 for node {v}")
         return self._split(self.activated(v), names)
 
     def giant_split(self) -> ActivitySplit:
-        """The `conditional_giant_distributions` split of these trials."""
+        """Split the counts by whether the giant component activated.
+
+        A trial counts as giant-active when a seed fell in the unique
+        largest retained component; trials whose two largest components
+        tied in size are ambiguous and go to the inactive branch
+        (`tie_trials` reports how many). The split's `midpoint` sits halfway
+        between the largest inactive count and the smallest active count.
+
+        Raises:
+            DegenerateConditioningError: either branch is empty, e.g. a
+                connected graph at q=1 activates the giant in every trial.
+        """
         names = ("giant-inactive branch", "giant-active branch")
         x0, x1 = map(
             EmpiricalDistribution.from_samples,
@@ -369,50 +390,3 @@ def estimate_giant_membership(
     return MembershipEstimate(
         trials=trials, frequency=counts / trials, ties_broken=ties
     )
-
-
-def conditional_count_distributions(
-    g: Graph,
-    q: float,
-    s: int,
-    v: int,
-    trials: int,
-    rng_seed: int,
-) -> tuple[EmpiricalDistribution, EmpiricalDistribution]:
-    """Split the activation count by whether node v itself activated.
-
-    Runs `trials` joint (percolation, seed set) draws and partitions the
-    activation counts X by x_v. Returns (counts when v stayed inactive,
-    counts when v activated); each carries its branch sample count.
-
-    Raises:
-        DegenerateConditioningError: one branch received zero samples, e.g.
-            a connected graph at q=1 never leaves v inactive.
-    """
-    if not 0 <= v < g.node_count:
-        raise ValueError("v outside 0..node_count-1")
-    record = record_worlds(g, q, s, trials, rng_seed)
-    mu0, mu1 = map(EmpiricalDistribution.from_samples, record.node_split(v))
-    return mu0, mu1
-
-
-def conditional_giant_distributions(
-    g: Graph,
-    q: float,
-    s: int,
-    trials: int,
-    rng_seed: int,
-) -> ActivitySplit:
-    """Split the activation count by whether the giant component activated.
-
-    A trial counts as giant-active when a seed fell in the unique largest
-    retained component; trials whose two largest components tied in size are
-    ambiguous and are assigned to the inactive branch (`tie_trials` reports
-    how many). The split's `midpoint` sits halfway between the largest
-    inactive count and the smallest active count.
-
-    Raises:
-        DegenerateConditioningError: either branch is empty, e.g. a
-            connected graph at q=1 activates the giant in every trial.
-    """
-    return record_worlds(g, q, s, trials, rng_seed).giant_split()

@@ -3,14 +3,17 @@
 The released statistic is the number of activated nodes. Mechanisms
 perturb it (Laplace noise, randomized response over per-node bits, or
 Laplace calibrated to an infinity-order Wasserstein distance between
-conditional count distributions). Total variation and test errors operate
-on `EmpiricalDistribution` atoms, W-infinity on sorted integer samples.
+conditional count distributions). Total variation operates on
+`EmpiricalDistribution` atoms, W-infinity on sorted integer samples.
+Only this module branches on a mechanism's kind; other modules ask
+`MechanismSpec.is_laplace`.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,20 +27,20 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "MechanismSpec",
-    "HypothesisTestReport",
     "MechanismScaleReport",
     "EmpiricalDistribution",
     "tvd",
     "sample_wasserstein_infinity",
-    "laplace_perturb",
-    "randomized_response_estimate",
     "release",
+    "mechanism_error_quantile",
     "wasserstein_mechanism_scale",
-    "hypothesis_test_error",
     "push_through_mechanism",
 ]
 
 _KINDS = ("laplace", "randomized_response", "wasserstein")
+
+# quantile level for the mechanism's high-probability error bound
+_ERROR_QUANTILE_DELTA = 1e-3
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,7 @@ class MechanismSpec:
     same with scale already set to W / epsilon; kind "randomized_response"
     flips each per-node bit to a fair coin with probability flip_prob and
     debiases the total. `clamp` clips perturbed outputs into [0, n].
+    Numbers must be finite reals and `clamp` a bool.
     """
 
     kind: str
@@ -59,7 +63,17 @@ class MechanismSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
-        if self.kind in ("laplace", "wasserstein"):
+        for name in ("scale", "epsilon", "flip_prob"):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ValueError(f"{name} must be a finite number, not {value!r}")
+        if not isinstance(self.clamp, bool):
+            raise ValueError(f"clamp must be true or false, not {self.clamp!r}")
+        if self.is_laplace:
             if self.scale is None or self.scale <= 0:
                 raise ValueError(f"{self.kind} mechanism requires scale > 0")
             if self.flip_prob is not None:
@@ -78,14 +92,10 @@ class MechanismSpec:
             if self.scale is not None or self.epsilon is not None:
                 raise ValueError("randomized_response takes only flip_prob")
 
-
-@dataclass(frozen=True)
-class HypothesisTestReport:
-    """Error of the best distinguisher between two release distributions."""
-
-    tvd: float
-    test_error: float
-    threshold: float | None = None
+    @property
+    def is_laplace(self) -> bool:
+        """True for the kinds that add Laplace(scale) noise to the count."""
+        return self.kind != "randomized_response"
 
 
 @dataclass(frozen=True)
@@ -133,67 +143,38 @@ def sample_wasserstein_infinity(x0: np.ndarray, x1: np.ndarray) -> int:
     return int(max(at_k0, at_k1))
 
 
-def laplace_perturb(
-    x: float,
-    scale: float,
-    rng_seed: int,
-    clamp: bool = False,
-    value_max: float | None = None,
-) -> float:
-    """Release x + Laplace(scale) noise.
-
-    With clamp=True the output is clipped to [0, value_max] (upper end only
-    when value_max is given). Deterministic for a fixed rng_seed.
-    """
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
-    rng = rng_from_seed(rng_seed)
-    out = float(x) + float(rng.laplace(0.0, scale))
-    if clamp:
-        out = max(out, 0.0)
-        if value_max is not None:
-            out = min(out, float(value_max))
-    return out
-
-
-def randomized_response_estimate(
-    true_bits, flip_prob: float, rng_seed: int
-) -> tuple[int, float]:
-    """Aggregate randomized response over per-node activation bits.
-
-    Each node reports its true bit with probability 1 - flip_prob and a
-    fair coin otherwise. Returns the raw reported count and the debiased
-    estimate (count - n * flip_prob / 2) / (1 - flip_prob).
-    """
-    if not 0.0 <= flip_prob < 1.0:
-        raise ValueError("flip_prob must lie in [0, 1)")
-    bits = np.asarray(true_bits, dtype=bool)
-    n = bits.size
-    rng = rng_from_seed(rng_seed)
-    flip = rng.random(n) < flip_prob
-    coin = rng.random(n) < 0.5
-    reported = np.where(flip, coin, bits)
-    count = int(reported.sum())
-    estimate = (count - n * flip_prob / 2.0) / (1.0 - flip_prob)
-    return count, float(estimate)
-
-
 def release(spec: MechanismSpec, bits, rng_seed: int) -> float:
     """Release the activation count of `bits` through the mechanism `spec`.
 
-    The Laplace kinds perturb the count with `laplace_perturb`; randomized
-    response reports the debiased `randomized_response_estimate`. With
-    spec.clamp the output is clipped to [0, n]. Deterministic for a fixed
-    rng_seed.
+    The Laplace kinds add one Laplace(scale) draw to the count. Randomized
+    response reports each bit truly with probability 1 - flip_prob and as
+    a fair coin otherwise (one uniform per bit for the flip, then one for
+    the coin), and releases the debiased total
+    (reported - n * flip_prob / 2) / (1 - flip_prob). With spec.clamp the
+    output is clipped to [0, n]. Deterministic for a fixed rng_seed.
     """
     bits = np.asarray(bits, dtype=bool)
     n = bits.size
-    if spec.kind == "randomized_response":
-        out = randomized_response_estimate(bits, spec.flip_prob, rng_seed)[1]
-        return min(max(out, 0.0), float(n)) if spec.clamp else out
-    return laplace_perturb(
-        int(bits.sum()), spec.scale, rng_seed, clamp=spec.clamp, value_max=n
-    )
+    rng = rng_from_seed(rng_seed)
+    if spec.is_laplace:
+        out = float(bits.sum()) + float(rng.laplace(0.0, spec.scale))
+    else:
+        f = spec.flip_prob
+        flip = rng.random(n) < f
+        coin = rng.random(n) < 0.5
+        reported = int(np.where(flip, coin, bits).sum())
+        out = float((reported - n * f / 2.0) / (1.0 - f))
+    return min(max(out, 0.0), float(n)) if spec.clamp else out
+
+
+def mechanism_error_quantile(spec: MechanismSpec, n: int) -> float:
+    """(1 - delta)-quantile of the mechanism's absolute count error on n nodes."""
+    if spec.is_laplace:
+        return float(spec.scale) * math.log(1.0 / _ERROR_QUANTILE_DELTA)
+    # randomized response: normal-tail bound on the debiased count error
+    f = float(spec.flip_prob)
+    sd = math.sqrt(n * (f / 2.0) * (1.0 - f / 2.0)) / (1.0 - f)
+    return 3.29 * sd
 
 
 def wasserstein_mechanism_scale(
@@ -240,22 +221,6 @@ def wasserstein_mechanism_scale(
     return MechanismScaleReport(max(per_node.values()), per_node, degenerate, record)
 
 
-def hypothesis_test_error(
-    z0: EmpiricalDistribution,
-    z1: EmpiricalDistribution,
-    threshold: float | None = None,
-) -> HypothesisTestReport:
-    """Error of the best test telling two release distributions apart.
-
-    The optimal distinguisher errs with probability 1 - tvd(z0, z1); a
-    `threshold` may be recorded for reports built around a cut rule.
-    """
-    distance = tvd(z0, z1)
-    return HypothesisTestReport(
-        tvd=distance, test_error=1.0 - distance, threshold=threshold
-    )
-
-
 def _laplace_cdf(x: np.ndarray, scale: float) -> np.ndarray:
     tail = 0.5 * np.exp(-np.abs(x) / scale)
     return np.where(x < 0, tail, 1.0 - tail)
@@ -264,35 +229,31 @@ def _laplace_cdf(x: np.ndarray, scale: float) -> np.ndarray:
 def push_through_mechanism(
     dist: EmpiricalDistribution,
     spec: MechanismSpec,
-    resolution: float = 1.0,
-    clamp_range: tuple[float, float] | None = None,
+    *,
+    n: int | None = None,
 ) -> EmpiricalDistribution:
     """Exact distribution of the mechanism output for an input distribution.
 
-    Supports the Laplace-noise kinds ("laplace" and "wasserstein"): the
-    noise density is discretized on a grid of the given resolution,
-    truncated at twelve scales (leaving under 1e-5 mass outside), and
-    convolved exactly with the input atoms, which are snapped to the grid.
-    With spec.clamp and a clamp_range, mass outside the range folds onto its
-    endpoints. Randomized response is not a count convolution and is
-    rejected.
+    Supports the Laplace kinds: the noise density is discretized on the
+    integers, truncated at twelve scales (leaving under 1e-5 mass outside),
+    and convolved exactly with the input atoms, which are rounded to
+    integers. With spec.clamp, mass outside [0, n] folds onto its
+    endpoints, so a clamping spec needs the node count `n`. Randomized
+    response is not a count convolution and is rejected.
     """
-    if spec.kind not in ("laplace", "wasserstein"):
+    if not spec.is_laplace:
         raise ValueError(
             f"push-through not supported for mechanism kind {spec.kind!r}"
         )
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
-    r = float(resolution)
+    if spec.clamp and n is None:
+        raise ValueError("a clamping mechanism needs the node count n")
     scale = float(spec.scale)
-    half_width = int(math.ceil(12.0 * scale / r))
+    half_width = int(math.ceil(12.0 * scale))
     offsets = np.arange(-half_width, half_width + 1, dtype=np.int64)
-    hi = (offsets + 0.5) * r
-    lo = (offsets - 0.5) * r
-    noise = _laplace_cdf(hi, scale) - _laplace_cdf(lo, scale)
+    noise = _laplace_cdf(offsets + 0.5, scale) - _laplace_cdf(offsets - 0.5, scale)
     noise /= noise.sum()
 
-    units = np.rint(dist.values / r).astype(np.int64)
+    units = np.rint(dist.values).astype(np.int64)
     base = int(units.min()) - half_width
     span = int(units.max()) + half_width - base + 1
     acc = np.zeros(span)
@@ -300,22 +261,16 @@ def push_through_mechanism(
         start = int(u) - half_width - base
         acc[start : start + offsets.size] += float(p) * noise
 
-    grid = (base + np.arange(span, dtype=np.int64)) * r
-    if spec.clamp and clamp_range is not None:
-        lo_v, hi_v = float(clamp_range[0]), float(clamp_range[1])
-        below = grid < lo_v
-        above = grid > hi_v
-        inside = ~(below | above)
+    grid = (base + np.arange(span, dtype=np.int64)).astype(np.float64)
+    if spec.clamp:
+        inside = (grid >= 0.0) & (grid <= n)
         if not inside.any():
-            raise ValueError("clamp_range excludes the entire output grid")
-        values = grid[inside]
-        probs = acc[inside]
+            raise ValueError("[0, n] excludes the entire output grid")
         # fold clipped mass onto the nearest kept grid point
-        if below.any():
-            probs[0] += acc[below].sum()
-        if above.any():
-            probs[-1] += acc[above].sum()
-        grid, acc = values, probs
+        below, above = acc[grid < 0.0].sum(), acc[grid > n].sum()
+        grid, acc = grid[inside], acc[inside]
+        acc[0] += below
+        acc[-1] += above
     keep = acc > 0
     out = acc[keep]
     return EmpiricalDistribution(grid[keep], out / out.sum())

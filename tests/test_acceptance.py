@@ -29,17 +29,17 @@ from cascadelab.graph import (
     load_edge_list,
 )
 from cascadelab.percolation import (
-    conditional_giant_distributions,
     connected_components,
     estimate_giant_membership,
     percolate,
+    record_worlds,
     run_cascade,
 )
 from cascadelab.privacy import (
     MechanismSpec,
-    hypothesis_test_error,
-    laplace_perturb,
     push_through_mechanism,
+    release,
+    tvd,
     wasserstein_mechanism_scale,
 )
 from cascadelab.seeding import child_seed
@@ -199,13 +199,11 @@ def test_mechanism_scale_is_constant_fraction_of_n():
     assert report.w_scale >= 0.3 * n
     # noise calibrated to that scale at epsilon = 1 averages at least the
     # same fraction of n in magnitude
-    scale = report.w_scale / 1.0
+    spec = MechanismSpec(kind="laplace", scale=report.w_scale / 1.0)
     noise_stream = child_seed(88, 2)
+    silent = np.zeros(n, dtype=bool)
     released = np.array(
-        [
-            laplace_perturb(0.0, scale, child_seed(noise_stream, i))
-            for i in range(2000)
-        ]
+        [release(spec, silent, child_seed(noise_stream, i)) for i in range(2000)]
     )
     assert float(np.mean(np.abs(released))) >= 0.3 * n
 
@@ -213,14 +211,14 @@ def test_mechanism_scale_is_constant_fraction_of_n():
 def test_root_n_noise_leaves_giant_status_testable():
     n = 2500
     g = generate_er(n, 5 / (n - 1), rng_seed=child_seed(77, 0))
-    split = conditional_giant_distributions(
+    split = record_worlds(
         g, 0.3, s=1, trials=1000, rng_seed=child_seed(77, 1)
-    )
+    ).giant_split()
     spec = MechanismSpec(kind="laplace", scale=math.sqrt(n))
     z0 = push_through_mechanism(split.inactive, spec)
     z1 = push_through_mechanism(split.active, spec)
-    report = hypothesis_test_error(z0, z1, threshold=split.midpoint)
-    assert report.test_error <= 0.1
+    # the best test telling z0 from z1 errs with probability 1 - tvd
+    assert 1.0 - tvd(z0, z1) <= 0.1
 
 
 def _check_world(g, retained, checked):

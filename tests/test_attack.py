@@ -22,14 +22,14 @@ from cascadelab.graph import (
 )
 from cascadelab.percolation import (
     MembershipEstimate,
-    conditional_giant_distributions,
     connected_components,
     estimate_giant_membership,
     percolate,
+    record_worlds,
     sample_seeds,
 )
-from cascadelab.privacy import MechanismSpec, laplace_perturb
-from cascadelab.seeding import child_seed
+from cascadelab.privacy import MechanismSpec
+from cascadelab.seeding import child_seed, rng_from_seed
 
 from oracles import (
     all_graph_edge_lists,
@@ -250,9 +250,7 @@ class TestEvaluateAttack:
         result = evaluate_attack(g, q, 1, spec, floors=[0.6], trials=80, rng_seed=32)
         cal_seed, eval_seed = child_seed(32, 1), child_seed(32, 2)
         pass_seed = child_seed(cal_seed, 0)
-        threshold = conditional_giant_distributions(
-            g, q, 1, trials=80, rng_seed=pass_seed
-        ).midpoint
+        threshold = record_worlds(g, q, 1, 80, pass_seed).giant_split().midpoint
         assert result.config.decision_threshold == threshold
         membership = estimate_giant_membership(g, q, 80, pass_seed)
         assert np.array_equal(
@@ -269,7 +267,8 @@ class TestEvaluateAttack:
             tie = len(sizes) > 1 and sizes[-1] == sizes[-2]
             giant = giant_component(n, retained)
             truth = not tie and any(int(v) in giant for v in seeds)
-            reported = laplace_perturb(len(act), 3.0, child_seed(trial_seed, 2))
+            noise = rng_from_seed(child_seed(trial_seed, 2)).laplace(0.0, 3.0)
+            reported = float(len(act)) + float(noise)
             judged = reported > threshold
             hits += judged == truth
             bits = np.zeros(n, dtype=bool)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -550,6 +551,17 @@ class TestErrorPaths:
             ("gen", {"graph": {"kind": "chung_lu", "n": 10, "d": None, "b": 1.5}}, []),
             ("gen", {"graph": {"kind": "chung_lu", "n": 10, "d": "inf", "b": 1.5}}, []),
             ("gen", {"graph": {"kind": "chung_lu", "n": 10, "d": 2.0, "b": None}}, []),
+            ("gen", {"graph": {"kind": "er", "n": 10, "p": True}}, []),
+            ("membership", {"q": True}, []),
+            ("sweep", {"q_grid": {"start": True, "stop": 0.9, "count": 3}}, []),
+            ("audit", {"mechanism": {"kind": "laplace", "scale": math.inf}}, []),
+            ("audit", {"mechanism": {"kind": "laplace", "scale": math.nan}}, []),
+            ("attack", {"mechanism": {"kind": "laplace", "scale": math.nan}}, []),
+            (
+                "audit",
+                {"mechanism": {"kind": "laplace", "scale": 5.0, "clamp": "no"}},
+                [],
+            ),
         ],
         ids=[
             "membership-trials-0",
@@ -589,6 +601,13 @@ class TestErrorPaths:
             "gen-graph-d-null",
             "gen-graph-d-inf",
             "gen-graph-b-null",
+            "gen-graph-p-bool",
+            "membership-q-bool",
+            "sweep-grid-start-bool",
+            "audit-mechanism-scale-inf",
+            "audit-mechanism-scale-nan",
+            "attack-mechanism-scale-nan",
+            "audit-mechanism-clamp-string",
         ],
     )
     def test_bad_config_exits_2_without_traceback(

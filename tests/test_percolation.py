@@ -13,8 +13,6 @@ from cascadelab.distributions import EmpiricalDistribution
 from cascadelab.graph import Graph, chung_lu_weights, generate_chung_lu, generate_er
 from cascadelab.percolation import (
     DegenerateConditioningError,
-    conditional_count_distributions,
-    conditional_giant_distributions,
     connected_components,
     coupled_worlds,
     estimate_giant_membership,
@@ -27,6 +25,17 @@ from cascadelab.percolation import (
 from cascadelab.seeding import child_seed, rng_from_seed
 
 from oracles import bfs_activated, component_sets, giant_component, lowest_members
+
+
+def count_split(g, q, s, v, trials, rng_seed):
+    """Count distributions of one recorded pass, split by node v's bit."""
+    record = record_worlds(g, q, s, trials, rng_seed)
+    return tuple(map(EmpiricalDistribution.from_samples, record.node_split(v)))
+
+
+def giant_split(g, q, s, trials, rng_seed):
+    """Count distributions of one recorded pass, split by giant activity."""
+    return record_worlds(g, q, s, trials, rng_seed).giant_split()
 
 
 def _no_retained_edges():
@@ -394,25 +403,42 @@ class TestRecordWorlds:
         assert rec.packed.shape == (trials, 9)
 
     def test_membership_and_splits_match_estimators(self):
+        """The membership matches `estimate_giant_membership`, and both
+        splits match the same trials read straight off `worlds`."""
         n, q, s, trials, seed = 90, 0.4, 1, 120, 43
         g = generate_er(n, 0.04, rng_seed=44)
         rec = record_worlds(g, q, s, trials, seed)
         est = estimate_giant_membership(g, q, trials, seed)
         assert np.array_equal(rec.membership().frequency, est.frequency)
         assert rec.membership().ties_broken == est.ties_broken
-        got, want = rec.giant_split(), conditional_giant_distributions(
-            g, q, s, trials, seed
-        )
-        assert (got.midpoint, got.tie_trials) == (want.midpoint, want.tie_trials)
-        for a, b in ((got.inactive, want.inactive), (got.active, want.active)):
-            assert np.array_equal(a.values, b.values)
-            assert np.array_equal(a.probs, b.probs)
+        drawn = [(lab.tie_at_top, o) for _, lab, o in worlds(g, q, seed, trials, s)]
+        branches = ([], [])
+        for tie, o in drawn:
+            branches[o.giant_active and not tie].append(o.count)
+        split = rec.giant_split()
+        for got, samples in zip((split.inactive, split.active), branches):
+            want = EmpiricalDistribution.from_samples(samples)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.probs, want.probs)
+        assert split.tie_trials == sum(tie for tie, _ in drawn)
+        assert split.midpoint == (max(branches[0]) + min(branches[1])) / 2
         x0, x1 = rec.node_split(5)
-        mu0, mu1 = conditional_count_distributions(g, q, s, 5, trials, seed)
-        assert np.array_equal(np.unique(x0), mu0.values)
-        assert np.array_equal(np.unique(x1), mu1.values)
-        assert (x0.size, x1.size) == (mu0.sample_count, mu1.sample_count)
-        assert np.all(np.diff(x0) >= 0) and np.all(np.diff(x1) >= 0)
+        assert x0.tolist() == sorted(o.count for _, o in drawn if not o.activated[5])
+        assert x1.tolist() == sorted(o.count for _, o in drawn if o.activated[5])
+
+    def test_node_split_checks_node_id(self):
+        """n = 9 packs two bytes per row: -8 would read node 8's bit and 9
+        a padding bit, so both are refused."""
+        g = generate_er(9, 0.3, rng_seed=45)
+        rec = record_worlds(g, 0.5, 1, 30, 46)
+        assert rec.packed.shape == (30, 2)
+        for v in (-1, -8, 9, 15):
+            with pytest.raises(ValueError, match="outside"):
+                rec.node_split(v)
+            with pytest.raises(ValueError, match="outside"):
+                rec.activated(v)
+        x0, x1 = rec.node_split(8)
+        assert x0.size + x1.size == 30
 
 
 class TestEstimateGiantMembership:
@@ -468,11 +494,11 @@ class TestConditionalCountDistributions:
     def test_connected_full_retention_errors_on_inactive_branch(self):
         g = Graph(4, [[0, 1], [1, 2], [2, 3]])
         with pytest.raises(DegenerateConditioningError, match="x_v=0"):
-            conditional_count_distributions(g, 1.0, 1, 0, trials=50, rng_seed=1)
+            count_split(g, 1.0, 1, 0, trials=50, rng_seed=1)
 
     def test_disjoint_edges_full_retention(self):
         g = Graph(4, [[0, 1], [2, 3]])
-        mu0, mu1 = conditional_count_distributions(g, 1.0, 1, 0, trials=200, rng_seed=2)
+        mu0, mu1 = count_split(g, 1.0, 1, 0, trials=200, rng_seed=2)
         # every world activates exactly one two-node component
         assert mu0.values.tolist() == [2.0]
         assert mu1.values.tolist() == [2.0]
@@ -494,9 +520,7 @@ class TestConditionalCountDistributions:
         exact0 = {x: worlds0.count(x) / len(worlds0) for x in set(worlds0)}
         exact1 = {x: worlds1.count(x) / len(worlds1) for x in set(worlds1)}
 
-        mu0, mu1 = conditional_count_distributions(
-            g, 0.5, 1, v, trials=trials, rng_seed=6
-        )
+        mu0, mu1 = count_split(g, 0.5, 1, v, trials=trials, rng_seed=6)
         for mu, exact in ((mu0, exact0), (mu1, exact1)):
             emp = dict(zip(mu.values.tolist(), mu.probs.tolist()))
             assert set(emp) <= set(exact)
@@ -506,7 +530,7 @@ class TestConditionalCountDistributions:
 
     def test_branch_split_is_exact_partition(self):
         g = generate_er(40, 0.06, rng_seed=31)
-        mu0, mu1 = conditional_count_distributions(g, 0.5, 2, 5, trials=300, rng_seed=4)
+        mu0, mu1 = count_split(g, 0.5, 2, 5, trials=300, rng_seed=4)
         assert mu0.sample_count + mu1.sample_count == 300
 
     def test_schedule_independent(self):
@@ -521,7 +545,7 @@ class TestConditionalCountDistributions:
             seeds = sample_seeds(50, 1, child_seed(trial_seed, 1))
             act = bfs_activated(50, retained, seeds)
             branches[3 in act].append(len(act))
-        got = conditional_count_distributions(g, 0.5, 1, 3, trials=120, rng_seed=5)
+        got = count_split(g, 0.5, 1, 3, trials=120, rng_seed=5)
         for dist, samples in zip(got, branches):
             expect = EmpiricalDistribution.from_samples(samples)
             assert np.array_equal(dist.values, expect.values)
@@ -532,13 +556,13 @@ class TestConditionalGiantDistributions:
     def test_connected_full_retention_errors(self):
         g = Graph(3, [[0, 1], [1, 2]])
         with pytest.raises(DegenerateConditioningError, match="inactive branch"):
-            conditional_giant_distributions(g, 1.0, 1, trials=40, rng_seed=1)
+            giant_split(g, 1.0, 1, trials=40, rng_seed=1)
 
     def test_single_edge_four_worlds(self):
         # edge kept: X=2 and the seed is always in the giant. Edge dropped:
         # sizes tie at [1,1], the trial lands in the inactive branch, X=1.
         g = Graph(2, [[0, 1]])
-        split = conditional_giant_distributions(g, 0.5, 1, trials=400, rng_seed=2)
+        split = giant_split(g, 0.5, 1, trials=400, rng_seed=2)
         assert split.active.values.tolist() == [2.0]
         assert split.inactive.values.tolist() == [1.0]
         assert split.midpoint == pytest.approx(1.5)
@@ -549,14 +573,12 @@ class TestConditionalGiantDistributions:
         the rest, so the observed supports leave a wide gap."""
         n = 2500
         g = generate_er(n, 5 / (n - 1), rng_seed=child_seed(33, 0))
-        split = conditional_giant_distributions(
-            g, 0.3, 1, trials=1000, rng_seed=34
-        )
+        split = giant_split(g, 0.3, 1, trials=1000, rng_seed=34)
         assert split.active_min - split.inactive_max >= 0.3 * n
 
     def test_midpoint_between_extremes(self):
         g = generate_er(300, 0.01, rng_seed=35)
-        split = conditional_giant_distributions(g, 0.5, 1, trials=200, rng_seed=36)
+        split = giant_split(g, 0.5, 1, trials=200, rng_seed=36)
         assert split.inactive_max < split.midpoint < split.active_min
         assert split.midpoint == pytest.approx(
             (split.inactive_max + split.active_min) / 2

@@ -11,23 +11,19 @@ from cascadelab.distributions import EmpiricalDistribution
 from cascadelab.graph import Graph, generate_er
 from cascadelab.percolation import (
     DegenerateConditioningError,
-    conditional_count_distributions,
-    conditional_giant_distributions,
     percolate,
+    record_worlds,
     sample_seeds,
 )
 from cascadelab.privacy import (
     MechanismSpec,
-    hypothesis_test_error,
-    laplace_perturb,
     push_through_mechanism,
-    randomized_response_estimate,
     release,
     sample_wasserstein_infinity,
     tvd,
     wasserstein_mechanism_scale,
 )
-from cascadelab.seeding import child_seed
+from cascadelab.seeding import child_seed, rng_from_seed
 
 from oracles import (
     bfs_activated,
@@ -40,6 +36,11 @@ from oracles import (
 def dist(pairs):
     values, probs = zip(*sorted(pairs))
     return EmpiricalDistribution(values, probs)
+
+
+def count_split(record, v):
+    """Node v's two conditional count distributions from a recorded pass."""
+    return map(EmpiricalDistribution.from_samples, record.node_split(v))
 
 
 def random_dist(rng, max_atoms=6):
@@ -75,6 +76,29 @@ class TestMechanismSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             MechanismSpec(kind="gaussian", scale=1.0)
+
+    def test_is_laplace(self):
+        assert MechanismSpec(kind="laplace", scale=1.0).is_laplace
+        assert MechanismSpec(kind="wasserstein", scale=1.0, epsilon=1.0).is_laplace
+        assert not MechanismSpec(kind="randomized_response", flip_prob=0.1).is_laplace
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "laplace", "scale": math.inf},
+            {"kind": "laplace", "scale": math.nan},
+            {"kind": "laplace", "scale": True},
+            {"kind": "laplace", "scale": "5"},
+            {"kind": "wasserstein", "scale": 5.0, "epsilon": math.nan},
+            {"kind": "randomized_response", "flip_prob": math.nan},
+            {"kind": "randomized_response", "flip_prob": False},
+            {"kind": "laplace", "scale": 5.0, "clamp": "no"},
+            {"kind": "laplace", "scale": 5.0, "clamp": 1},
+        ],
+    )
+    def test_numbers_must_be_finite_reals_and_clamp_a_bool(self, fields):
+        with pytest.raises(ValueError, match="finite number|clamp"):
+            MechanismSpec(**fields)
 
 
 class TestTvd:
@@ -179,32 +203,39 @@ class TestSampleWassersteinInfinity:
 
 
 class TestLaplacePerturb:
+    """The Laplace kinds release the count plus one Laplace(scale) draw."""
+
     def test_vanishing_scale(self):
-        out = laplace_perturb(7.0, 1e-9, rng_seed=1)
+        spec = MechanismSpec(kind="laplace", scale=1e-9)
+        out = release(spec, np.arange(10) < 7, rng_seed=1)
         assert abs(out - 7.0) < 1e-6
 
     def test_clamp_lower(self):
+        spec = MechanismSpec(kind="laplace", scale=5.0, clamp=True)
         for i in range(50):
-            assert laplace_perturb(0.0, 5.0, rng_seed=i, clamp=True) >= 0.0
+            assert release(spec, np.zeros(10, dtype=bool), rng_seed=i) >= 0.0
 
     def test_clamp_upper(self):
+        spec = MechanismSpec(kind="laplace", scale=5.0, clamp=True)
         for i in range(50):
-            out = laplace_perturb(10.0, 5.0, rng_seed=i, clamp=True, value_max=10.0)
+            out = release(spec, np.ones(10, dtype=bool), rng_seed=i)
             assert 0.0 <= out <= 10.0
 
     def test_deterministic(self):
-        assert laplace_perturb(3.0, 2.0, rng_seed=4) == laplace_perturb(
-            3.0, 2.0, rng_seed=4
-        )
+        spec = MechanismSpec(kind="laplace", scale=2.0)
+        bits = np.arange(10) < 3
+        assert release(spec, bits, rng_seed=4) == release(spec, bits, rng_seed=4)
 
     def test_scale_validation(self):
         with pytest.raises(ValueError):
-            laplace_perturb(0.0, 0.0, rng_seed=1)
+            MechanismSpec(kind="laplace", scale=0.0)
 
     def test_noise_moments_and_shape(self):
         scale, n = 2.0, 100_000
+        spec = MechanismSpec(kind="laplace", scale=scale)
+        zeros = np.zeros(1, dtype=bool)
         noise = np.array(
-            [laplace_perturb(0.0, scale, rng_seed=child_seed(10, i)) for i in range(n)]
+            [release(spec, zeros, rng_seed=child_seed(10, i)) for i in range(n)]
         )
         # mean 0 with sd scale*sqrt(2); |noise| has mean scale, sd scale
         assert abs(noise.mean()) <= 3 * scale * math.sqrt(2 / n)
@@ -213,35 +244,38 @@ class TestLaplacePerturb:
         assert ks.pvalue > 0.01
 
 
+def rr(flip_prob):
+    return MechanismSpec(kind="randomized_response", flip_prob=flip_prob)
+
+
 class TestRandomizedResponse:
+    """Randomized response releases the debiased reported count."""
+
     def test_no_flip_is_exact(self):
         bits = np.array([1, 0, 1, 1, 0], dtype=bool)
-        count, estimate = randomized_response_estimate(bits, 0.0, rng_seed=1)
-        assert count == 3
-        assert estimate == 3.0
+        assert release(rr(0.0), bits, rng_seed=1) == 3.0
 
     def test_empty_input(self):
-        count, estimate = randomized_response_estimate([], 0.5, rng_seed=1)
-        assert count == 0
-        assert estimate == 0.0
+        assert release(rr(0.5), [], rng_seed=1) == 0.0
 
     def test_flip_prob_one_rejected(self):
         with pytest.raises(ValueError):
-            randomized_response_estimate([True], 1.0, rng_seed=1)
+            rr(1.0)
 
     def test_debias_identity(self):
         bits = np.ones(40, dtype=bool)
         f = 0.3
-        count, estimate = randomized_response_estimate(bits, f, rng_seed=2)
-        assert 0 <= count <= 40
-        assert estimate == pytest.approx((count - 40 * f / 2) / (1 - f))
+        estimate = release(rr(f), bits, rng_seed=2)
+        # undoing the debiasing recovers an integer reported count
+        count = estimate * (1 - f) + 40 * f / 2
+        assert count == pytest.approx(round(count), abs=1e-9)
+        assert 0 <= round(count) <= 40
 
     def test_unbiased_on_all_ones(self):
         n, f, runs = 50, 0.5, 10_000
         bits = np.ones(n, dtype=bool)
         estimates = [
-            randomized_response_estimate(bits, f, rng_seed=child_seed(11, i))[1]
-            for i in range(runs)
+            release(rr(f), bits, rng_seed=child_seed(11, i)) for i in range(runs)
         ]
         # per-run variance: n*(f/2)*(1-f/2)/(1-f)^2
         se = math.sqrt(n * (f / 2) * (1 - f / 2) / (1 - f) ** 2 / runs)
@@ -253,21 +287,30 @@ class TestRelease:
 
     @pytest.mark.parametrize("clamp", [False, True])
     def test_laplace_kinds_use_laplace_perturb(self, clamp):
+        """Both Laplace kinds add the first Laplace draw of rng_seed's
+        stream to the count of 5, clipped to [0, 10] under clamp."""
         for spec in (
             MechanismSpec(kind="laplace", scale=20.0, clamp=clamp),
             MechanismSpec(kind="wasserstein", scale=20.0, epsilon=0.5, clamp=clamp),
         ):
             for i in range(20):
                 seed = child_seed(40, i)
-                expect = laplace_perturb(5, 20.0, seed, clamp=clamp, value_max=10)
+                expect = 5.0 + float(rng_from_seed(seed).laplace(0.0, 20.0))
+                if clamp:
+                    expect = min(max(expect, 0.0), 10.0)
                 assert release(spec, self.bits, seed) == expect
 
     def test_randomized_response_uses_debiased_estimate(self):
-        spec = MechanismSpec(kind="randomized_response", flip_prob=0.6)
+        """rng_seed's stream draws one flip uniform per bit, then one coin
+        uniform per bit; the release debiases the reported total."""
         for i in range(20):
             seed = child_seed(41, i)
-            expect = randomized_response_estimate(self.bits, 0.6, seed)[1]
-            assert release(spec, self.bits, seed) == expect
+            rng = rng_from_seed(seed)
+            flip = rng.random(10) < 0.6
+            coin = rng.random(10) < 0.5
+            count = int(np.where(flip, coin, self.bits).sum())
+            expect = (count - 10 * 0.6 / 2.0) / (1.0 - 0.6)
+            assert release(rr(0.6), self.bits, seed) == expect
 
     def test_clamp_keeps_randomized_response_in_range(self):
         bits = np.zeros(10, dtype=bool)
@@ -338,14 +381,16 @@ class TestWassersteinMechanismScale:
         assert report.w_scale == max(expect.values())
 
     def test_per_node_is_conditional_count_distance(self):
-        """Each node's distance is W-infinity between the two distributions
-        `conditional_count_distributions` draws at the same seed."""
+        """Each node's distance is W-infinity between the two conditional
+        count distributions that `record_worlds(...).node_split` gives at
+        the same seed."""
         n, q, s, trials, seed = 60, 0.5, 1, 200, 17
         g = generate_er(n, 0.06, rng_seed=16)
         report = wasserstein_mechanism_scale(g, q, s, range(n), trials, seed)
         assert report.degenerate == {} and len(report.per_node) == n
+        record = record_worlds(g, q, s, trials, seed)
         for v in range(0, n, 7):
-            mu0, mu1 = conditional_count_distributions(g, q, s, v, trials, seed)
+            mu0, mu1 = count_split(record, v)
             assert report.per_node[v] == wasserstein_infinity(mu0, mu1)
 
     def test_protected_outside_graph_rejected(self):
@@ -360,15 +405,14 @@ class TestWassersteinMechanismScale:
         n = 400
         g = generate_er(n, 5 / (n - 1), rng_seed=child_seed(13, 0))
         q, s, trials, seed = 0.3, 1, 600, 14
-        split = conditional_giant_distributions(g, q, s, trials=trials, rng_seed=seed)
+        # one recorded pass holds both splits
+        record = record_worlds(g, q, s, trials=trials, rng_seed=seed)
+        split = record.giant_split()
         gap = split.active_min - split.inactive_max
         assert gap > 0
         checked = 0
         for v in range(6):
-            # same master seed: identical percolation and seed draws
-            mu0, mu1 = conditional_count_distributions(
-                g, q, s, v, trials=trials, rng_seed=seed
-            )
+            mu0, mu1 = count_split(record, v)
             lo_mass_gap = abs(
                 mu0.mass_between(0, split.inactive_max)
                 - mu1.mass_between(0, split.inactive_max)
@@ -377,29 +421,6 @@ class TestWassersteinMechanismScale:
                 assert wasserstein_infinity(mu0, mu1) >= gap
                 checked += 1
         assert checked > 0
-
-
-class TestHypothesisTestError:
-    def test_identical_means_blind(self):
-        z = dist([(0, 0.5), (3, 0.5)])
-        report = hypothesis_test_error(z, z)
-        assert report.tvd == 0.0
-        assert report.test_error == 1.0
-
-    def test_disjoint_means_certain(self):
-        report = hypothesis_test_error(dist([(0, 1.0)]), dist([(9, 1.0)]))
-        assert report.test_error == 0.0
-
-    def test_complement_identity(self):
-        rng = np.random.default_rng(15)
-        for _ in range(30):
-            a, b = random_dist(rng), random_dist(rng)
-            report = hypothesis_test_error(a, b)
-            assert report.test_error + report.tvd == 1.0
-
-    def test_threshold_recorded(self):
-        z = dist([(0, 1.0)])
-        assert hypothesis_test_error(z, z, threshold=2.5).threshold == 2.5
 
 
 class TestPushThroughMechanism:
@@ -415,13 +436,14 @@ class TestPushThroughMechanism:
         assert out.quantile(0.5) == pytest.approx(5.0)
 
     def test_point_mass_central_mass(self):
-        # grid cells are value-centered, so a unit grid smears ~0.08 of
-        # boundary mass; resolution 0.01 brings the binning error under 1e-3
-        spec = MechanismSpec(kind="laplace", scale=2.0)
-        out = push_through_mechanism(
-            EmpiricalDistribution.point_mass(5.0), spec, resolution=0.01
+        # grid cells are unit-wide and value-centered, so the closed window
+        # [5 - scale, 5 + scale] takes half a cell of extra mass at each end,
+        # about exp(-1) / (2 scale); scale 1000 puts that near 2e-4
+        spec = MechanismSpec(kind="laplace", scale=1000.0)
+        out = push_through_mechanism(EmpiricalDistribution.point_mass(5.0), spec)
+        assert out.mass_between(-995.0, 1005.0) == pytest.approx(
+            1 - math.e**-1, abs=1e-3
         )
-        assert out.mass_between(3.0, 7.0) == pytest.approx(1 - math.e**-1, abs=1e-3)
 
     def test_wasserstein_kind_is_laplace_at_given_scale(self):
         mu = dist([(1, 0.4), (6, 0.6)])
@@ -439,9 +461,7 @@ class TestPushThroughMechanism:
 
     def test_clamp_folds_mass_onto_endpoints(self):
         spec = MechanismSpec(kind="laplace", scale=2.0, clamp=True)
-        out = push_through_mechanism(
-            EmpiricalDistribution.point_mass(0.0), spec, clamp_range=(0.0, 10.0)
-        )
+        out = push_through_mechanism(EmpiricalDistribution.point_mass(0.0), spec, n=10)
         assert out.support_min == 0.0
         assert out.support_max <= 10.0
         # half the noise mass is negative and folds onto the origin
@@ -449,9 +469,7 @@ class TestPushThroughMechanism:
         assert origin.size == 1 and origin[0] >= 0.5
         assert out.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_resolution_validation(self):
-        spec = MechanismSpec(kind="laplace", scale=1.0)
-        with pytest.raises(ValueError):
-            push_through_mechanism(
-                EmpiricalDistribution.point_mass(0.0), spec, resolution=0.0
-            )
+    def test_clamp_needs_node_count(self):
+        spec = MechanismSpec(kind="laplace", scale=2.0, clamp=True)
+        with pytest.raises(ValueError, match="node count"):
+            push_through_mechanism(EmpiricalDistribution.point_mass(0.0), spec)
