@@ -23,44 +23,12 @@ from .privacy import MechanismSpec, mechanism_error_quantile, release
 from .seeding import child_seed
 
 __all__ = [
-    "AttackConfig",
-    "AttackVerdict",
     "FloorStats",
     "AttackEvaluation",
-    "classify_giant_status",
-    "infer_nodes",
     "evaluate_attack",
     "vulnerable_set_er",
     "vulnerable_set_cl",
 ]
-
-@dataclass(frozen=True)
-class AttackConfig:
-    """Calibrated quantities the adversary works with."""
-
-    max_mechanism_error: float
-    decision_threshold: float
-    membership: MembershipEstimate
-
-
-@dataclass(frozen=True)
-class AttackVerdict:
-    """Per-round inference output.
-
-    `predicted` marks nodes whose membership frequency reached the floor;
-    their `labels` entry is 1 when the giant was judged active, else 0, and
-    their `confidence` entry equals the membership frequency. Other nodes
-    abstain.
-    """
-
-    giant_status: str
-    predicted: np.ndarray
-    labels: np.ndarray
-    confidence: np.ndarray
-
-    @property
-    def abstained(self) -> np.ndarray:
-        return ~self.predicted
 
 
 @dataclass(frozen=True)
@@ -75,48 +43,23 @@ class FloorStats:
 
 @dataclass(frozen=True)
 class AttackEvaluation:
+    """Attack quality, with the calibrated quantities it was judged by.
+
+    A released count above `decision_threshold` judges the giant active;
+    each floor predicts that every node whose `membership` frequency
+    reaches it followed the giant's judged status.
+    """
+
     giant_status_accuracy: float
     floors: list[FloorStats]
     per_node_accuracy: np.ndarray
-    config: AttackConfig
+    decision_threshold: float
+    max_mechanism_error: float
+    membership: MembershipEstimate
     inactive_max: float
     active_min: float
     tie_trials: int
-    calibration_trials: int
-    evaluation_trials: int
-
-
-def classify_giant_status(reported: float, decision_threshold: float) -> str:
-    """'active' when the released count exceeds the threshold, else 'inactive'."""
-    return "active" if reported > decision_threshold else "inactive"
-
-
-def infer_nodes(
-    giant_status: str,
-    membership: MembershipEstimate,
-    confidence_floor: float,
-) -> AttackVerdict:
-    """Predict activation bits for nodes that track the giant closely enough.
-
-    When the giant was judged active, every node with membership frequency
-    at or above the floor is predicted active; when inactive, predicted
-    inactive. The reported confidence is the membership frequency itself.
-    """
-    if giant_status not in ("active", "inactive"):
-        raise ValueError("giant_status must be 'active' or 'inactive'")
-    if not 0.0 <= confidence_floor <= 1.0:
-        raise ValueError("confidence_floor must lie in [0, 1]")
-    predicted = membership.at_least(confidence_floor)
-    labels = np.zeros(predicted.size, dtype=np.int8)
-    if giant_status == "active":
-        labels[predicted] = 1
-    confidence = np.where(predicted, membership.frequency, 0.0)
-    return AttackVerdict(
-        giant_status=giant_status,
-        predicted=predicted,
-        labels=labels,
-        confidence=confidence,
-    )
+    trials: int
 
 
 def evaluate_attack(
@@ -134,9 +77,10 @@ def evaluate_attack(
     Calibration phase: one recorded pass of `trials` rounds
     (`record_worlds`) gives both the per-node membership frequencies and
     the activity split whose midpoint becomes the decision threshold.
-    Evaluation phase: `trials` fresh rounds release a perturbed count, the
-    adversary classifies giant activity and predicts node bits, and
-    predictions are scored against the true activation vectors.
+    Evaluation phase: `trials` fresh rounds release a perturbed count; a
+    count strictly above the threshold judges the giant active, every node
+    is predicted to share that status, and predictions are scored against
+    the true activation vectors.
 
     Passing `decision_threshold` skips the split calibration and pins the
     cut directly; the split fields of the result are then nan/0. Needed for
@@ -165,19 +109,13 @@ def evaluate_attack(
             raise ValueError("decision_threshold must lie in (0, node_count)")
         inactive_max = active_min = float("nan")
         tie_trials = 0
-    config = AttackConfig(
-        max_mechanism_error=mechanism_error_quantile(spec, g.node_count),
-        decision_threshold=threshold,
-        membership=membership,
-    )
-
     n = g.node_count
     status_hits = 0
     correct = np.zeros(n, dtype=np.int64)
     for trial_seed, lab, out in worlds(g, q, eval_seed, trials, s):
         truth_active = out.giant_active and not lab.tie_at_top
         reported = release(spec, out.activated, child_seed(trial_seed, 2))
-        judged_active = classify_giant_status(reported, threshold) == "active"
+        judged_active = reported > threshold
         status_hits += int(judged_active == truth_active)
         correct += out.activated == judged_active
 
@@ -199,12 +137,13 @@ def evaluate_attack(
         giant_status_accuracy=status_hits / trials,
         floors=stats,
         per_node_accuracy=per_node_accuracy,
-        config=config,
+        decision_threshold=threshold,
+        max_mechanism_error=mechanism_error_quantile(spec, n),
+        membership=membership,
         inactive_max=inactive_max,
         active_min=active_min,
         tie_trials=tie_trials,
-        calibration_trials=trials,
-        evaluation_trials=trials,
+        trials=trials,
     )
 
 

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 degenerate conditioning.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import sys
@@ -34,6 +35,7 @@ from .percolation import (
     DegenerateConditioningError,
     coupled_worlds,
     estimate_giant_membership,
+    record_worlds,
     worlds,
 )
 from .privacy import (
@@ -109,12 +111,15 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, columns: list[str], rows, cfg_hash: int) -> None:
-    """Write rows with a header and a config-hash comment, LF line endings."""
-    lines = [f"# config_hash={cfg_hash:016x} tool_version={__version__}"]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write rows with a header and a config-hash comment, LF line endings.
+
+    A field holding a comma, a quote or a line feed is quoted.
+    """
+    with path.open("w", newline="") as fh:
+        fh.write(f"# config_hash={cfg_hash:016x} tool_version={__version__}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
 def _parse_q_flag(text: str):
@@ -213,6 +218,8 @@ def build_graph(source: dict, master_seed: int) -> tuple[str, Graph]:
     if not isinstance(source, dict) or "kind" not in source:
         raise ConfigError("graph source must be an object with a 'kind'")
     kind = source["kind"]
+    if not isinstance(source.get("name", ""), str):
+        raise ConfigError(f"graph name must be a string, not {source['name']!r}")
     if "seed" in source:
         seed = _integer(source["seed"], "graph seed")
     else:
@@ -228,8 +235,11 @@ def build_graph(source: dict, master_seed: int) -> tuple[str, Graph]:
             g = generate_chung_lu(chung_lu_weights(n, d, b), seed)
             name = source.get("name", f"chung_lu_n{n}_d{d:g}_b{b:g}")
         elif kind == "edge_list":
-            g = load_edge_list(source["path"])
-            name = source.get("name", Path(source["path"]).stem)
+            path = source["path"]
+            if not isinstance(path, str):
+                raise ConfigError(f"graph path must be a string, not {path!r}")
+            g = load_edge_list(path)
+            name = source.get("name", Path(path).stem)
         else:
             raise ConfigError(f"unknown graph kind {kind!r}")
     except ConfigError:
@@ -421,17 +431,17 @@ def cmd_audit(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
             "audit pushes counts through Laplace noise; the comparison "
             "mechanism must be of kind laplace or wasserstein"
         )
-    master = child_seed(master, _STREAM_AUDIT)
-    report = wasserstein_mechanism_scale(
-        g, q, s, protected, trials, child_seed(master, 0)
+    record = record_worlds(
+        g, q, s, trials, child_seed(child_seed(master, _STREAM_AUDIT), 0)
     )
+    report = wasserstein_mechanism_scale(record, protected)
     # the theta gap and the comparison test are diagnostics read from the
     # same worlds; a world whose giant is always (or never) seeded still has
     # a well-defined W, so a one-sided split downgrades them to nan instead
     # of aborting the audit
     theta_lo = theta_hi = test_tvd = test_error = float("nan")
     try:
-        split = report.worlds.giant_split()
+        split = record.giant_split()
     except DegenerateConditioningError as exc:
         logger.warning("theta split unavailable: %s", exc)
     else:
@@ -494,13 +504,13 @@ def cmd_attack(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     )
     summary = [
         ("giant_status_accuracy", evaluation.giant_status_accuracy),
-        ("decision_threshold", evaluation.config.decision_threshold),
+        ("decision_threshold", evaluation.decision_threshold),
         ("theta_inactive_max", evaluation.inactive_max),
         ("theta_active_min", evaluation.active_min),
-        ("max_mechanism_error", evaluation.config.max_mechanism_error),
+        ("max_mechanism_error", evaluation.max_mechanism_error),
         ("tie_trials", evaluation.tie_trials),
-        ("calibration_trials", evaluation.calibration_trials),
-        ("evaluation_trials", evaluation.evaluation_trials),
+        ("calibration_trials", evaluation.trials),
+        ("evaluation_trials", evaluation.trials),
     ]
     write_csv(out_dir / "attack_summary.csv", ["metric", "value"], summary, cfg_hash)
     return 0
@@ -556,8 +566,11 @@ def main(argv=None) -> int:
                 overrides["q"] = q_spec
         cfg = load_config(args.config, overrides)
         cfg_hash = config_hash(cfg)
-        out_dir = Path(cfg["out_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir = Path(cfg["out_dir"])
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except (TypeError, OSError) as exc:
+            raise ConfigError(f"bad out_dir {cfg['out_dir']!r}: {exc}") from exc
         return _COMMANDS[args.command](cfg, out_dir, cfg_hash)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

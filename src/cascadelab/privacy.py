@@ -14,13 +14,12 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import EmpiricalDistribution
-from .graph import Graph
-from .percolation import DegenerateConditioningError, WorldRecord, record_worlds
+from .percolation import DegenerateConditioningError, WorldRecord
 from .seeding import rng_from_seed
 
 logger = logging.getLogger(__name__)
@@ -106,13 +105,11 @@ class MechanismScaleReport:
     two count distributions conditioned on any protected node's activation
     bit; Laplace noise with scale w_scale / epsilon masks any one node's
     bit. Nodes whose conditioning degenerated are listed with the reason.
-    `worlds` is the recorded pass every distance was read from.
     """
 
     w_scale: float
     per_node: dict[int, float]
     degenerate: dict[int, str]
-    worlds: WorldRecord = field(repr=False, compare=False)
 
 
 def tvd(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> float:
@@ -178,31 +175,23 @@ def mechanism_error_quantile(spec: MechanismSpec, n: int) -> float:
 
 
 def wasserstein_mechanism_scale(
-    g: Graph,
-    q: float,
-    s: int,
-    protected,
-    trials: int,
-    rng_seed: int,
+    record: WorldRecord, protected
 ) -> MechanismScaleReport:
     """Calibrate the Wasserstein mechanism over a set of protected nodes.
 
-    One pass of `trials` (percolation, seed) draws is recorded
-    (`record_worlds`); each protected node v splits its counts by x_v into
+    `record` is one recorded pass of (percolation, seed) draws
+    (`record_worlds`). Each protected node v splits its counts by x_v into
     the samples conditioned on x_v = 0 and x_v = 1, whose infinity-order
     Wasserstein distance is computed exactly from the sorted counts. The
     mechanism scale is the maximum over nodes. All nodes share the pass, so
     their estimates are correlated; empirical supports make each a lower
     bound on its population value. Nodes whose conditioning degenerates are
     skipped with a warning and reported; if every node degenerates the
-    error is raised.
+    error is raised. A node id outside the graph raises ValueError.
     """
     nodes = sorted({int(v) for v in protected})
     if not nodes:
         raise ValueError("protected must name at least one node")
-    if nodes[0] < 0 or nodes[-1] >= g.node_count:
-        raise ValueError("protected node outside 0..node_count-1")
-    record = record_worlds(g, q, s, trials, rng_seed)
     per_node: dict[int, float] = {}
     degenerate: dict[int, str] = {}
     for v in nodes:
@@ -218,7 +207,7 @@ def wasserstein_mechanism_scale(
             "conditioning degenerated for every protected node: "
             + "; ".join(degenerate.values())
         )
-    return MechanismScaleReport(max(per_node.values()), per_node, degenerate, record)
+    return MechanismScaleReport(max(per_node.values()), per_node, degenerate)
 
 
 def _laplace_cdf(x: np.ndarray, scale: float) -> np.ndarray:

@@ -188,14 +188,8 @@ def test_comonotone_distance_equals_bruteforce_coupling():
 def test_mechanism_scale_is_constant_fraction_of_n():
     n = 500
     g = generate_er(n, 5 / (n - 1), rng_seed=child_seed(88, 0))
-    report = wasserstein_mechanism_scale(
-        g,
-        0.3,
-        s=1,
-        protected=range(5),
-        trials=2000,
-        rng_seed=child_seed(88, 1),
-    )
+    record = record_worlds(g, 0.3, s=1, trials=2000, rng_seed=child_seed(88, 1))
+    report = wasserstein_mechanism_scale(record, protected=range(5))
     assert report.w_scale >= 0.3 * n
     # noise calibrated to that scale at epsilon = 1 averages at least the
     # same fraction of n in magnitude

@@ -1,15 +1,12 @@
-"""Tests for giant-status classification and node-level inference."""
+"""Tests for the count-threshold attack and certified-vulnerable sets."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 
 from cascadelab.attack import (
-    classify_giant_status,
     evaluate_attack,
-    infer_nodes,
     vulnerable_set_cl,
     vulnerable_set_er,
 )
@@ -21,7 +18,6 @@ from cascadelab.graph import (
     generate_er,
 )
 from cascadelab.percolation import (
-    MembershipEstimate,
     connected_components,
     estimate_giant_membership,
     percolate,
@@ -39,97 +35,27 @@ from oracles import (
 )
 
 
-class TestClassifyGiantStatus:
-    def test_extremes(self):
-        assert classify_giant_status(10_000, 5_000) == "active"
-        assert classify_giant_status(0, 5_000) == "inactive"
-
-    def test_wide_threshold_window(self):
-        # a giant report of 3900 and a quiet report of 200 are separated by
-        # any cut strictly between them
-        for threshold in (200.5, 1000, 2050, 3899.5):
-            assert classify_giant_status(3900, threshold) == "active"
-            assert classify_giant_status(200, threshold) == "inactive"
-
-    def test_boundary_is_inactive(self):
-        assert classify_giant_status(7.0, 7.0) == "inactive"
-
-    def test_monotone_in_report(self):
-        statuses = [classify_giant_status(r, 50.0) for r in range(0, 101, 5)]
-        flips = sum(
-            1 for a, b in zip(statuses, statuses[1:]) if a != b
-        )
-        assert flips == 1
-        assert statuses[0] == "inactive" and statuses[-1] == "active"
-
-
-class TestInferNodes:
-    def make_membership(self, freqs, trials=100):
-        return MembershipEstimate(
-            trials=trials, frequency=np.asarray(freqs, dtype=float), ties_broken=0
-        )
-
-    def test_full_confidence_everywhere(self):
-        m = self.make_membership([1.0, 1.0, 1.0])
-        verdict = infer_nodes("active", m, 1.0)
-        assert verdict.predicted.all()
-        assert verdict.labels.tolist() == [1, 1, 1]
-        assert not verdict.abstained.any()
-
-    def test_floor_above_all_frequencies(self):
-        m = self.make_membership([0.2, 0.5, 0.8])
-        verdict = infer_nodes("active", m, 0.9)
-        assert not verdict.predicted.any()
-        assert verdict.abstained.all()
-
-    def test_confidence_equals_frequency(self):
-        m = self.make_membership([0.2, 0.96, 0.99])
-        verdict = infer_nodes("active", m, 0.95)
-        assert verdict.predicted.tolist() == [False, True, True]
-        assert verdict.confidence[1] == 0.96
-        assert verdict.confidence[2] == 0.99
-        assert verdict.confidence[0] == 0.0
-
-    def test_inactive_status_predicts_zeros(self):
-        m = self.make_membership([0.97, 0.3])
-        verdict = infer_nodes("inactive", m, 0.9)
-        assert verdict.predicted.tolist() == [True, False]
-        assert verdict.labels.tolist() == [0, 0]
-
-    def test_validation(self):
-        m = self.make_membership([0.5])
-        with pytest.raises(ValueError):
-            infer_nodes("maybe", m, 0.5)
-        with pytest.raises(ValueError):
-            infer_nodes("active", m, 1.5)
-
-
 class TestWindowedClassification:
     def test_exhaustive_window_invariant(self):
-        """Whenever the report error stays within e_M and the cut sits in
-        the open window (s*|C2| + e_M, |C1| - e_M), classification is exact.
-        Checked over every 4-node graph, every retained-edge pattern, every
-        single and double seed, and both error signs."""
-        e_m = 0.4
+        """A released count is exact under randomized response with
+        flip_prob 0. At q=1 every world is the graph itself, so the count is
+        at most s*|C2| when the giant is unseeded and at least |C1| when it
+        is seeded; any cut strictly between the two scores every trial.
+        Checked over every 4-node graph with one and with two seeds."""
+        exact = MechanismSpec(kind="randomized_response", flip_prob=0.0)
         for edges in all_graph_edge_lists(4):
             g = Graph(4, edges) if len(edges) else Graph(4, [])
-            retained = percolate(g, 1.0, rng_seed=1)
-            lab = connected_components(4, retained)
-            c1 = lab.giant_size
-            c2 = lab.second_size
+            lab = connected_components(4, g.edges)
             for s in (1, 2):
-                for seeds in itertools.combinations(range(4), s):
-                    active = bool(
-                        lab.in_giant[list(seeds)].any()
-                    ) and not lab.tie_at_top
-                    x = len(bfs_activated(4, retained, seeds))
-                    lo, hi = s * c2 + e_m, c1 - e_m
-                    if lo >= hi:
-                        continue
-                    for threshold in (lo + 1e-6, (lo + hi) / 2, hi - 1e-6):
-                        for err in (-e_m, 0.0, e_m):
-                            got = classify_giant_status(x + err, threshold)
-                            assert (got == "active") == active
+                lo, hi = s * lab.second_size, lab.giant_size
+                if lo >= hi:
+                    continue
+                for cut in (lo + 1e-6, (lo + hi) / 2, hi - 1e-6):
+                    result = evaluate_attack(
+                        g, 1.0, s, exact, floors=[0.5], trials=20,
+                        rng_seed=40, decision_threshold=cut,
+                    )
+                    assert result.giant_status_accuracy == 1.0
 
 
 class TestEvaluateAttack:
@@ -182,7 +108,7 @@ class TestEvaluateAttack:
         g = generate_er(500, 5 / 499, rng_seed=24)
         spec = MechanismSpec(kind="laplace", scale=1.0)
         result = evaluate_attack(g, 0.3, 1, spec, floors=[0.5], trials=300, rng_seed=25)
-        assert result.inactive_max < result.config.decision_threshold < result.active_min
+        assert result.inactive_max < result.decision_threshold < result.active_min
 
     def test_mechanism_error_quantiles(self):
         g = generate_er(80, 0.1, rng_seed=26)
@@ -190,19 +116,19 @@ class TestEvaluateAttack:
             g, 0.5, 1, MechanismSpec(kind="laplace", scale=2.0),
             floors=[0.5], trials=60, rng_seed=27,
         )
-        assert lap.config.max_mechanism_error == pytest.approx(2.0 * math.log(1000))
+        assert lap.max_mechanism_error == pytest.approx(2.0 * math.log(1000))
         rr0 = evaluate_attack(
             g, 0.5, 1, MechanismSpec(kind="randomized_response", flip_prob=0.0),
             floors=[0.5], trials=60, rng_seed=27,
         )
-        assert rr0.config.max_mechanism_error == 0.0
+        assert rr0.max_mechanism_error == 0.0
 
     def test_randomized_response_release_path(self):
         g = generate_er(120, 0.06, rng_seed=28)
         spec = MechanismSpec(kind="randomized_response", flip_prob=0.3)
         result = evaluate_attack(g, 0.5, 1, spec, floors=[0.8], trials=100, rng_seed=29)
         assert 0.0 <= result.giant_status_accuracy <= 1.0
-        assert result.config.max_mechanism_error > 0
+        assert result.max_mechanism_error > 0
 
     def test_unreachable_floor_gives_nan_precision(self):
         g = Graph(4, [])
@@ -217,15 +143,49 @@ class TestEvaluateAttack:
         assert by_floor[0.5].predicted_nodes >= 1
 
     def test_floor_selection_is_infer_nodes_rule(self):
-        """Each floor scores exactly the nodes `infer_nodes` would predict."""
+        """Each floor scores exactly the nodes whose calibrated membership
+        frequency reaches it."""
         g = generate_er(200, 0.02, rng_seed=31)
         spec = MechanismSpec(kind="laplace", scale=3.0)
         result = evaluate_attack(
             g, 0.4, 1, spec, floors=[0.9, 0.6, 0.3], trials=40, rng_seed=33
         )
         for fs in result.floors:
-            verdict = infer_nodes("active", result.config.membership, fs.floor)
-            assert fs.predicted_nodes == int(verdict.predicted.sum())
+            selected = result.membership.at_least(fs.floor)
+            assert fs.predicted_nodes == int(selected.sum())
+
+    def test_cut_between_counts_is_exact(self):
+        """With the exact count released, a cut between the 2-node and the
+        4-node component's counts judges every trial right, and a floor of
+        0.5 picks the four nodes that always follow the giant."""
+        g = Graph(6, [[0, 1], [1, 2], [2, 3], [4, 5]])
+        exact = MechanismSpec(kind="randomized_response", flip_prob=0.0)
+        result = evaluate_attack(
+            g, 1.0, 1, exact, floors=[0.5], trials=60, rng_seed=5,
+            decision_threshold=3.5,
+        )
+        assert result.giant_status_accuracy == 1.0
+        assert result.floors[0].predicted_nodes == 4
+        assert result.floors[0].precision == 1.0
+
+    def test_cut_is_strict(self):
+        """A released count equal to the cut judges the giant inactive: at a
+        cut of 4 every trial is judged inactive, so only the trials seeded
+        in the 2-node component score."""
+        g = Graph(6, [[0, 1], [1, 2], [2, 3], [4, 5]])
+        exact = MechanismSpec(kind="randomized_response", flip_prob=0.0)
+        result = evaluate_attack(
+            g, 1.0, 1, exact, floors=[0.5], trials=60, rng_seed=5,
+            decision_threshold=4.0,
+        )
+        eval_seed = child_seed(5, 2)
+        seeds = [
+            int(sample_seeds(6, 1, child_seed(child_seed(eval_seed, t), 1))[0])
+            for t in range(60)
+        ]
+        small = sum(v >= 4 for v in seeds)
+        assert 0 < small < 60
+        assert result.giant_status_accuracy == small / 60
 
     def test_validation(self):
         g = Graph(3, [[0, 1]])
@@ -251,10 +211,10 @@ class TestEvaluateAttack:
         cal_seed, eval_seed = child_seed(32, 1), child_seed(32, 2)
         pass_seed = child_seed(cal_seed, 0)
         threshold = record_worlds(g, q, 1, 80, pass_seed).giant_split().midpoint
-        assert result.config.decision_threshold == threshold
+        assert result.decision_threshold == threshold
         membership = estimate_giant_membership(g, q, 80, pass_seed)
         assert np.array_equal(
-            result.config.membership.frequency, membership.frequency
+            result.membership.frequency, membership.frequency
         )
         hits = 0
         correct = np.zeros(n, dtype=np.int64)

@@ -1,5 +1,6 @@
 """End-to-end tests of the experiment runner."""
 
+import csv
 import hashlib
 import json
 import math
@@ -221,6 +222,25 @@ class TestComponents:
         _, rows = read_csv(out / "components.csv")
         assert [r["network"] for r in rows] == ["a", "b"]
         assert [int(r["n"]) for r in rows] == [30, 40]
+
+    def test_network_names_are_quoted(self, tmp_path):
+        """A comma or a line break in a network name stays in its field."""
+        p = tmp_path / "a,b.txt"
+        p.write_text("0 1\n1 2\n")
+        config = write_config(
+            tmp_path,
+            graph=[
+                {"kind": "edge_list", "path": str(p)},
+                {"kind": "er", "n": 30, "p": 0.1, "name": "x\ny"},
+            ],
+            trials=3,
+        )
+        out = tmp_path / "out"
+        assert main(["components", "--config", config, "--out", str(out)]) == 0
+        with open(out / "components.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [len(row) for row in rows] == [9, 9, 9]
+        assert [row[0] for row in rows[1:]] == ["a,b", "x\ny"]
 
 
 class TestSweep:
@@ -562,6 +582,14 @@ class TestErrorPaths:
                 {"mechanism": {"kind": "laplace", "scale": 5.0, "clamp": "no"}},
                 [],
             ),
+            ("gen", {"graph": {"kind": "edge_list", "path": 5}}, []),
+            ("gen", {"out_dir": 5}, []),
+            ("gen", {}, ["--out", "{config}"]),
+            (
+                "components",
+                {"graph": {"kind": "er", "n": 30, "p": 0.1, "name": ["x"]}},
+                [],
+            ),
         ],
         ids=[
             "membership-trials-0",
@@ -608,6 +636,10 @@ class TestErrorPaths:
             "audit-mechanism-scale-nan",
             "attack-mechanism-scale-nan",
             "audit-mechanism-clamp-string",
+            "gen-edge-list-path-int",
+            "gen-out-dir-int",
+            "gen-out-names-a-file",
+            "components-graph-name-list",
         ],
     )
     def test_bad_config_exits_2_without_traceback(
@@ -622,7 +654,11 @@ class TestErrorPaths:
         }
         config = write_config(tmp_path, **{**base, **entries})
         out = tmp_path / "out"
-        rc = main([command, "--config", config, "--out", str(out), *flags])
+        out.mkdir()
+        # an out_dir entry is read only when no --out flag overrides it
+        out_flag = [] if "out_dir" in entries else ["--out", str(out)]
+        flags = [flag.replace("{config}", config) for flag in flags]
+        rc = main([command, "--config", config, *out_flag, *flags])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("config error:")

@@ -2,7 +2,8 @@
 
 A stale entry left behind when a function is deleted breaks
 `from module import *` for every caller, so each module is checked both
-by attribute and by a star import.
+by attribute and by a star import. The package star-imports its modules,
+so its own `__all__` must hold every name they list.
 """
 
 import importlib
@@ -25,3 +26,12 @@ def test_all_names_resolve(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(public) <= set(namespace)
+
+
+@pytest.mark.parametrize(
+    "name", ["graph", "percolation", "bounds", "distributions", "privacy", "attack"]
+)
+def test_package_reexports_every_public_name(name):
+    """`cascadelab` star-imports each module, so it lists all their names."""
+    module = importlib.import_module(f"cascadelab.{name}")
+    assert set(module.__all__) <= set(cascadelab.__all__)

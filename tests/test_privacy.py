@@ -327,11 +327,11 @@ class TestWassersteinMechanismScale:
     def test_single_edge_fully_degenerate(self):
         g = Graph(2, [[0, 1]])
         with pytest.raises(DegenerateConditioningError):
-            wasserstein_mechanism_scale(g, 1.0, 1, [0], trials=50, rng_seed=1)
+            wasserstein_mechanism_scale(record_worlds(g, 1.0, 1, 50, 1), [0])
 
     def test_disjoint_edges_zero_scale(self):
         g = Graph(4, [[0, 1], [2, 3]])
-        report = wasserstein_mechanism_scale(g, 1.0, 1, [0], trials=100, rng_seed=2)
+        report = wasserstein_mechanism_scale(record_worlds(g, 1.0, 1, 100, 2), [0])
         assert report.w_scale == 0.0
         assert report.per_node == {0: 0.0}
         assert report.degenerate == {}
@@ -342,7 +342,7 @@ class TestWassersteinMechanismScale:
         g = Graph(3, [[0, 1]])
         with caplog.at_level(logging.WARNING):
             report = wasserstein_mechanism_scale(
-                g, 1.0, 2, [0, 2], trials=200, rng_seed=3
+                record_worlds(g, 1.0, 2, 200, 3), [0, 2]
             )
         assert 0 in report.degenerate
         assert "skipping node 0" in caplog.text
@@ -352,7 +352,7 @@ class TestWassersteinMechanismScale:
     def test_protected_must_be_nonempty(self):
         g = Graph(2, [[0, 1]])
         with pytest.raises(ValueError):
-            wasserstein_mechanism_scale(g, 0.5, 1, [], trials=10, rng_seed=1)
+            wasserstein_mechanism_scale(record_worlds(g, 0.5, 1, 10, 1), [])
 
     def test_schedule_independent(self):
         """Every node reads one shared pass: trial t percolates on
@@ -375,20 +375,19 @@ class TestWassersteinMechanismScale:
                 *(EmpiricalDistribution.from_samples(b) for b in branches)
             )
         report = wasserstein_mechanism_scale(
-            g, 0.5, 1, [0, 1, 2], trials=150, rng_seed=4
+            record_worlds(g, 0.5, 1, 150, 4), [0, 1, 2]
         )
         assert report.per_node == expect
         assert report.w_scale == max(expect.values())
 
     def test_per_node_is_conditional_count_distance(self):
         """Each node's distance is W-infinity between the two conditional
-        count distributions that `record_worlds(...).node_split` gives at
-        the same seed."""
+        count distributions that the record's `node_split` gives."""
         n, q, s, trials, seed = 60, 0.5, 1, 200, 17
         g = generate_er(n, 0.06, rng_seed=16)
-        report = wasserstein_mechanism_scale(g, q, s, range(n), trials, seed)
-        assert report.degenerate == {} and len(report.per_node) == n
         record = record_worlds(g, q, s, trials, seed)
+        report = wasserstein_mechanism_scale(record, range(n))
+        assert report.degenerate == {} and len(report.per_node) == n
         for v in range(0, n, 7):
             mu0, mu1 = count_split(record, v)
             assert report.per_node[v] == wasserstein_infinity(mu0, mu1)
@@ -396,7 +395,7 @@ class TestWassersteinMechanismScale:
     def test_protected_outside_graph_rejected(self):
         g = Graph(3, [[0, 1]])
         with pytest.raises(ValueError, match="outside"):
-            wasserstein_mechanism_scale(g, 0.5, 1, [0, 3], trials=10, rng_seed=1)
+            wasserstein_mechanism_scale(record_worlds(g, 0.5, 1, 10, 1), [0, 3])
 
     def test_gap_forces_scale(self):
         """When the two count laws put different mass at or below the
