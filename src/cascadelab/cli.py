@@ -13,9 +13,9 @@ Exit codes: 0 success, 2 configuration error, 3 degenerate conditioning.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
+import re
 import sys
 from pathlib import Path
 
@@ -100,26 +100,33 @@ def config_hash(cfg: dict) -> int:
     return fnv1a64(text.encode("utf-8"))
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
 def _fmt(x) -> str:
+    """One CSV field; text holding a comma, a quote or a line break is quoted."""
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
-    return str(x)
+    text = str(x)
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(path: Path, columns: list[str], rows, cfg_hash: int) -> None:
     """Write rows with a header and a config-hash comment, LF line endings.
 
-    A field holding a comma, a quote or a line feed is quoted.
+    Fields are quoted as `csv.writer` quotes them, and also for a carriage
+    return, which `csv.writer` leaves bare under an LF line terminator.
     """
     with path.open("w", newline="") as fh:
         fh.write(f"# config_hash={cfg_hash:016x} tool_version={__version__}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_fmt(x) for x in row] for row in rows)
+        fh.write(",".join(map(_fmt, columns)) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _parse_q_flag(text: str):

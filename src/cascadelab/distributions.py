@@ -9,6 +9,19 @@ import numpy as np
 __all__ = ["EmpiricalDistribution"]
 
 
+def _sorted_distinct(a) -> np.ndarray:
+    """The distinct values of `a`, flattened and ascending, as `np.unique`.
+
+    `np.unique` without counts (and so `np.union1d`) imports `numpy.ma`
+    on its first call, about 12 ms per process.
+    """
+    a = np.sort(a, axis=None)
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a.compress(keep)
+
+
 @dataclass(frozen=True)
 class EmpiricalDistribution:
     """Probability distribution with finitely many atoms.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import EmpiricalDistribution
+from .distributions import EmpiricalDistribution, _sorted_distinct
 from .percolation import DegenerateConditioningError, WorldRecord
 from .seeding import rng_from_seed
 
@@ -114,7 +114,7 @@ class MechanismScaleReport:
 
 def tvd(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> float:
     """Total variation distance: half the L1 gap over the union support."""
-    union = np.union1d(mu.values, nu.values)
+    union = _sorted_distinct(np.concatenate((mu.values, nu.values)))
     pa = np.zeros(union.size)
     pa[np.searchsorted(union, mu.values)] = mu.probs
     pb = np.zeros(union.size)

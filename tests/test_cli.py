@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from cascadelab.cli import (
     config_hash,
     load_config,
     main,
+    write_csv,
 )
 from cascadelab.graph import Graph, generate_er, load_edge_list
 from cascadelab.percolation import connected_components
@@ -241,6 +243,45 @@ class TestComponents:
             rows = list(csv.reader(fh))[1:]
         assert [len(row) for row in rows] == [9, 9, 9]
         assert [row[0] for row in rows[1:]] == ["a,b", "x\ny"]
+
+    def test_carriage_return_in_name_round_trips(self, tmp_path):
+        """`csv.writer` with an LF terminator leaves a bare carriage return,
+        which `csv.reader` refuses; the name must come back as one field."""
+        config = write_config(
+            tmp_path, graph={"kind": "er", "n": 30, "p": 0.1, "name": "x\rz"}, trials=3
+        )
+        out = tmp_path / "out"
+        assert main(["components", "--config", config, "--out", str(out)]) == 0
+        with open(out / "components.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [len(row) for row in rows] == [9, 9]
+        assert rows[1][0] == "x\rz"
+
+
+class TestWriteCsv:
+    TEXT = ["plain", "a,b", 'say "hi"', "x\rz", "x\ny", "x\r\ny", "", " pad "]
+
+    def test_text_fields_round_trip(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["name", "k"], [[t, k] for k, t in enumerate(self.TEXT)], 1)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert COMMENT_RE.match(rows[0][0])
+        assert rows[1] == ["name", "k"]
+        assert rows[2:] == [[t, str(k)] for k, t in enumerate(self.TEXT)]
+
+    def test_same_bytes_as_csv_writer_without_carriage_returns(self, tmp_path):
+        """Outside a carriage return, fields are quoted as `csv.writer` does."""
+        rows = [[t, 3, np.int64(-4), 0.1, np.float64(2.5), True, np.bool_(False)]
+                for t in self.TEXT if "\r" not in t]
+        path = tmp_path / "t.csv"
+        write_csv(path, list("abcdefg"), rows, 0)
+        lines = path.read_text().split("\n", 1)[1]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(list("abcdefg"))
+        writer.writerows([t, "3", "-4", "0.1", "2.5", "1", "0"] for t, *_ in rows)
+        assert lines == buf.getvalue()
 
 
 class TestSweep:
@@ -682,6 +723,33 @@ class TestErrorPaths:
             check=True,
         )
         assert done.stdout.strip() == "[]"
+
+    def test_audit_and_attack_leave_numpy_ma_unimported(self, tmp_path):
+        """`np.unique` without counts and `np.union1d` import `numpy.ma`,
+        about 12 ms per process; the audit and attack paths avoid both."""
+        src = Path(cascadelab.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def run(code):
+            return subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            ).stdout.strip()
+
+        if run("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        argv = ["--config", write_config(tmp_path, **GOLDEN_CONFIG)]
+        argv += ["--out", str(tmp_path / "out")]
+        code = (
+            "import sys; from cascadelab.cli import main; "
+            f"rcs = [main([c, *{argv!r}]) for c in ('audit', 'attack')]; "
+            "print(rcs, 'numpy.ma' in sys.modules)"
+        )
+        assert run(code) == "[0, 0] False"
 
     def test_pyproject_version_is_package_version(self):
         """pyproject.toml and `cascadelab.__version__` name one release.

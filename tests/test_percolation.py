@@ -13,6 +13,7 @@ from cascadelab.distributions import EmpiricalDistribution
 from cascadelab.graph import Graph, chung_lu_weights, generate_chung_lu, generate_er
 from cascadelab.percolation import (
     DegenerateConditioningError,
+    _hook_and_jump,
     connected_components,
     coupled_worlds,
     estimate_giant_membership,
@@ -72,6 +73,11 @@ def _one_node():
     return g.node_count, g.edges
 
 
+def _one_node_loops():
+    # raw rows, not `Graph.edges`: a repeated self-loop on the only node
+    return 1, np.array([[0, 0], [0, 0]])
+
+
 def retained_set(retained):
     return {tuple(e) for e in retained.tolist()}
 
@@ -116,6 +122,23 @@ class TestPercolate:
         total = reps * g.edge_count
         se = math.sqrt(total * q * (1 - q))
         assert abs(kept - total * q) <= 3 * se
+
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.7, 1.0])
+    def test_rows_are_the_masked_rows_c_contiguous(self, q):
+        g = generate_er(80, 0.1, rng_seed=25)
+        for i in range(5):
+            seed = child_seed(26, i)
+            mask = rng_from_seed(seed).random(g.edge_count) < q
+            retained = percolate(g, q, rng_seed=seed)
+            assert np.array_equal(retained, g.edges[mask])
+            assert retained.dtype == g.edges.dtype
+            assert retained.shape == (int(mask.sum()), 2)
+            assert retained.flags.c_contiguous
+
+    def test_edgeless_graph(self):
+        retained = percolate(Graph(5, []), 0.5, rng_seed=27)
+        assert retained.shape == (0, 2)
+        assert retained.flags.c_contiguous
 
     def test_percolated_er_matches_thinned_er(self):
         """Percolating ER(n,p) at q is distributionally ER(n, pq)."""
@@ -182,6 +205,7 @@ class TestConnectedComponents:
             _full_retention_connected,
             _permuted_path,
             _one_node,
+            _one_node_loops,
         ],
         ids=lambda f: f.__name__.lstrip("_"),
     )
@@ -192,6 +216,71 @@ class TestConnectedComponents:
         sizes = sorted(len(c) for c in component_sets(n, retained))
         assert lab.giant_size == sizes[-1]
         assert lab.second_size == (sizes[-2] if len(sizes) > 1 else 0)
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["u_above_v", "self_loops", "repeated_rows", "fortran", "strided"],
+    )
+    def test_matches_oracle_on_raw_edge_arrays(self, layout):
+        """The labeler takes any (m, 2) integer array, not only `Graph.edges`
+        rows: reversed rows, loops, repeats and non-contiguous layouts."""
+        n = 40
+        for i in range(10):
+            rng = rng_from_seed(child_seed(28, i))
+            edges = rng.integers(0, n, size=(30, 2))
+            if layout == "u_above_v":
+                edges = np.column_stack([edges.max(1), edges.min(1)])
+            elif layout == "self_loops":
+                edges[::3, 1] = edges[::3, 0]
+            elif layout == "repeated_rows":
+                edges = np.concatenate([edges, edges[::-1], edges[:, ::-1]])
+            elif layout == "fortran":
+                edges = np.asfortranarray(edges)
+                assert not edges.flags.c_contiguous
+            else:
+                # every other row of a wider array, columns reversed
+                wide = np.column_stack([edges, rng.integers(0, n, size=(30, 2))])
+                edges = np.repeat(wide, 2, axis=0)[::2, 1::-1]
+                assert not edges.flags.c_contiguous
+            lab = connected_components(n, edges)
+            assert np.array_equal(lab.root, lowest_members(n, edges))
+            sizes = sorted(len(c) for c in component_sets(n, edges))
+            assert lab.giant_size == sizes[-1]
+            assert lab.second_size == (sizes[-2] if len(sizes) > 1 else 0)
+
+    def test_rounds_end_once_no_edge_crosses(self, monkeypatch):
+        """Each hook round compacts the edges once, by the roots after its
+        jumps: a path hooked and jumped in one round takes one round, and a
+        path whose hooks chain through a second root takes two."""
+        calls = []
+        compact = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or compact(a))
+        for edges, rounds in [([[0, 1], [1, 2]], 1), ([[0, 2], [1, 2]], 2)]:
+            calls.clear()
+            lab = connected_components(3, np.array(edges))
+            assert lab.root.tolist() == [0, 0, 0]
+            assert len(calls) == rounds
+
+    def test_merges_into_a_forest_of_stars(self):
+        """Merging a second edge set into the labeling of a first, as
+        `coupled_worlds` does, labels their union; edges inside a component
+        change nothing, and the forest passed in is left as it was."""
+        n = 60
+        for i in range(20):
+            g = generate_er(n, 0.04, rng_seed=child_seed(29, i))
+            rng = rng_from_seed(child_seed(30, i))
+            first = g.edges[rng.random(g.edge_count) < 0.5]
+            # the second set repeats part of the first, reversed, with a loop
+            second = np.concatenate(
+                [g.edges[rng.random(g.edge_count) < 0.5], first[::2, ::-1], [[5, 5]]]
+            )
+            forest = connected_components(n, first).root
+            before = forest.copy()
+            merged = _hook_and_jump(forest, second)
+            assert np.array_equal(forest, before)
+            union = np.concatenate([first, second])
+            assert np.array_equal(merged, lowest_members(n, union))
+            assert np.array_equal(_hook_and_jump(merged, first), merged)
 
     def test_equal_sizes_rank_by_lowest_member(self):
         lab = connected_components(*_equal_sizes())
@@ -241,6 +330,51 @@ class TestRunCascade:
         with caplog.at_level(logging.WARNING):
             out = run_cascade(lab, np.array([], dtype=np.int64))
         assert out.count == 0
+        assert not out.activated.any()
+        assert "empty seed" in caplog.text
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.array([7, 2, 9, 0]),
+            lambda: np.array([3, 3, 8, 3, 0, 8]),
+            lambda: [9, 1, 1, 4],
+            lambda: (v for v in [5, 2, 5, 11, 2]),
+            lambda: np.array([[4, 1], [1, 10]]),
+            lambda: np.array([2.0, 6.0, 2.0]),
+        ],
+        ids=["unsorted", "duplicates", "list", "generator", "2d", "float"],
+    )
+    def test_seeds_are_sorted_distinct_ids(self, make):
+        """The seeds are those `np.unique` makes of the input as int64."""
+        seeds = make()
+        if isinstance(seeds, np.ndarray):
+            expect = np.unique(seeds.astype(np.int64))
+        else:
+            expect = np.unique(np.fromiter(make(), dtype=np.int64))
+        g = Graph(12, [[0, 1], [2, 3], [3, 4], [9, 11]])
+        out = run_cascade(connected_components(12, g.edges), seeds)
+        assert out.seeds.dtype == np.int64
+        assert np.array_equal(out.seeds, expect)
+        active = set().union(*(bfs_activated(12, g.edges, [v]) for v in expect))
+        assert set(np.flatnonzero(out.activated).tolist()) == active
+        assert out.count == len(active)
+
+    @pytest.mark.parametrize("seeds", [[-1], [-1, -1], [0, 4, 5], [9, 5, 0], [-3, 2]])
+    def test_seed_outside_range_raises(self, seeds):
+        lab = connected_components(5, np.array([[0, 1]]))
+        with pytest.raises(ValueError, match="outside"):
+            run_cascade(lab, np.array(seeds))
+        with pytest.raises(ValueError, match="outside"):
+            run_cascade(lab, seeds)
+
+    @pytest.mark.parametrize("seeds", [[], iter(())], ids=["list", "iterator"])
+    def test_empty_seed_set_activates_nothing(self, seeds, caplog):
+        lab = connected_components(3, np.array([[0, 1]]))
+        with caplog.at_level(logging.WARNING):
+            out = run_cascade(lab, seeds)
+        assert out.seeds.size == 0 and out.seeds.dtype == np.int64
+        assert (out.count, out.giant_active) == (0, False)
         assert not out.activated.any()
         assert "empty seed" in caplog.text
 
