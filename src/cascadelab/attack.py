@@ -18,7 +18,7 @@ from .bounds import (
     solve_giant_fraction,
 )
 from .graph import Graph, NodeWeights
-from .percolation import MembershipEstimate, record_worlds, worlds
+from .percolation import MembershipEstimate, record_worlds, world_blocks
 from .privacy import MechanismSpec, mechanism_error_quantile, release
 from .seeding import child_seed
 
@@ -112,12 +112,17 @@ def evaluate_attack(
     n = g.node_count
     status_hits = 0
     correct = np.zeros(n, dtype=np.int64)
-    for trial_seed, lab, out in worlds(g, q, eval_seed, trials, s):
-        truth_active = out.giant_active and not lab.tie_at_top
-        reported = release(spec, out.activated, child_seed(trial_seed, 2))
+    for block in world_blocks(g, q, eval_seed, trials, s):
+        truth_active = block.giant_active & ~block.tie
+        reported = np.array(
+            [
+                release(spec, bits, child_seed(trial_seed, 2))
+                for trial_seed, bits in zip(block.trial_seeds, block.activated)
+            ]
+        )
         judged_active = reported > threshold
-        status_hits += int(judged_active == truth_active)
-        correct += out.activated == judged_active
+        status_hits += int(np.count_nonzero(judged_active == truth_active))
+        correct += (block.activated == judged_active[:, None]).sum(axis=0)
 
     per_node_accuracy = correct / trials
     stats = []

@@ -4,8 +4,10 @@ Subcommands: gen, components, sweep, membership, audit, attack. Every run
 takes an optional JSON config plus flag overrides, and writes CSV files
 whose first line is a comment carrying the 64-bit FNV-1a hash of the
 effective config and the tool version. Identical (config, seed) runs write
-byte-identical files. Trials run serially; `--threads` is accepted for
-older configs and scripts but changes nothing.
+byte-identical files. Trials are drawn in blocks
+(`percolation.world_blocks`) in one thread; `--threads` and the `threads`
+key are accepted for older configs and scripts, and must be positive
+integers, but change nothing.
 
 Exit codes: 0 success, 2 configuration error, 3 degenerate conditioning.
 """
@@ -36,7 +38,7 @@ from .percolation import (
     coupled_worlds,
     estimate_giant_membership,
     record_worlds,
-    worlds,
+    world_blocks,
 )
 from .privacy import (
     MechanismSpec,
@@ -84,8 +86,8 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-# keys that do not affect what a run computes ("threads" is accepted and
-# ignored: trials run serially)
+# keys that do not affect what a run computes ("threads" is checked and
+# ignored: trials run in one thread)
 _NON_EXPERIMENT_KEYS = ("threads", "out_dir")
 
 
@@ -323,11 +325,12 @@ def _mechanism(cfg: dict) -> MechanismSpec:
 
 def _component_stats(g: Graph, q: float, trials: int, seed: int):
     """Means and stds of the two largest retained component sizes."""
-    pairs = [
-        (lab.giant_size, lab.second_size) for _, lab, _ in worlds(g, q, seed, trials)
-    ]
-    # contiguous rows: a strided column could be summed in another order
-    giant, second = np.array(pairs, dtype=np.float64).T.copy()
+    # per-trial sizes in trial order, so the float means do not depend on
+    # the blocking
+    giant = np.empty(trials, dtype=np.float64)
+    second = np.empty(trials, dtype=np.float64)
+    for block in world_blocks(g, q, seed, trials):
+        giant[block.rows], second[block.rows] = block.giant_size, block.second_size
     return (
         float(giant.mean()),
         float(second.mean()),
@@ -550,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--q", help="transmission probability: X, or X,Y,Z, or start:stop:count"
         )
         p.add_argument(
-            "--threads", type=int, help="accepted and ignored; trials run serially"
+            "--threads", type=int, help="accepted and ignored; trials run in one thread"
         )
     return parser
 
@@ -572,6 +575,7 @@ def main(argv=None) -> int:
             else:
                 overrides["q"] = q_spec
         cfg = load_config(args.config, overrides)
+        _count(cfg, "threads")  # ignored, but a bad value is still an error
         cfg_hash = config_hash(cfg)
         try:
             out_dir = Path(cfg["out_dir"])

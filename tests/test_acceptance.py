@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cascadelab import percolation
 from cascadelab.bounds import membership_miss_approx, solve_giant_fraction
 from cascadelab.cli import main
 from cascadelab.distributions import EmpiricalDistribution
@@ -321,3 +322,34 @@ def test_every_subcommand_is_thread_deterministic(tmp_path):
                 p.name: p.read_bytes() for p in sorted(out.iterdir())
             }
         assert outputs[1] == outputs[8], command
+
+
+def test_every_subcommand_is_block_invariant(tmp_path, monkeypatch):
+    """Trials are labeled in blocks of max(1, B // n); the files written do
+    not depend on B. At n = 120, B = 840 makes blocks of 7, so the 40, 120
+    and 100 trials below end in partial blocks of 5, 1 and 2; B = 1 makes
+    one trial per block, and the default budget one block per run."""
+    base = {
+        "graph": {"kind": "er", "n": 120, "p": 5 / 119, "seed": 5},
+        "q": 0.4,
+        "trials": 40,
+        "q_grid": [0.2, 0.6],
+        "sweep_trials": 25,
+        "thresholds": [0.5, 0.9],
+        "protected": [0, 1],
+        "epsilon": 2.0,
+        "floors": [0.8],
+        "mechanism": {"kind": "laplace", "scale": 3.0},
+    }
+    extra = {"audit": {"trials": 120}, "attack": {"trials": 100}}
+    budgets = (percolation._BLOCK_NODES, 1, 7 * 120)
+    for command in ("gen", "components", "sweep", "membership", "audit", "attack"):
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps({**base, **extra.get(command, {})}))
+        outputs = []
+        for budget in budgets:
+            monkeypatch.setattr(percolation, "_BLOCK_NODES", budget)
+            out = tmp_path / f"{command}_{budget}"
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] and outputs[1:] == [outputs[0]] * 2, command

@@ -631,6 +631,11 @@ class TestErrorPaths:
                 {"graph": {"kind": "er", "n": 30, "p": 0.1, "name": ["x"]}},
                 [],
             ),
+            ("gen", {"threads": "abc"}, []),
+            ("gen", {"threads": 0}, []),
+            ("gen", {"threads": -3}, []),
+            ("gen", {"threads": 2.5}, []),
+            ("gen", {"threads": True}, []),
         ],
         ids=[
             "membership-trials-0",
@@ -681,6 +686,11 @@ class TestErrorPaths:
             "gen-out-dir-int",
             "gen-out-names-a-file",
             "components-graph-name-list",
+            "gen-threads-string",
+            "gen-threads-0",
+            "gen-threads-negative",
+            "gen-threads-fractional",
+            "gen-threads-bool",
         ],
     )
     def test_bad_config_exits_2_without_traceback(

@@ -9,6 +9,7 @@ import pytest
 from scipy import sparse, stats
 from scipy.sparse import csgraph
 
+from cascadelab import percolation
 from cascadelab.distributions import EmpiricalDistribution
 from cascadelab.graph import Graph, chung_lu_weights, generate_chung_lu, generate_er
 from cascadelab.percolation import (
@@ -21,6 +22,7 @@ from cascadelab.percolation import (
     record_worlds,
     run_cascade,
     sample_seeds,
+    world_blocks,
     worlds,
 )
 from cascadelab.seeding import child_seed, rng_from_seed
@@ -76,6 +78,33 @@ def _one_node():
 def _one_node_loops():
     # raw rows, not `Graph.edges`: a repeated self-loop on the only node
     return 1, np.array([[0, 0], [0, 0]])
+
+
+def _descending_path():
+    # each hook points a node at the next lower id, so the first round's
+    # jumps must flatten a chain of depth n - 1
+    n = 300
+    return n, np.column_stack([np.arange(1, n), np.arange(n - 1)])
+
+
+def _star_behind_a_chain():
+    # 200 leaves hang off the top of a descending 150-node chain, so each
+    # leaf reaches its root only through the whole chain
+    chain, leaves = 150, 200
+    path = np.column_stack([np.arange(1, chain), np.arange(chain - 1)])
+    star = np.column_stack(
+        [np.full(leaves, chain - 1), np.arange(chain, chain + leaves)]
+    )
+    return chain + leaves, np.concatenate([path, star])
+
+
+@pytest.fixture
+def hook_rounds(monkeypatch):
+    """A list that grows by one per hook round (one compaction each)."""
+    calls = []
+    compact = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or compact(a))
+    return calls
 
 
 def retained_set(retained):
@@ -282,6 +311,40 @@ class TestConnectedComponents:
             assert np.array_equal(merged, lowest_members(n, union))
             assert np.array_equal(_hook_and_jump(merged, first), merged)
 
+    @pytest.mark.parametrize(
+        "world",
+        [_descending_path, _star_behind_a_chain],
+        ids=lambda f: f.__name__.lstrip("_"),
+    )
+    def test_deep_chain_flattens_in_one_round(self, hook_rounds, world):
+        """Every hook lands in one tree, hundreds of nodes deep, so the
+        first round's jumps alone must flatten it: the roots match the
+        oracle after a single round."""
+        n, retained = world()
+        lab = connected_components(n, retained)
+        assert np.array_equal(lab.root, lowest_members(n, retained))
+        assert (lab.giant_size, lab.second_size, len(hook_rounds)) == (n, 0, 1)
+
+    def test_merges_a_deep_chain_of_stars_in_one_round(self, hook_rounds):
+        """Merged edges chain 64 stars of 8 nodes in descending order of
+        their roots, as `coupled_worlds` merges into a forest of stars: each
+        star hooks onto the next, and one round's jumps flatten the chain."""
+        stars, size = 64, 8
+        n = stars * size
+        first = np.array(
+            [(b * size, b * size + i) for b in range(stars) for i in range(1, size)]
+        )
+        second = np.array(
+            [(b * size + size - 1, (b - 1) * size + 3) for b in range(1, stars)]
+        )
+        forest = connected_components(n, first).root
+        assert np.array_equal(forest, np.arange(n) // size * size)
+        hook_rounds.clear()
+        merged = _hook_and_jump(forest, second)
+        union = np.concatenate([first, second])
+        assert np.array_equal(merged, lowest_members(n, union))
+        assert len(hook_rounds) == 1
+
     def test_equal_sizes_rank_by_lowest_member(self):
         lab = connected_components(*_equal_sizes())
         # {0,3,6} holds 0, {1,5,8} holds 1, {2,9,10} holds 2, {4,7,11} holds 4
@@ -367,6 +430,42 @@ class TestRunCascade:
             run_cascade(lab, np.array(seeds))
         with pytest.raises(ValueError, match="outside"):
             run_cascade(lab, seeds)
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [
+            np.array([0.9]),
+            [1.7],
+            np.array([True, True]),
+            [0, True],
+            [np.True_],
+            np.array([np.nan]),
+            [np.inf],
+            ["1"],
+        ],
+        ids=[
+            "fraction-array",
+            "fraction-list",
+            "bool-array",
+            "bool-in-int-list",
+            "numpy-bool-list",
+            "nan",
+            "inf",
+            "string",
+        ],
+    )
+    def test_non_integer_seed_raises(self, seeds):
+        """A fraction was truncated and a bool read as node 1; both are refused."""
+        lab = connected_components(5, np.array([[0, 1]]))
+        with pytest.raises(ValueError, match="must be integers"):
+            run_cascade(lab, seeds)
+
+    @pytest.mark.parametrize("seeds", [np.array([2.0]), [2.0]], ids=["array", "list"])
+    def test_integral_float_seed_names_its_node(self, seeds):
+        lab = connected_components(5, np.array([[1, 2]]))
+        out = run_cascade(lab, seeds)
+        assert out.seeds.tolist() == [2] and out.seeds.dtype == np.int64
+        assert out.activated.tolist() == [False, True, True, False, False]
 
     @pytest.mark.parametrize("seeds", [[], iter(())], ids=["list", "iterator"])
     def test_empty_seed_set_activates_nothing(self, seeds, caplog):
@@ -455,6 +554,42 @@ class TestWorlds:
             next(worlds(g, 0.5, 1, 0))
         with pytest.raises(ValueError, match="s must"):
             next(worlds(g, 0.5, 1, 5, s=4))
+
+    BLOCKED = {
+        "er": (lambda: generate_er(40, 0.08, rng_seed=18), 0.5),
+        "edgeless": (lambda: Graph(5, []), 0.5),
+        "one-node": (lambda: Graph(1, []), 1.0),
+        # three components of two nodes: every trial's top two tie
+        "tied-top": (lambda: Graph(6, [[0, 1], [2, 3], [4, 5]]), 1.0),
+    }
+
+    @pytest.mark.parametrize("k", [1, 4], ids=["one-per-block", "remainder"])
+    @pytest.mark.parametrize("world", sorted(BLOCKED))
+    def test_blocks_match_worlds_labeled_alone(self, monkeypatch, world, k):
+        """With blocks of k trials (10 trials leave a block of 2 at k = 4),
+        each trial reads off its block as its world labeled and seeded alone."""
+        make, q = self.BLOCKED[world]
+        g = make()
+        n, trials = g.node_count, 10
+        monkeypatch.setattr(percolation, "_BLOCK_NODES", k * n)
+        sizes = [len(b.trial_seeds) for b in world_blocks(g, q, 19, trials)]
+        assert sizes == [k] * (trials // k) + [trials % k] * (trials % k > 0)
+        drawn = list(worlds(g, q, 19, trials, s=1))
+        assert [ts for ts, _, _ in drawn] == [child_seed(19, t) for t in range(trials)]
+        for ts, lab, out in drawn:
+            ref = connected_components(n, percolate(g, q, child_seed(ts, 0)))
+            assert np.array_equal(lab.root, ref.root)
+            assert (lab.giant_root, lab.giant_size, lab.second_size) == (
+                ref.giant_root,
+                ref.giant_size,
+                ref.second_size,
+            )
+            want = run_cascade(ref, sample_seeds(n, 1, child_seed(ts, 1)))
+            assert np.array_equal(out.seeds, want.seeds)
+            assert np.array_equal(out.activated, want.activated)
+            assert (out.count, out.giant_active) == (want.count, want.giant_active)
+        if world == "tied-top":
+            assert all(lab.tie_at_top for _, lab, _ in drawn)
 
 
 class TestCoupledWorlds:
