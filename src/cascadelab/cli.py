@@ -382,17 +382,17 @@ def cmd_sweep(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     q_grid = _q_values(cfg)
     trials = _count(cfg, "sweep_trials")
     _, g = _the_graph(cfg, master)
-    # integer sums: each q's mean is exact whatever order the grid is walked
-    giant = [0] * len(q_grid)
-    second = [0] * len(q_grid)
+    # integer sums: each q's mean is exact whatever the blocking
+    giant = np.zeros(len(q_grid), dtype=np.int64)
+    second = np.zeros(len(q_grid), dtype=np.int64)
     stream = coupled_worlds(g, q_grid, child_seed(master, _STREAM_SWEEP), trials)
-    for _, qi, lab in stream:
-        giant[qi] += lab.giant_size
-        second[qi] += lab.second_size
+    for _, giant_size, second_size in stream:
+        giant += giant_size.sum(axis=0)
+        second += second_size.sum(axis=0)
     n = g.node_count
     rows = [
         (q, gs / trials / n, ss / trials / n)
-        for q, gs, ss in zip(q_grid, giant, second)
+        for q, gs, ss in zip(q_grid, giant.tolist(), second.tolist())
     ]
     write_csv(
         out_dir / "sweep.csv",

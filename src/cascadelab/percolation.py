@@ -5,26 +5,24 @@ retaining each edge independently with probability q and activating exactly
 the retained-edge components that contain a seed. Every Monte Carlo
 estimator is a reduction over `world_blocks` (or, across a grid of q, over
 `coupled_worlds`), which derive each trial's streams from (seed, trial
-index) alone, so estimates are reproducible. A block holds
-max(1, B // n) consecutive trials, B a fixed node budget, and labels them
-as one disjoint union of their worlds: a small world costs mostly per-call
-overhead, which the block pays once. Estimators reduce blocks by integer
-sums or by filling their trials' rows, so no result depends on the blocking.
+index) alone, so estimates are reproducible. Both split the trials into
+the same blocks of max(1, B // n) consecutive trials, B a fixed node
+budget, and label a block as one disjoint union of its worlds: a small
+world costs mostly per-call overhead, which the block pays once. Estimators
+reduce blocks by integer sums or by filling their trials' rows, so no
+result depends on the blocking.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .distributions import EmpiricalDistribution, _sorted_distinct
+from .distributions import EmpiricalDistribution
 from .graph import Graph
 from .seeding import child_seed, rng_from_seed
-
-logger = logging.getLogger(__name__)
 
 # node budget B of one block of trials, which holds max(1, B // n) worlds.
 # A small world's labeling costs mostly per-call overhead, which a block
@@ -36,18 +34,13 @@ _BLOCK_NODES = 1 << 14
 
 __all__ = [
     "DegenerateConditioningError",
-    "ComponentLabeling",
-    "CascadeOutcome",
     "WorldBlock",
     "MembershipEstimate",
     "ActivitySplit",
     "WorldRecord",
     "percolate",
-    "connected_components",
-    "run_cascade",
     "sample_seeds",
     "world_blocks",
-    "worlds",
     "coupled_worlds",
     "record_worlds",
     "estimate_giant_membership",
@@ -59,48 +52,6 @@ class DegenerateConditioningError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ComponentLabeling:
-    """Connected components of a retained-edge world and its largest one.
-
-    `root[v]` is the lowest member of v's component. The giant is the
-    largest component, rooted at `giant_root`; equal sizes give it to the
-    component holding the lowest node id. `second_size` is the size of the
-    next largest component, 0 when there is only one.
-    """
-
-    root: np.ndarray
-    giant_root: int
-    giant_size: int
-    second_size: int
-
-    @classmethod
-    def from_root(cls, root: np.ndarray) -> ComponentLabeling:
-        """Read the giant and the second size off a lowest-member `root`."""
-        giant, giant_size, second_size = _top_two(root, 1)
-        return cls(root, int(giant[0]), int(giant_size[0]), int(second_size[0]))
-
-    @property
-    def in_giant(self) -> np.ndarray:
-        """Mask of the nodes in the giant component."""
-        return self.root == self.giant_root
-
-    @property
-    def tie_at_top(self) -> bool:
-        """True when the two largest components have equal size."""
-        return self.second_size == self.giant_size
-
-
-@dataclass(frozen=True)
-class CascadeOutcome:
-    """Result of seeding one retained-edge world."""
-
-    seeds: np.ndarray
-    activated: np.ndarray
-    count: int
-    giant_active: bool
-
-
-@dataclass(frozen=True)
 class WorldBlock:
     """Consecutive trials `start`, `start + 1`, ... labeled as one union.
 
@@ -108,8 +59,8 @@ class WorldBlock:
     holds the union's nodes i*n .. i*n + n-1, so node x of that trial has
     union id i*n + x, and every id in `root` and `giant_root` is a union id.
     `root[i, x]` is the lowest member of x's component, `giant_root[i]` the
-    root of row i's largest component (equal sizes give it to the lowest
-    root, as in `ComponentLabeling`) and `giant_size[i]` and
+    root of row i's largest component (equal sizes give it to the
+    component holding the lowest node id) and `giant_size[i]` and
     `second_size[i]` the two largest sizes. With seeds, `seeds[i]` holds
     row i's sorted seed ids (as node ids, not union ids), `activated[i]`
     its activation vector, `counts[i]` its activation count and
@@ -177,7 +128,7 @@ class ActivitySplit:
 
 @dataclass(frozen=True)
 class WorldRecord:
-    """What one pass over `worlds` with seeds leaves for its estimators.
+    """What one pass over `world_blocks` with seeds leaves for its estimators.
 
     Rows are the trials ordered by ascending activation count (stably, so
     equal counts keep trial order). Row t holds the count `counts[t]`, the
@@ -269,13 +220,6 @@ def percolate(g: Graph, q: float, rng_seed: int) -> np.ndarray:
     return g.edges.compress(rng.random(g.edge_count) < q, axis=0)
 
 
-def connected_components(n: int, retained_edges: np.ndarray) -> ComponentLabeling:
-    """Label the components of the n-node graph on `retained_edges`."""
-    return ComponentLabeling.from_root(
-        _hook_and_jump(np.arange(n, dtype=np.int64), retained_edges)
-    )
-
-
 def _top_two(root: np.ndarray, k: int):
     """Each of k equal rows' giant root, giant size and second size.
 
@@ -325,56 +269,40 @@ def _hook_and_jump(root: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return root
 
 
-def run_cascade(labeling: ComponentLabeling, seeds: Iterable[int]) -> CascadeOutcome:
-    """Activate every node sharing a retained-edge component with a seed.
-
-    Equivalent to breadth-first contagion over the labeled world's retained
-    edges. Seed ids must be integers: an integral float such as 2.0 names
-    node 2, while bools and fractional or non-finite values raise
-    ValueError. An empty seed set is allowed (activates nothing) but
-    logged, since experiments assume at least one seed.
-    """
-    root = labeling.root
-    seed_arr = _sorted_distinct(_seed_ids(seeds))
-    if seed_arr.size and (seed_arr[0] < 0 or seed_arr[-1] >= root.size):
-        raise ValueError("seed id outside 0..node_count-1")
-    if seed_arr.size == 0:
-        logger.warning("cascade run with an empty seed set; nothing activates")
-    seeded = np.zeros(root.size, dtype=bool)
-    seeded[root[seed_arr]] = True
-    activated = seeded[root]
-    return CascadeOutcome(
-        seeds=seed_arr,
-        activated=activated,
-        count=int(activated.sum()),
-        giant_active=bool(seeded[labeling.giant_root]),
-    )
-
-
-def _seed_ids(seeds: Iterable[int]) -> np.ndarray:
-    """`seeds` as int64 ids; bools and non-integral values are refused."""
-    if isinstance(seeds, np.ndarray):
-        arr = seeds
-    else:
-        items = list(seeds)
-        # a bool is an int to numpy, so [0, True] would read as node 1
-        if any(isinstance(x, (bool, np.bool_)) for x in items):
-            raise ValueError("seed ids must be integers, not bools")
-        arr = np.asarray(items)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"seed ids must be integers, not {arr.dtype} values")
-    if arr.dtype.kind == "f" and not np.all(
-        np.isfinite(arr) & (np.trunc(arr) == arr)
-    ):
-        raise ValueError("seed ids must be integers, not fractions")
-    return arr.astype(np.int64)
-
-
 def sample_seeds(n: int, s: int, rng_seed: int) -> np.ndarray:
     """Draw s distinct seed nodes uniformly from 0..n-1, sorted ascending."""
     if not 0 < s <= n:
         raise ValueError("s must satisfy 0 < s <= n")
     return np.sort(rng_from_seed(rng_seed).choice(n, size=s, replace=False))
+
+
+def _blocks(n: int, rng_seed: int, trials: int) -> Iterator[tuple[int, list[int]]]:
+    """Plan `trials` trials on n nodes as blocks of consecutive trials.
+
+    Yields each block's first trial index and its trial seeds, trial t
+    drawn under child_seed(rng_seed, t); a block holds max(1, B // n) trials
+    for the node budget B.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    size = max(1, _BLOCK_NODES // n)
+    for start in range(0, trials, size):
+        stop = min(start + size, trials)
+        yield start, [child_seed(rng_seed, t) for t in range(start, stop)]
+
+
+def _cascade(root: np.ndarray, seeds: np.ndarray, giant_root: np.ndarray):
+    """Seed each of k equal worlds of the lowest-member union `root`.
+
+    Row i of `seeds` holds world i's seeds as union ids, and `giant_root[i]`
+    the union id of its giant's root. Returns the k rows of activation
+    vectors (every node sharing a component with one of the row's seeds),
+    their counts, and per row whether a seed fell in the giant.
+    """
+    seeded = np.zeros(root.size, dtype=bool)
+    seeded[root.take(seeds)] = True
+    activated = seeded.take(root).reshape(len(seeds), -1)
+    return activated, activated.sum(axis=1), seeded.take(giant_root)
 
 
 def world_blocks(
@@ -390,14 +318,8 @@ def world_blocks(
     giant, second size and cascade off the union row by row, so every row
     equals its world labeled alone.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     n = g.node_count
-    size = max(1, _BLOCK_NODES // n)
-    for start in range(0, trials, size):
-        trial_seeds = [
-            child_seed(rng_seed, t) for t in range(start, min(start + size, trials))
-        ]
+    for start, trial_seeds in _blocks(n, rng_seed, trials):
         k = len(trial_seeds)
         offsets = np.arange(0, k * n, n)
         parts = [percolate(g, q, child_seed(ts, 0)) for ts in trial_seeds]
@@ -408,7 +330,6 @@ def world_blocks(
                 [part + offset for part, offset in zip(parts, offsets.tolist())]
             )
         root = _hook_and_jump(np.arange(k * n, dtype=np.int64), edges)
-        rows = root.reshape(k, n)
         giant, giant_size, second_size = _top_two(root, k)
         giant_root = giant + offsets
         cascade = {}
@@ -416,19 +337,19 @@ def world_blocks(
             seeds = np.stack(
                 [sample_seeds(n, s, child_seed(ts, 1)) for ts in trial_seeds]
             )
-            seeded = np.zeros(k * n, dtype=bool)
-            seeded[root.take(seeds + offsets[:, None])] = True
-            activated = seeded.take(rows)
+            activated, counts, giant_active = _cascade(
+                root, seeds + offsets[:, None], giant_root
+            )
             cascade = dict(
                 seeds=seeds,
                 activated=activated,
-                counts=activated.sum(axis=1),
-                giant_active=seeded.take(giant_root),
+                counts=counts,
+                giant_active=giant_active,
             )
         yield WorldBlock(
             start,
             trial_seeds,
-            rows,
+            root.reshape(k, n),
             giant_root,
             giant_size,
             second_size,
@@ -436,79 +357,54 @@ def world_blocks(
         )
 
 
-def worlds(
-    g: Graph, q: float, rng_seed: int, trials: int, s: int | None = None
-) -> Iterator[tuple[int, ComponentLabeling, CascadeOutcome | None]]:
-    """Draw `trials` independent worlds; yield (trial_seed, labeling, outcome).
-
-    Reads each trial off `world_blocks(g, q, rng_seed, trials, s)`, with the
-    same streams: trial t is drawn under trial_seed = child_seed(rng_seed,
-    t), and its labeling and outcome equal `connected_components` on its
-    `percolate` draw and `run_cascade` on its `sample_seeds` draw. Without
-    `s` the outcome is None. The estimators reduce the blocks directly.
-    """
-    n = g.node_count
-    for block in world_blocks(g, q, rng_seed, trials, s):
-        for i, trial_seed in enumerate(block.trial_seeds):
-            offset = i * n
-            lab = ComponentLabeling(
-                block.root[i] - offset,
-                int(block.giant_root[i]) - offset,
-                int(block.giant_size[i]),
-                int(block.second_size[i]),
-            )
-            out = None
-            if s is not None:
-                out = CascadeOutcome(
-                    block.seeds[i],
-                    block.activated[i],
-                    int(block.counts[i]),
-                    bool(block.giant_active[i]),
-                )
-            yield trial_seed, lab, out
-
-
 def coupled_worlds(
     g: Graph, q_grid, rng_seed: int, trials: int
-) -> Iterator[tuple[int, int, ComponentLabeling]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Draw `trials` worlds, each labeled at every q of `q_grid`.
 
-    Yields (trial_seed, qi, labeling) for each trial and each index qi into
-    `q_grid`, walking the grid in ascending q (equal q in grid order).
-    Trial t draws one uniform coin per edge from child_seed(trial_seed, 0),
-    the stream `percolate` reads, so the labeling at q is exactly
-    `connected_components(n, percolate(g, q, child_seed(trial_seed, 0)))`.
-    All q share the coins (Newman & Ziff, PRL 85, 4104, 2000): retained
-    edge sets nest, so each q only merges the newly admitted edges into the
-    previous q's components. Estimates at different q are correlated within
-    a trial.
+    Takes the blocks of `world_blocks` and yields (start, giant_size,
+    second_size) per block: row i is trial start + i, and column qi holds
+    the sizes of that trial's two largest components at q_grid[qi]. Trial t
+    draws one uniform coin per edge from child_seed(child_seed(rng_seed, t),
+    0), the stream `percolate` reads, so each entry is exactly that of the
+    world `percolate(g, q_grid[qi], child_seed(child_seed(rng_seed, t), 0))`
+    labeled from scratch. All q share the coins (Newman & Ziff, PRL 85,
+    4104, 2000): retained edge sets nest, so the grid is walked in ascending
+    q and each q only merges the newly admitted edges into the previous q's
+    components. Estimates at different q are correlated within a trial.
     """
     q = np.asarray(q_grid, dtype=np.float64)
     if q.ndim != 1 or not q.size:
         raise ValueError("q_grid must hold at least one q")
     if not np.all((q > 0.0) & (q <= 1.0)):
         raise ValueError("q must lie in (0, 1]")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    n, m = g.node_count, g.edge_count
     walk = np.argsort(q, kind="stable")
-    for t in range(trials):
-        trial_seed = child_seed(rng_seed, t)
-        coins = rng_from_seed(child_seed(trial_seed, 0)).random(g.edge_count)
+    for start, trial_seeds in _blocks(n, rng_seed, trials):
+        k = len(trial_seeds)
+        # coin e of the block is edge e % m of its row e // m
+        coins = np.concatenate(
+            [rng_from_seed(child_seed(ts, 0)).random(m) for ts in trial_seeds]
+        )
         order = np.argsort(coins)
         # edges[:stop] are those whose coin lies below q, as in `percolate`
         stops = np.searchsorted(coins.take(order), q[walk])
-        edges = g.edges.take(order[: stops[-1]], axis=0)
-        root, start = np.arange(g.node_count, dtype=np.int64), 0
+        admitted = order[: stops[-1]]
+        edges = g.edges.take(admitted % m, axis=0) + (admitted // m * n)[:, None]
+        giant_size = np.empty((k, q.size), dtype=np.int64)
+        second_size = np.empty((k, q.size), dtype=np.int64)
+        root, done = np.arange(k * n, dtype=np.int64), 0
         for qi, stop in zip(walk.tolist(), stops.tolist()):
-            root = _hook_and_jump(root, edges[start:stop])
-            start = stop
-            yield trial_seed, qi, ComponentLabeling.from_root(root)
+            root = _hook_and_jump(root, edges[done:stop])
+            done = stop
+            _, giant_size[:, qi], second_size[:, qi] = _top_two(root, k)
+        yield start, giant_size, second_size
 
 
 def record_worlds(
     g: Graph, q: float, s: int, trials: int, rng_seed: int
 ) -> WorldRecord:
-    """Record every trial of `worlds(g, q, rng_seed, trials, s)` in one pass.
+    """Record every trial of `world_blocks(g, q, rng_seed, trials, s)` in one pass.
 
     Each estimator that splits the activation count, by one node's bit or
     by giant activity, reads this record, so a calibration over any number

@@ -40,6 +40,8 @@ _KINDS = ("laplace", "randomized_response", "wasserstein")
 
 # quantile level for the mechanism's high-probability error bound
 _ERROR_QUANTILE_DELTA = 1e-3
+# degenerate node ids named in the one warning or error line
+_SHOWN_DEGENERATE = 5
 
 
 @dataclass(frozen=True)
@@ -186,8 +188,9 @@ def wasserstein_mechanism_scale(
     mechanism scale is the maximum over nodes. All nodes share the pass, so
     their estimates are correlated; empirical supports make each a lower
     bound on its population value. Nodes whose conditioning degenerates are
-    skipped with a warning and reported; if every node degenerates the
-    error is raised. A node id outside the graph raises ValueError.
+    skipped and reported, with one warning line for all of them; if every
+    node degenerates the error is raised. A node id outside the graph
+    raises ValueError.
     """
     nodes = sorted({int(v) for v in protected})
     if not nodes:
@@ -198,15 +201,23 @@ def wasserstein_mechanism_scale(
         try:
             x0, x1 = record.node_split(v)
         except DegenerateConditioningError as exc:
-            logger.warning("skipping node %d: %s", v, exc)
             degenerate[v] = str(exc)
             continue
         per_node[v] = float(sample_wasserstein_infinity(x0, x1))
-    if not per_node:
-        raise DegenerateConditioningError(
-            "conditioning degenerated for every protected node: "
-            + "; ".join(degenerate.values())
+    if degenerate:
+        ids = list(degenerate)
+        shown = ", ".join(map(str, ids[:_SHOWN_DEGENERATE]))
+        if len(ids) > _SHOWN_DEGENERATE:
+            shown += f" and {len(ids) - _SHOWN_DEGENERATE} more"
+        summary = (
+            f"node {shown} ({len(ids)} of {len(nodes)} protected nodes "
+            f"degenerate); first: {degenerate[ids[0]]}"
         )
+        if not per_node:
+            raise DegenerateConditioningError(
+                f"conditioning degenerated for every protected node: {summary}"
+            )
+        logger.warning("skipping %s", summary)
     return MechanismScaleReport(max(per_node.values()), per_node, degenerate)
 
 

@@ -5,7 +5,9 @@ dictionaries, exhaustive subset enumeration, Hall-condition feasibility
 checks, a float merge for W-infinity on atoms, exact rational arithmetic,
 an edge-list parse one line at a time.
 The package code must agree with these slow oracles, not the other way
-around. `adjacency` is a test helper kept here, out of the package.
+around. `adjacency` and `label_world` are test helpers kept here, out of
+the package; `label_world` labels one world with the package's own
+labeler and is checked against the oracles like the package is.
 """
 
 import itertools
@@ -13,10 +15,28 @@ import re
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from cascadelab.graph import EdgeListFormatError, EdgeListReport, Graph, logger
+from cascadelab.percolation import _hook_and_jump, _top_two
+
+
+class World(NamedTuple):
+    """One labeled world: lowest-member roots and its two largest sizes."""
+
+    root: np.ndarray
+    giant_root: int
+    giant_size: int
+    second_size: int
+
+
+def label_world(n, retained_edges):
+    """Label the n-node world on `retained_edges` alone, as a block of one."""
+    root = _hook_and_jump(np.arange(n, dtype=np.int64), retained_edges)
+    giant, giant_size, second_size = _top_two(root, 1)
+    return World(root, int(giant[0]), int(giant_size[0]), int(second_size[0]))
 
 
 def bfs_activated(n, retained_edges, seeds):

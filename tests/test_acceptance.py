@@ -30,11 +30,10 @@ from cascadelab.graph import (
     load_edge_list,
 )
 from cascadelab.percolation import (
-    connected_components,
+    _cascade,
     estimate_giant_membership,
     percolate,
     record_worlds,
-    run_cascade,
 )
 from cascadelab.privacy import (
     MechanismSpec,
@@ -47,6 +46,7 @@ from cascadelab.seeding import child_seed
 from oracles import (
     all_graph_edge_lists,
     bfs_activated,
+    label_world,
     message_passing_membership,
     wasserstein_infinity,
     winf_bruteforce,
@@ -73,7 +73,7 @@ def er_component_trials():
     giants = []
     seconds = []
     for t in range(50):
-        lab = connected_components(2500, percolate(g, 0.3, child_seed(stream, t)))
+        lab = label_world(2500, percolate(g, 0.3, child_seed(stream, t)))
         giants.append(lab.giant_size)
         seconds.append(lab.second_size)
     return float(np.mean(giants)), float(np.mean(seconds))
@@ -143,9 +143,9 @@ def test_miss_rate_by_retained_degree_matches_exponential():
     degree_counts = np.zeros(6)
     for t in range(trials):
         retained = percolate(g, 0.3, child_seed(stream, t))
-        lab = connected_components(n, retained)
+        lab = label_world(n, retained)
         deg = np.bincount(retained.ravel(), minlength=n)
-        outside = ~lab.in_giant
+        outside = lab.root != lab.giant_root
         for k in range(1, 6):
             sel = deg == k
             degree_counts[k] += sel.sum()
@@ -217,12 +217,19 @@ def test_root_n_noise_leaves_giant_status_testable():
 
 
 def _check_world(g, retained, checked):
-    labeling = connected_components(g.node_count, retained)
-    for seed in range(g.node_count):
-        got = run_cascade(labeling, np.array([seed]))
-        want = bfs_activated(g.node_count, retained, [seed])
-        assert set(np.flatnonzero(got.activated)) == want
-        assert got.count == len(want)
+    # the world seeded at each of its n nodes in turn, as n rows of one
+    # union through the gather `world_blocks` runs: row v is seeded at v
+    n = g.node_count
+    world = label_world(n, retained)
+    offsets = np.arange(0, n * n, n)
+    root = (world.root + offsets[:, None]).ravel()
+    activated, counts, _ = _cascade(
+        root, (np.arange(n) + offsets)[:, None], world.giant_root + offsets
+    )
+    for seed in range(n):
+        want = bfs_activated(n, retained, [seed])
+        assert set(np.flatnonzero(activated[seed])) == want
+        assert counts[seed] == len(want)
         checked += 1
     return checked
 
@@ -262,7 +269,7 @@ def test_collaboration_network_component_sizes():
     giants = []
     seconds = []
     for t in range(1000):
-        lab = connected_components(
+        lab = label_world(
             g.node_count, percolate(g, 0.3, child_seed(stream, t))
         )
         giants.append(lab.giant_size)

@@ -18,7 +18,6 @@ from cascadelab.graph import (
     generate_er,
 )
 from cascadelab.percolation import (
-    connected_components,
     estimate_giant_membership,
     percolate,
     record_worlds,
@@ -32,6 +31,7 @@ from oracles import (
     bfs_activated,
     component_sets,
     giant_component,
+    label_world,
 )
 
 
@@ -45,7 +45,7 @@ class TestWindowedClassification:
         exact = MechanismSpec(kind="randomized_response", flip_prob=0.0)
         for edges in all_graph_edge_lists(4):
             g = Graph(4, edges) if len(edges) else Graph(4, [])
-            lab = connected_components(4, g.edges)
+            lab = label_world(4, g.edges)
             for s in (1, 2):
                 lo, hi = s * lab.second_size, lab.giant_size
                 if lo >= hi:
@@ -61,7 +61,7 @@ class TestWindowedClassification:
 class TestEvaluateAttack:
     def test_deterministic_world_is_fully_recovered(self):
         g = generate_er(60, 0.2, rng_seed=20)
-        assert connected_components(60, percolate(g, 1.0, rng_seed=0)).giant_size == 60
+        assert label_world(60, percolate(g, 1.0, rng_seed=0)).giant_size == 60
         spec = MechanismSpec(kind="laplace", scale=1e-9)
         result = evaluate_attack(
             g, 1.0, 1, spec, floors=[0.99], trials=40, rng_seed=21,
@@ -314,7 +314,7 @@ class TestVulnerableSetCl:
         w = chung_lu_weights(n, d, b)
         g = generate_chung_lu(w, rng_seed=child_seed(37, 0))
         fractions = [
-            connected_components(
+            label_world(
                 n, percolate(g, q, rng_seed=child_seed(38, t))
             ).giant_size
             / n

@@ -17,8 +17,10 @@ from cascadelab.bounds import (
     solve_giant_fraction,
 )
 from cascadelab.graph import Graph, chung_lu_weights, generate_chung_lu, generate_er
-from cascadelab.percolation import connected_components, percolate
+from cascadelab.percolation import percolate
 from cascadelab.seeding import child_seed
+
+from oracles import label_world
 
 
 class TestSolveGiantFraction:
@@ -137,7 +139,7 @@ class TestChungLuMissBound:
         w = chung_lu_weights(n, d, b)
         g = generate_chung_lu(w, rng_seed=child_seed(50, 0))
         fractions = [
-            connected_components(
+            label_world(
                 n, percolate(g, q, rng_seed=child_seed(51, t))
             ).giant_size
             / n
@@ -229,7 +231,7 @@ class TestPercolationThreshold:
         thr = percolation_threshold(g)
         q = min(1.0, 3 * thr)
         sizes = [
-            connected_components(
+            label_world(
                 800, percolate(g, q, rng_seed=child_seed(53, t))
             ).giant_size
             for t in range(10)

@@ -25,8 +25,9 @@ from cascadelab.cli import (
     write_csv,
 )
 from cascadelab.graph import Graph, generate_er, load_edge_list
-from cascadelab.percolation import connected_components
 from cascadelab.seeding import child_seed
+
+from oracles import label_world
 
 COMMENT_RE = re.compile(r"^# config_hash=[0-9a-f]{16} tool_version=\d")
 
@@ -202,7 +203,7 @@ class TestComponents:
         rc = main(["components", "--config", config, "--out", str(out), "--q", "1"])
         assert rc == 0
         g = generate_er(60, 0.05, rng_seed=8)
-        lab = connected_components(g.node_count, g.edges)
+        lab = label_world(g.node_count, g.edges)
         _, rows = read_csv(out / "components.csv")
         row = rows[0]
         assert float(row["mean_giant"]) == lab.giant_size
@@ -295,7 +296,7 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["sweep", "--config", config, "--out", str(out)]) == 0
         g = generate_er(50, 0.06, rng_seed=9)
-        lab = connected_components(g.node_count, g.edges)
+        lab = label_world(g.node_count, g.edges)
         _, rows = read_csv(out / "sweep.csv")
         assert len(rows) == 1
         assert float(rows[0]["q"]) == 1.0

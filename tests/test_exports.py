@@ -3,11 +3,15 @@
 A stale entry left behind when a function is deleted breaks
 `from module import *` for every caller, so each module is checked both
 by attribute and by a star import. The package star-imports its modules,
-so its own `__all__` must hold every name they list.
+so its own `__all__` must hold every name they list. The package's only
+runtime dependency is numpy; scipy and networkx serve the tests alone.
 """
 
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +39,24 @@ def test_package_reexports_every_public_name(name):
     """`cascadelab` star-imports each module, so it lists all their names."""
     module = importlib.import_module(f"cascadelab.{name}")
     assert set(module.__all__) <= set(cascadelab.__all__)
+
+
+def test_imports_only_numpy_and_the_standard_library():
+    """No module of the package imports anything but numpy, the standard
+    library or the package itself."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "cascadelab"}
+    foreign = []
+    for path in sorted(Path(cascadelab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.partition(".")[0] not in allowed
+            ]
+    assert foreign == []

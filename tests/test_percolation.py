@@ -15,19 +15,22 @@ from cascadelab.graph import Graph, chung_lu_weights, generate_chung_lu, generat
 from cascadelab.percolation import (
     DegenerateConditioningError,
     _hook_and_jump,
-    connected_components,
     coupled_worlds,
     estimate_giant_membership,
     percolate,
     record_worlds,
-    run_cascade,
     sample_seeds,
     world_blocks,
-    worlds,
 )
 from cascadelab.seeding import child_seed, rng_from_seed
 
-from oracles import bfs_activated, component_sets, giant_component, lowest_members
+from oracles import (
+    bfs_activated,
+    component_sets,
+    giant_component,
+    label_world,
+    lowest_members,
+)
 
 
 def count_split(g, q, s, v, trials, rng_seed):
@@ -177,9 +180,9 @@ class TestPercolate:
         for i in range(reps):
             g = generate_er(n, p, rng_seed=child_seed(12, 2 * i))
             retained = percolate(g, q, rng_seed=child_seed(12, 2 * i + 1))
-            thinned.append(connected_components(n, retained).giant_size)
+            thinned.append(label_world(n, retained).giant_size)
             g2 = generate_er(n, p * q, rng_seed=child_seed(13, i))
-            direct.append(connected_components(n, g2.edges).giant_size)
+            direct.append(label_world(n, g2.edges).giant_size)
         ks = stats.ks_2samp(thinned, direct)
         assert ks.pvalue > 0.01
 
@@ -187,40 +190,37 @@ class TestPercolate:
 class TestConnectedComponents:
     def test_triangle(self):
         g = Graph(3, [[0, 1], [1, 2], [0, 2]])
-        lab = connected_components(3, percolate(g, 1.0, rng_seed=1))
+        lab = label_world(3, percolate(g, 1.0, rng_seed=1))
         assert lab.root.tolist() == [0, 0, 0]
         assert lab.giant_size == 3
         assert lab.second_size == 0
-        assert not lab.tie_at_top
 
     def test_isolated_nodes(self):
         g = Graph(4, [])
-        lab = connected_components(4, percolate(g, 1.0, rng_seed=1))
+        lab = label_world(4, percolate(g, 1.0, rng_seed=1))
         assert lab.root.tolist() == [0, 1, 2, 3]
         assert (lab.giant_root, lab.giant_size, lab.second_size) == (0, 1, 1)
-        assert lab.tie_at_top
 
     def test_path_with_middle_edge_dropped(self):
         g = Graph(4, [[0, 1], [2, 3]])
-        lab = connected_components(4, g.edges)
+        lab = label_world(4, g.edges)
         assert lab.giant_size == lab.second_size == 2
-        assert lab.tie_at_top
 
     def test_tie_rank_goes_to_lowest_min_id(self):
         # components {1,3} and {0,2}: equal size, {0,2} must be the giant
         g = Graph(4, [[1, 3], [0, 2]])
-        lab = connected_components(4, g.edges)
+        lab = label_world(4, g.edges)
         assert lab.giant_root == 0
-        assert lab.in_giant.tolist() == [True, False, True, False]
+        assert (lab.root == lab.giant_root).tolist() == [True, False, True, False]
 
     def test_labels_match_oracle_on_random_graphs(self):
         for i in range(40):
             g = generate_er(12, 0.18, rng_seed=child_seed(14, i))
             retained = percolate(g, 0.7, rng_seed=child_seed(15, i))
-            lab = connected_components(12, retained)
+            lab = label_world(12, retained)
             assert np.array_equal(lab.root, lowest_members(12, retained))
             giant = giant_component(12, retained)
-            assert set(np.flatnonzero(lab.in_giant).tolist()) == giant
+            assert set(np.flatnonzero(lab.root == lab.giant_root).tolist()) == giant
             sizes = sorted(len(c) for c in component_sets(12, retained))
             assert lab.giant_size == sizes[-1]
             assert lab.second_size == (sizes[-2] if len(sizes) > 1 else 0)
@@ -240,7 +240,7 @@ class TestConnectedComponents:
     )
     def test_matches_bfs_oracle_on_degenerate_worlds(self, world):
         n, retained = world()
-        lab = connected_components(n, retained)
+        lab = label_world(n, retained)
         assert np.array_equal(lab.root, lowest_members(n, retained))
         sizes = sorted(len(c) for c in component_sets(n, retained))
         assert lab.giant_size == sizes[-1]
@@ -271,7 +271,7 @@ class TestConnectedComponents:
                 wide = np.column_stack([edges, rng.integers(0, n, size=(30, 2))])
                 edges = np.repeat(wide, 2, axis=0)[::2, 1::-1]
                 assert not edges.flags.c_contiguous
-            lab = connected_components(n, edges)
+            lab = label_world(n, edges)
             assert np.array_equal(lab.root, lowest_members(n, edges))
             sizes = sorted(len(c) for c in component_sets(n, edges))
             assert lab.giant_size == sizes[-1]
@@ -286,7 +286,7 @@ class TestConnectedComponents:
         monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or compact(a))
         for edges, rounds in [([[0, 1], [1, 2]], 1), ([[0, 2], [1, 2]], 2)]:
             calls.clear()
-            lab = connected_components(3, np.array(edges))
+            lab = label_world(3, np.array(edges))
             assert lab.root.tolist() == [0, 0, 0]
             assert len(calls) == rounds
 
@@ -303,7 +303,7 @@ class TestConnectedComponents:
             second = np.concatenate(
                 [g.edges[rng.random(g.edge_count) < 0.5], first[::2, ::-1], [[5, 5]]]
             )
-            forest = connected_components(n, first).root
+            forest = label_world(n, first).root
             before = forest.copy()
             merged = _hook_and_jump(forest, second)
             assert np.array_equal(forest, before)
@@ -321,7 +321,7 @@ class TestConnectedComponents:
         first round's jumps alone must flatten it: the roots match the
         oracle after a single round."""
         n, retained = world()
-        lab = connected_components(n, retained)
+        lab = label_world(n, retained)
         assert np.array_equal(lab.root, lowest_members(n, retained))
         assert (lab.giant_size, lab.second_size, len(hook_rounds)) == (n, 0, 1)
 
@@ -337,7 +337,7 @@ class TestConnectedComponents:
         second = np.array(
             [(b * size + size - 1, (b - 1) * size + 3) for b in range(1, stars)]
         )
-        forest = connected_components(n, first).root
+        forest = label_world(n, first).root
         assert np.array_equal(forest, np.arange(n) // size * size)
         hook_rounds.clear()
         merged = _hook_and_jump(forest, second)
@@ -346,15 +346,14 @@ class TestConnectedComponents:
         assert len(hook_rounds) == 1
 
     def test_equal_sizes_rank_by_lowest_member(self):
-        lab = connected_components(*_equal_sizes())
+        lab = label_world(*_equal_sizes())
         # {0,3,6} holds 0, {1,5,8} holds 1, {2,9,10} holds 2, {4,7,11} holds 4
         assert lab.root.tolist() == [0, 1, 2, 0, 4, 1, 0, 4, 1, 2, 2, 4]
         assert lab.giant_root == 0
-        assert lab.tie_at_top
-        assert lab.second_size == 3
+        assert lab.giant_size == lab.second_size == 3
 
     def test_full_retention_on_connected_graph_is_one_component(self):
-        lab = connected_components(*_full_retention_connected())
+        lab = label_world(*_full_retention_connected())
         assert (lab.giant_size, lab.second_size) == (300, 0)
         assert not lab.root.any()
 
@@ -379,7 +378,7 @@ class TestConnectedComponents:
                 first_member = np.unique(raw, return_index=True)[1]
                 assert np.all(np.diff(first_member) > 0)
                 sizes = np.bincount(raw)
-                lab = connected_components(n, retained)
+                lab = label_world(n, retained)
                 assert np.array_equal(lab.root, first_member[raw])
                 assert lab.giant_root == first_member[np.argmax(sizes)]
                 assert lab.giant_size == sizes.max()
@@ -387,131 +386,59 @@ class TestConnectedComponents:
 
 
 class TestRunCascade:
-    def test_empty_seeds_flagged(self, caplog):
-        g = Graph(3, [[0, 1]])
-        lab = connected_components(3, g.edges)
-        with caplog.at_level(logging.WARNING):
-            out = run_cascade(lab, np.array([], dtype=np.int64))
-        assert out.count == 0
-        assert not out.activated.any()
-        assert "empty seed" in caplog.text
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: np.array([7, 2, 9, 0]),
-            lambda: np.array([3, 3, 8, 3, 0, 8]),
-            lambda: [9, 1, 1, 4],
-            lambda: (v for v in [5, 2, 5, 11, 2]),
-            lambda: np.array([[4, 1], [1, 10]]),
-            lambda: np.array([2.0, 6.0, 2.0]),
-        ],
-        ids=["unsorted", "duplicates", "list", "generator", "2d", "float"],
-    )
-    def test_seeds_are_sorted_distinct_ids(self, make):
-        """The seeds are those `np.unique` makes of the input as int64."""
-        seeds = make()
-        if isinstance(seeds, np.ndarray):
-            expect = np.unique(seeds.astype(np.int64))
-        else:
-            expect = np.unique(np.fromiter(make(), dtype=np.int64))
-        g = Graph(12, [[0, 1], [2, 3], [3, 4], [9, 11]])
-        out = run_cascade(connected_components(12, g.edges), seeds)
-        assert out.seeds.dtype == np.int64
-        assert np.array_equal(out.seeds, expect)
-        active = set().union(*(bfs_activated(12, g.edges, [v]) for v in expect))
-        assert set(np.flatnonzero(out.activated).tolist()) == active
-        assert out.count == len(active)
-
-    @pytest.mark.parametrize("seeds", [[-1], [-1, -1], [0, 4, 5], [9, 5, 0], [-3, 2]])
-    def test_seed_outside_range_raises(self, seeds):
-        lab = connected_components(5, np.array([[0, 1]]))
-        with pytest.raises(ValueError, match="outside"):
-            run_cascade(lab, np.array(seeds))
-        with pytest.raises(ValueError, match="outside"):
-            run_cascade(lab, seeds)
-
-    @pytest.mark.parametrize(
-        "seeds",
-        [
-            np.array([0.9]),
-            [1.7],
-            np.array([True, True]),
-            [0, True],
-            [np.True_],
-            np.array([np.nan]),
-            [np.inf],
-            ["1"],
-        ],
-        ids=[
-            "fraction-array",
-            "fraction-list",
-            "bool-array",
-            "bool-in-int-list",
-            "numpy-bool-list",
-            "nan",
-            "inf",
-            "string",
-        ],
-    )
-    def test_non_integer_seed_raises(self, seeds):
-        """A fraction was truncated and a bool read as node 1; both are refused."""
-        lab = connected_components(5, np.array([[0, 1]]))
-        with pytest.raises(ValueError, match="must be integers"):
-            run_cascade(lab, seeds)
-
-    @pytest.mark.parametrize("seeds", [np.array([2.0]), [2.0]], ids=["array", "list"])
-    def test_integral_float_seed_names_its_node(self, seeds):
-        lab = connected_components(5, np.array([[1, 2]]))
-        out = run_cascade(lab, seeds)
-        assert out.seeds.tolist() == [2] and out.seeds.dtype == np.int64
-        assert out.activated.tolist() == [False, True, True, False, False]
-
-    @pytest.mark.parametrize("seeds", [[], iter(())], ids=["list", "iterator"])
-    def test_empty_seed_set_activates_nothing(self, seeds, caplog):
-        lab = connected_components(3, np.array([[0, 1]]))
-        with caplog.at_level(logging.WARNING):
-            out = run_cascade(lab, seeds)
-        assert out.seeds.size == 0 and out.seeds.dtype == np.int64
-        assert (out.count, out.giant_active) == (0, False)
-        assert not out.activated.any()
-        assert "empty seed" in caplog.text
+    """The cascade `world_blocks` gathers for each row of a block."""
 
     def test_full_retention_single_seed_activates_all(self):
         g = generate_er(20, 0.4, rng_seed=16)
-        lab = connected_components(20, percolate(g, 1.0, rng_seed=0))
-        assert lab.giant_size == 20
-        out = run_cascade(lab, np.array([7]))
-        assert out.count == 20
+        assert label_world(20, g.edges).giant_size == 20
+        for block in world_blocks(g, 1.0, 0, 12, s=1):
+            assert block.counts.tolist() == [20] * len(block.trial_seeds)
+            assert block.activated.all() and block.giant_active.all()
 
     def test_partial_path(self):
-        lab = connected_components(3, np.array([[0, 1]]))
-        out = run_cascade(lab, np.array([0]))
-        assert out.activated.tolist() == [True, True, False]
-        assert out.count == 2
+        g = Graph(3, [[0, 1]])
+        seen = set()
+        for block in world_blocks(g, 1.0, 7, 30, s=1):
+            for seed, active, count in zip(
+                block.seeds[:, 0].tolist(), block.activated, block.counts
+            ):
+                want = [True, True, False] if seed < 2 else [False, False, True]
+                assert active.tolist() == want
+                assert count == sum(want)
+                seen.add(seed)
+        assert seen == {0, 1, 2}
 
     def test_matches_bfs_oracle_on_random_worlds(self):
-        for i in range(60):
+        for i in range(6):
             g = generate_er(15, 0.15, rng_seed=child_seed(17, i))
-            retained = percolate(g, 0.6, rng_seed=child_seed(18, i))
-            seeds = sample_seeds(15, 3, rng_seed=child_seed(19, i))
-            out = run_cascade(connected_components(15, retained), seeds)
-            expect = bfs_activated(15, retained, seeds)
-            assert set(np.where(out.activated)[0]) == expect
-            assert out.count == len(expect)
+            for block in world_blocks(g, 0.6, child_seed(18, i), 10, s=3):
+                rows = zip(
+                    block.trial_seeds, block.seeds, block.activated, block.counts
+                )
+                for ts, seeds, active, count in rows:
+                    retained = percolate(g, 0.6, child_seed(ts, 0))
+                    expect = bfs_activated(15, retained, seeds)
+                    assert set(np.flatnonzero(active).tolist()) == expect
+                    assert count == len(expect)
 
     def test_giant_active_agrees_with_membership(self):
-        for i in range(40):
+        seen = set()
+        for i in range(4):
             g = generate_er(30, 0.08, rng_seed=child_seed(20, i))
-            lab = connected_components(
-                30, percolate(g, 0.8, rng_seed=child_seed(21, i))
-            )
-            seeds = sample_seeds(30, 2, rng_seed=child_seed(22, i))
-            out = run_cascade(lab, seeds)
-            assert out.giant_active == bool(lab.in_giant[seeds].any())
-            if out.giant_active:
-                assert out.count >= lab.giant_size
-
+            for block in world_blocks(g, 0.8, child_seed(21, i), 10, s=2):
+                rows = zip(
+                    block.in_giant,
+                    block.seeds,
+                    block.giant_active.tolist(),
+                    block.counts,
+                    block.giant_size,
+                )
+                for in_giant, seeds, active, count, giant_size in rows:
+                    assert active == in_giant[seeds].any()
+                    if active:
+                        assert count >= giant_size
+                    seen.add(active)
+        assert seen == {False, True}
 
 class TestSampleSeeds:
     def test_all_nodes_when_s_equals_n(self):
@@ -537,23 +464,35 @@ class TestSampleSeeds:
         assert np.all(np.diff(s) > 0)
 
 
+def stacked(blocks, *fields):
+    """Each named `WorldBlock` field over all blocks, one row per trial."""
+    blocks = list(blocks)
+    return [np.concatenate([getattr(b, f) for b in blocks]) for f in fields]
+
+
 class TestWorlds:
     def test_trial_streams_and_outcomes(self):
         g = generate_er(40, 0.08, rng_seed=18)
-        drawn = list(worlds(g, 0.5, 19, 6, s=2))
-        assert [ts for ts, _, _ in drawn] == [child_seed(19, t) for t in range(6)]
-        for ts, lab, out in drawn:
-            retained = percolate(g, 0.5, child_seed(ts, 0))
-            assert np.array_equal(lab.root, connected_components(40, retained).root)
-            assert np.array_equal(out.seeds, sample_seeds(40, 2, child_seed(ts, 1)))
-        assert all(out is None for _, _, out in worlds(g, 0.5, 19, 3))
+        blocks = list(world_blocks(g, 0.5, 19, 6, s=2))
+        drawn = [ts for block in blocks for ts in block.trial_seeds]
+        assert drawn == [child_seed(19, t) for t in range(6)]
+        for block in blocks:
+            for i, ts in enumerate(block.trial_seeds):
+                retained = percolate(g, 0.5, child_seed(ts, 0))
+                root = block.root[i] - 40 * i
+                assert np.array_equal(root, label_world(40, retained).root)
+                want = sample_seeds(40, 2, child_seed(ts, 1))
+                assert np.array_equal(block.seeds[i], want)
+        for block in world_blocks(g, 0.5, 19, 3):
+            cascade = block.seeds, block.activated, block.counts, block.giant_active
+            assert cascade == (None, None, None, None)
 
     def test_validation(self):
         g = Graph(3, [[0, 1]])
         with pytest.raises(ValueError, match="trials"):
-            next(worlds(g, 0.5, 1, 0))
+            next(world_blocks(g, 0.5, 1, 0))
         with pytest.raises(ValueError, match="s must"):
-            next(worlds(g, 0.5, 1, 5, s=4))
+            next(world_blocks(g, 0.5, 1, 5, s=4))
 
     BLOCKED = {
         "er": (lambda: generate_er(40, 0.08, rng_seed=18), 0.5),
@@ -567,29 +506,38 @@ class TestWorlds:
     @pytest.mark.parametrize("world", sorted(BLOCKED))
     def test_blocks_match_worlds_labeled_alone(self, monkeypatch, world, k):
         """With blocks of k trials (10 trials leave a block of 2 at k = 4),
-        each trial reads off its block as its world labeled and seeded alone."""
+        each row of a block is its world labeled and seeded alone."""
         make, q = self.BLOCKED[world]
         g = make()
         n, trials = g.node_count, 10
         monkeypatch.setattr(percolation, "_BLOCK_NODES", k * n)
-        sizes = [len(b.trial_seeds) for b in world_blocks(g, q, 19, trials)]
+        blocks = list(world_blocks(g, q, 19, trials, s=1))
+        sizes = [len(b.trial_seeds) for b in blocks]
         assert sizes == [k] * (trials // k) + [trials % k] * (trials % k > 0)
-        drawn = list(worlds(g, q, 19, trials, s=1))
-        assert [ts for ts, _, _ in drawn] == [child_seed(19, t) for t in range(trials)]
-        for ts, lab, out in drawn:
-            ref = connected_components(n, percolate(g, q, child_seed(ts, 0)))
-            assert np.array_equal(lab.root, ref.root)
-            assert (lab.giant_root, lab.giant_size, lab.second_size) == (
-                ref.giant_root,
-                ref.giant_size,
-                ref.second_size,
-            )
-            want = run_cascade(ref, sample_seeds(n, 1, child_seed(ts, 1)))
-            assert np.array_equal(out.seeds, want.seeds)
-            assert np.array_equal(out.activated, want.activated)
-            assert (out.count, out.giant_active) == (want.count, want.giant_active)
+        assert [b.start for b in blocks] == list(range(0, trials, k))
+        for block in blocks:
+            for i, ts in enumerate(block.trial_seeds):
+                assert ts == child_seed(19, block.start + i)
+                retained = percolate(g, q, child_seed(ts, 0))
+                ref = label_world(n, retained)
+                assert np.array_equal(block.root[i] - i * n, ref.root)
+                got = block.giant_root[i] - i * n, block.giant_size[i]
+                assert got + (block.second_size[i],) == ref[1:]
+                seeds = sample_seeds(n, 1, child_seed(ts, 1))
+                assert np.array_equal(block.seeds[i], seeds)
+                active = bfs_activated(n, retained, seeds)
+                assert set(np.flatnonzero(block.activated[i]).tolist()) == active
+                assert block.counts[i] == len(active)
+                seeded_giant = (ref.root[seeds] == ref.giant_root).any()
+                assert block.giant_active[i] == seeded_giant
         if world == "tied-top":
-            assert all(lab.tie_at_top for _, lab, _ in drawn)
+            assert all(block.tie.all() for block in blocks)
+
+
+def sweep_rows(g, grid, rng_seed, trials):
+    """`coupled_worlds` blocks stacked: starts, giant and second sizes."""
+    starts, giant, second = zip(*coupled_worlds(g, grid, rng_seed, trials))
+    return list(starts), np.concatenate(giant), np.concatenate(second)
 
 
 class TestCoupledWorlds:
@@ -606,44 +554,83 @@ class TestCoupledWorlds:
     )
     def test_each_q_matches_a_world_labeled_from_scratch(self, kind, grid):
         g = self.SUBSTRATES[kind]()
-        drawn = list(coupled_worlds(g, grid, 33, 5))
-        assert len(drawn) == 5 * len(grid)
-        assert sorted((ts, qi) for ts, qi, _ in drawn) == sorted(
-            (child_seed(33, t), qi) for t in range(5) for qi in range(len(grid))
-        )
-        for ts, qi, lab in drawn:
-            ref = connected_components(
-                g.node_count, percolate(g, grid[qi], child_seed(ts, 0))
-            )
-            assert np.array_equal(lab.root, ref.root)
-            assert (lab.giant_root, lab.giant_size, lab.second_size) == (
-                ref.giant_root,
-                ref.giant_size,
-                ref.second_size,
-            )
+        _, giant, second = sweep_rows(g, grid, 33, 5)
+        assert giant.shape == second.shape == (5, len(grid))
+        for t in range(5):
+            for qi, q in enumerate(grid):
+                retained = percolate(g, q, child_seed(child_seed(33, t), 0))
+                ref = label_world(g.node_count, retained)
+                got = giant[t, qi], second[t, qi]
+                assert got == (ref.giant_size, ref.second_size)
+
+    BLOCKED = {
+        "er": (
+            lambda: generate_er(40, 0.08, rng_seed=18),
+            [0.6, 0.1, 0.35, 0.6, 1.0, 0.25],
+        ),
+        "edgeless": (lambda: Graph(5, []), [0.5, 1.0, 0.5]),
+        "one-node": (lambda: Graph(1, []), [1.0, 0.3]),
+        # three components of two nodes: at q = 1 the top two tie
+        "tied-top": (lambda: Graph(6, [[0, 1], [2, 3], [4, 5]]), [1.0]),
+        # 300 columns, unsorted, q = 1 among them: more than a byte indexes
+        "long-grid": (
+            lambda: generate_er(30, 0.1, rng_seed=38),
+            ((np.arange(300) * 37 % 300 + 1) / 300).tolist(),
+        ),
+    }
+
+    @pytest.mark.parametrize("k", [1, 4], ids=["one-per-block", "remainder"])
+    @pytest.mark.parametrize("world", sorted(BLOCKED))
+    def test_blocks_match_worlds_labeled_from_scratch(self, monkeypatch, world, k):
+        """With blocks of k trials (10 trials leave a block of 2 at k = 4),
+        entry (i, qi) of a block is trial start + i labeled alone at
+        q_grid[qi]."""
+        make, grid = self.BLOCKED[world]
+        g = make()
+        n, trials = g.node_count, 10
+        monkeypatch.setattr(percolation, "_BLOCK_NODES", k * n)
+        blocks = list(coupled_worlds(g, grid, 19, trials))
+        assert [start for start, _, _ in blocks] == list(range(0, trials, k))
+        for start, giant, second in blocks:
+            rows = min(k, trials - start)
+            assert giant.shape == second.shape == (rows, len(grid))
+            for i in range(rows):
+                trial_seed = child_seed(19, start + i)
+                for qi, q in enumerate(grid):
+                    retained = percolate(g, q, child_seed(trial_seed, 0))
+                    ref = label_world(n, retained)
+                    got = giant[i, qi], second[i, qi]
+                    assert got == (ref.giant_size, ref.second_size)
+        if world == "tied-top":
+            assert all(np.array_equal(gs, ss) for _, gs, ss in blocks)
 
     @pytest.mark.parametrize("kind", sorted(SUBSTRATES))
     def test_giant_never_shrinks_as_q_grows(self, kind):
         g = self.SUBSTRATES[kind]()
         grid = [0.9, 0.05, 0.5, 0.2, 0.7, 0.35, 1.0]
-        by_trial = {}
-        for ts, qi, lab in coupled_worlds(g, grid, 34, 8):
-            by_trial.setdefault(ts, {})[grid[qi]] = lab.giant_size
-        assert len(by_trial) == 8
-        for sizes in by_trial.values():
-            walk = [sizes[q] for q in sorted(sizes)]
-            assert all(a <= b for a, b in zip(walk, walk[1:]))
+        _, giant, _ = sweep_rows(g, grid, 34, 8)
+        assert giant.shape == (8, len(grid))
+        assert np.all(np.diff(giant[:, np.argsort(grid)], axis=1) >= 0)
 
     def test_walks_the_grid_in_ascending_q(self):
+        """Column qi holds q_grid[qi] whatever order the grid is given in:
+        a shuffled grid's columns are the sorted grid's, shuffled alike,
+        and equal q give equal columns."""
         g = generate_er(60, 0.1, rng_seed=35)
-        drawn = [qi for _, qi, _ in coupled_worlds(g, [0.5, 0.2, 0.5, 0.1], 36, 2)]
-        assert drawn == [3, 1, 0, 2] * 2
+        grid = [0.5, 0.2, 0.5, 0.1]
+        by_q = [sorted(grid).index(q) for q in grid]
+        shuffled = sweep_rows(g, grid, 36, 6)[1:]
+        ascending = sweep_rows(g, sorted(grid), 36, 6)[1:]
+        for sizes, want in zip(shuffled, ascending):
+            assert np.array_equal(sizes, want[:, by_q])
+            assert np.array_equal(sizes[:, 0], sizes[:, 2])
+        giant = shuffled[0]
+        assert (giant[:, 3] < giant[:, 1]).any() and (giant[:, 1] < giant[:, 0]).any()
 
     def test_edgeless_graph(self):
         g = Graph(4, [])
-        for _, _, lab in coupled_worlds(g, [0.5, 1.0], 37, 2):
-            assert lab.root.tolist() == [0, 1, 2, 3]
-            assert (lab.giant_root, lab.giant_size, lab.second_size) == (0, 1, 1)
+        _, giant, second = sweep_rows(g, [0.5, 1.0], 37, 2)
+        assert giant.tolist() == second.tolist() == [[1, 1], [1, 1]]
 
     def test_validation(self):
         g = Graph(3, [[0, 1]])
@@ -660,40 +647,45 @@ class TestRecordWorlds:
         n = 70 leaves padding bits in the last packed byte."""
         n, q, s, trials, seed = 70, 0.5, 2, 90, 42
         g = generate_er(n, 0.05, rng_seed=41)
-        drawn = [(lab, out) for _, lab, out in worlds(g, q, seed, trials, s)]
-        order = sorted(range(trials), key=lambda t: drawn[t][1].count)
+        counts, giant_active, tie, bits = stacked(
+            world_blocks(g, q, seed, trials, s),
+            "counts", "giant_active", "tie", "activated",
+        )
+        order = sorted(range(trials), key=lambda t: counts[t])
         rec = record_worlds(g, q, s, trials, seed)
-        assert rec.counts.tolist() == [drawn[t][1].count for t in order]
-        assert rec.giant_active.tolist() == [drawn[t][1].giant_active for t in order]
-        assert rec.tie.tolist() == [drawn[t][0].tie_at_top for t in order]
-        bits = np.array([drawn[t][1].activated for t in order])
+        assert rec.counts.tolist() == counts[order].tolist()
+        assert rec.giant_active.tolist() == giant_active[order].tolist()
+        assert rec.tie.tolist() == tie[order].tolist()
         for v in range(n):
-            assert np.array_equal(rec.activated(v), bits[:, v])
+            assert np.array_equal(rec.activated(v), bits[order, v])
         assert rec.packed.shape == (trials, 9)
 
     def test_membership_and_splits_match_estimators(self):
         """The membership matches `estimate_giant_membership`, and both
-        splits match the same trials read straight off `worlds`."""
+        splits match the same trials read straight off `world_blocks`."""
         n, q, s, trials, seed = 90, 0.4, 1, 120, 43
         g = generate_er(n, 0.04, rng_seed=44)
         rec = record_worlds(g, q, s, trials, seed)
         est = estimate_giant_membership(g, q, trials, seed)
         assert np.array_equal(rec.membership().frequency, est.frequency)
         assert rec.membership().ties_broken == est.ties_broken
-        drawn = [(lab.tie_at_top, o) for _, lab, o in worlds(g, q, seed, trials, s)]
+        counts, giant_active, tie, bits = stacked(
+            world_blocks(g, q, seed, trials, s),
+            "counts", "giant_active", "tie", "activated",
+        )
         branches = ([], [])
-        for tie, o in drawn:
-            branches[o.giant_active and not tie].append(o.count)
+        for count, active in zip(counts, (giant_active & ~tie).tolist()):
+            branches[active].append(count)
         split = rec.giant_split()
         for got, samples in zip((split.inactive, split.active), branches):
             want = EmpiricalDistribution.from_samples(samples)
             assert np.array_equal(got.values, want.values)
             assert np.array_equal(got.probs, want.probs)
-        assert split.tie_trials == sum(tie for tie, _ in drawn)
+        assert split.tie_trials == tie.sum()
         assert split.midpoint == (max(branches[0]) + min(branches[1])) / 2
         x0, x1 = rec.node_split(5)
-        assert x0.tolist() == sorted(o.count for _, o in drawn if not o.activated[5])
-        assert x1.tolist() == sorted(o.count for _, o in drawn if o.activated[5])
+        assert x0.tolist() == sorted(counts[~bits[:, 5]].tolist())
+        assert x1.tolist() == sorted(counts[bits[:, 5]].tolist())
 
     def test_node_split_checks_node_id(self):
         """n = 9 packs two bytes per row: -8 would read node 8's bit and 9
@@ -708,7 +700,6 @@ class TestRecordWorlds:
                 rec.activated(v)
         x0, x1 = rec.node_split(8)
         assert x0.size + x1.size == 30
-
 
 class TestEstimateGiantMembership:
     def test_complete_graph_full_retention(self):

@@ -349,6 +349,35 @@ class TestWassersteinMechanismScale:
         assert report.per_node[2] == pytest.approx(1.0)
         assert report.w_scale == pytest.approx(1.0)
 
+    def test_degenerate_nodes_share_one_warning(self, caplog):
+        """A 40-node path beside two isolated nodes at q = 1 with two
+        seeds: a path node stays inactive only when both seeds miss the
+        path, which no trial draws, so 40 nodes degenerate, and one warning
+        line gives their count and the first ids."""
+        g = Graph(42, [[v, v + 1] for v in range(39)])
+        record = record_worlds(g, 1.0, 2, 200, 8)
+        with caplog.at_level(logging.WARNING):
+            report = wasserstein_mechanism_scale(record, range(42))
+        assert sorted(report.degenerate) == list(range(40))
+        assert sorted(report.per_node) == [40, 41]
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert "node 0, 1, 2, 3, 4 and 35 more (40 of 42 protected" in message
+
+    def test_all_degenerate_error_stays_short(self):
+        """A 2000-node path at q = 1 activates every node in every trial;
+        the error gives the count and the first ids, not every node's
+        message (which ran to 188,939 characters)."""
+        n = 2000
+        g = Graph(n, [[v, v + 1] for v in range(n - 1)])
+        record = record_worlds(g, 1.0, 1, 20, 9)
+        with pytest.raises(DegenerateConditioningError) as info:
+            wasserstein_mechanism_scale(record, range(n))
+        message = str(info.value)
+        assert "(2000 of 2000 protected nodes degenerate)" in message
+        assert len(message) < 400
+
     def test_protected_must_be_nonempty(self):
         g = Graph(2, [[0, 1]])
         with pytest.raises(ValueError):
