@@ -1,6 +1,6 @@
 """cascadelab: percolated contagion, count-release privacy, and inference attacks."""
 
-__version__ = "0.2.3"
+__version__ = "0.2.4"
 
 from .distributions import *
 from .graph import *

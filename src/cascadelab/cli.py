@@ -40,12 +40,7 @@ from .percolation import (
     record_worlds,
     world_blocks,
 )
-from .privacy import (
-    MechanismSpec,
-    push_through_mechanism,
-    tvd,
-    wasserstein_mechanism_scale,
-)
+from .privacy import MechanismSpec, comparison_tvd, wasserstein_mechanism_scale
 from .seeding import child_seed
 
 logger = logging.getLogger(__name__)
@@ -455,11 +450,11 @@ def cmd_audit(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     except DegenerateConditioningError as exc:
         logger.warning("theta split unavailable: %s", exc)
     else:
-        z0 = push_through_mechanism(split.inactive, comparison, n=g.node_count)
-        z1 = push_through_mechanism(split.active, comparison, n=g.node_count)
         theta_lo, theta_hi = split.inactive_max, split.active_min
-        # the best test telling z0 from z1 errs with probability 1 - tvd
-        test_tvd = tvd(z0, z1)
+        test_tvd = comparison_tvd(
+            split.inactive, split.active, comparison, n=g.node_count
+        )
+        # the best test telling the two pushed laws apart errs this often
         test_error = 1.0 - test_tvd
     lap_scale = report.w_scale / epsilon
     rows = [

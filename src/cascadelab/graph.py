@@ -46,6 +46,9 @@ _HEADER_RE = re.compile(r"\s*# *nodes=(\d+) +edges=(\d+) *(?:\n|\Z)")
 # spaces from _FILL[w] in the rest
 _LOW = np.array([(1 << 8 * w) - 1 for w in range(9)], dtype=np.uint64)
 _FILL = np.uint64(0x2020202020202020) & ~_LOW
+# the largest n with n * (n - 1) <= 2**63, so every edge key lo * n + hi,
+# at most n * n - n - 1, fits in an int64
+_MAX_NODES = 3_037_000_500
 
 
 class EdgeListFormatError(ValueError):
@@ -64,8 +67,10 @@ class Graph:
     """Undirected simple graph on dense node ids 0..node_count-1.
 
     Edges are held as an (m, 2) int64 array with u < v in every row, sorted
-    lexicographically. Instances are treated as immutable after construction
-    and can be shared freely across threads.
+    lexicographically. node_count may be at most 3,037,000,500, so that an
+    edge's sort key u * node_count + v fits in an int64. Instances are
+    treated as immutable after construction and can be shared freely
+    across threads.
     """
 
     def __init__(
@@ -76,8 +81,8 @@ class Graph:
         source_report: EdgeListReport | None = None,
     ):
         node_count = int(node_count)
-        if node_count < 1:
-            raise ValueError("node_count must be >= 1")
+        if not 1 <= node_count <= _MAX_NODES:
+            raise ValueError(f"node_count must lie in 1..{_MAX_NODES}")
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size:
             if edges.min() < 0 or edges.max() >= node_count:
@@ -325,13 +330,20 @@ def load_edge_list(path) -> Graph:
     round-trip exactly, including isolated nodes.
 
     Raises:
-        EdgeListFormatError: a line does not hold exactly two tokens, or ids
-            under a canonical header are not integers in range.
+        EdgeListFormatError: a line does not hold exactly two tokens, ids
+            under a canonical header are not integers in range, or the
+            header declares more nodes than a `Graph` can hold.
         OSError: the file cannot be read.
     """
     path = Path(path)
     text = path.read_text().translate(_WHITESPACE)
     header_n = int(m.group(1)) if (m := _HEADER_RE.match(text)) else None
+    if header_n is not None and header_n > _MAX_NODES:
+        lineno = text.count("\n", 0, m.start(1)) + 1
+        raise EdgeListFormatError(
+            f"{path}:{lineno}: header declares {header_n} nodes, "
+            f"more than the {_MAX_NODES} a graph can hold"
+        )
     # the trailing spaces let every token be read as whole 8-byte words
     b = np.frombuffer(text.encode() + b" " * 8, dtype=np.uint8)
     del text, m

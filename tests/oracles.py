@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: breadth-first search over adjacency
 dictionaries, exhaustive subset enumeration, Hall-condition feasibility
-checks, a float merge for W-infinity on atoms, exact rational arithmetic,
-an edge-list parse one line at a time.
+checks, a float merge for W-infinity on atoms, a direct-sum push-through
+of Laplace noise, exact rational arithmetic, an edge-list parse one line
+at a time.
 The package code must agree with these slow oracles, not the other way
 around. `adjacency` and `label_world` are test helpers kept here, out of
 the package; `label_world` labels one world with the package's own
@@ -19,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from cascadelab.distributions import EmpiricalDistribution
 from cascadelab.graph import EdgeListFormatError, EdgeListReport, Graph, logger
 from cascadelab.percolation import _hook_and_jump, _top_two
 
@@ -80,6 +82,47 @@ def giant_component(n, retained_edges):
     """Largest component; ties broken toward the lowest contained node id."""
     comps = component_sets(n, retained_edges)
     return max(comps, key=lambda c: (len(c), -min(c)))
+
+
+def _laplace_cdf(x, scale):
+    tail = 0.5 * np.exp(-np.abs(x) / scale)
+    return np.where(x < 0, tail, 1.0 - tail)
+
+
+def push_through_direct(dist, spec, n=None):
+    """Laplace(spec.scale) pushed through dist by a direct sum over atoms.
+
+    The noise is discretized on the integers as differences of the Laplace
+    CDF at half-integers, truncated at twelve scales and normalized; each
+    input atom, rounded to an integer, adds its scaled copy of that window.
+    With spec.clamp, mass outside [0, n] folds onto the nearest kept grid
+    point. Atoms are the grid points whose sum is positive. Costs
+    O(atoms * scale); the package convolves by FFT instead.
+    """
+    scale = float(spec.scale)
+    half_width = int(np.ceil(12.0 * scale))
+    offsets = np.arange(-half_width, half_width + 1, dtype=np.int64)
+    noise = _laplace_cdf(offsets + 0.5, scale) - _laplace_cdf(offsets - 0.5, scale)
+    noise /= noise.sum()
+
+    units = np.rint(dist.values).astype(np.int64)
+    base = int(units.min()) - half_width
+    span = int(units.max()) + half_width - base + 1
+    acc = np.zeros(span)
+    for u, p in zip(units, dist.probs):
+        start = int(u) - half_width - base
+        acc[start : start + offsets.size] += float(p) * noise
+
+    grid = (base + np.arange(span, dtype=np.int64)).astype(np.float64)
+    if spec.clamp:
+        inside = (grid >= 0.0) & (grid <= n)
+        below, above = acc[grid < 0.0].sum(), acc[grid > n].sum()
+        grid, acc = grid[inside], acc[inside]
+        acc[0] += below
+        acc[-1] += above
+    keep = acc > 0
+    out = acc[keep]
+    return EmpiricalDistribution(grid[keep], out / out.sum())
 
 
 _MASS_TOL = 1e-12

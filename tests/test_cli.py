@@ -539,6 +539,14 @@ class TestErrorPaths:
         )
         assert rc == 2
 
+    def test_oversized_canonical_header(self, tmp_path):
+        edge_file = tmp_path / "huge.txt"
+        edge_file.write_text("# nodes=99999999999999999999 edges=1\n0 1\n")
+        config = write_config(
+            tmp_path, graph={"kind": "edge_list", "path": str(edge_file)}
+        )
+        assert main(["gen", "--config", config, "--out", str(tmp_path / "out")]) == 2
+
     def test_broken_config_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{oops")
@@ -837,10 +845,11 @@ GOLDEN_CONFIG = {
 # SHA-256 of every file each subcommand writes for GOLDEN_CONFIG (and, for
 # the cases in GOLDEN_VARIANTS, the config with those entries replaced).
 # The CSV digests cover the tool_version header line, so every CSV digest
-# was re-recorded at 0.2.3, when the ER graph stream moved and with it
-# "gen" and every ER-derived output. "gen-chung-lu" pins the Chung-Lu graph
-# stream, recorded at version 0.2.0; the audit and attack streams, with
-# "audit-all", were recorded at 0.2.1; the coupled-q sweep stream at 0.2.2.
+# was re-recorded at 0.2.4, when the audit's comparison_tvd moved in its
+# last digit (FFT push-through). The ER graph stream, with "gen", was
+# recorded at 0.2.3; "gen-chung-lu" pins the Chung-Lu graph stream,
+# recorded at version 0.2.0; the audit and attack streams, with
+# "audit-all", at 0.2.1; the coupled-q sweep stream at 0.2.2.
 # A change here means an RNG stream, the version or an output format moved.
 GOLDEN_DIGESTS = {
     "gen": {
@@ -850,49 +859,49 @@ GOLDEN_DIGESTS = {
     },
     "components": {
         "components.csv": (
-            "8f07daf8930beae2d1c8b648cd74c042f345d39393f52caaf37b1c4d40b3b340"
+            "2bed5047623be16819202a84e7bcea09c0cdcd976325215dbd8820daaf600166"
         ),
     },
     "sweep": {
         "sweep.csv": (
-            "15c480872cf78f8ec2fe6958cd559a20213302ea5dbfe48bfc63d0aeabe0d0b6"
+            "37059fe7cfdbce99c456b646b4fb57a593b81c3759d0b32bc8bc0fb24194e1e9"
         ),
     },
     "membership": {
         "membership.csv": (
-            "a77c5c212c5b6f21f685f500d8019b0c78e9b00ef7674c8f807de9ec7733a1cc"
+            "744642d49181d0ffdacb40c1d2ea25e5413f629e822f47960ad0ff21e500670c"
         ),
     },
     "audit": {
         "audit.csv": (
-            "d5a2cca10980380a4ed77553c9a687b37de19594feab2e517bb2fa690895d679"
+            "b6e760a2dd750789c2e04195ec46e842d9bed8c96d1c95fe7c83f5cdd3c8132d"
         ),
         "audit_nodes.csv": (
-            "591c4aee477818ebbb37210491d130b47d437f28b3eadb7f5135ea4b9957b9d2"
+            "dd77b34d15edf7b4ba0bf12bb21d485be2173f25b19209201baec16581b798ee"
         ),
     },
     "attack": {
         "attack.csv": (
-            "47ca8a43a8d9fcc6dc94e359abd861836dfeb667520049a9f2313f3cd1af75a6"
+            "21576db49cbc53c0f12186759239fac20d645065134f5ebdf8897d22a62b3a56"
         ),
         "attack_summary.csv": (
-            "94bfefe254112a5d09799b17a06fe64f6435e508a52de6a474abd7974af84287"
+            "f4c9a06e923d77e4f6bc9869cab87323a8bc4e4b668ba6596d85a622744f77a5"
         ),
     },
     "audit-all": {
         "audit.csv": (
-            "8fc57f7efe0a2fbaebbbb9985c3670fdc07b331b26dd462e0bdfdf602dc671a5"
+            "e6571203001ec5c6e709c8650b5583b1fcb0ba2f5d2367df510c9f72933e7a36"
         ),
         "audit_nodes.csv": (
-            "bff186bb5d9de04eb43fef7df3af2772c4b6c6e081a8c31deb8f7a78ee8e64fa"
+            "5aa06a49336b8215548d094a00dd9ded2f410eeb6e1e439354c027a9f23c268d"
         ),
     },
     "attack-rr": {
         "attack.csv": (
-            "a05640aefebc582657eb7ae251ee02ad5fd2ede035ef3c5388f7be815fb158a6"
+            "d8ea04931e62df3329e94f67da5a0b6720ad17908fdfbe3713b6bec320da6e2f"
         ),
         "attack_summary.csv": (
-            "455ab6a37c7bd7c38a11afef152449c8045bdcf15e939212e185bb30e6d828b4"
+            "7b0c89c5d96d0bd1954ace4ca047a591d3d8cea4ed38327f9645e95b19d4ce8c"
         ),
     },
     "gen-chung-lu": {

@@ -60,6 +60,15 @@ class TestGraph:
         with pytest.raises(ValueError, match="node_count"):
             Graph(0, [])
 
+    def test_node_count_bound(self):
+        """3,037,000,500 is the largest n whose edge keys (at most
+        n * n - n - 1) fit in an int64; one more node would wrap them."""
+        top = 3_037_000_500
+        g = Graph(top, [[top - 1, top - 2], [1, 0]])
+        assert g.edges.tolist() == [[0, 1], [top - 2, top - 1]]
+        with pytest.raises(ValueError, match="node_count"):
+            Graph(top + 1, [[top - 1, top]])
+
     def test_degrees_sum_to_twice_edges(self):
         g = generate_er(60, 0.1, rng_seed=3)
         assert g.degrees.sum() == 2 * g.edge_count
@@ -406,6 +415,20 @@ class TestEdgeListFiles:
         f.write_text("# nodes=3 edges=1\nx y\n")
         with pytest.raises(EdgeListFormatError, match="non-integer"):
             load_edge_list(f)
+
+    @pytest.mark.parametrize("nodes", [3_037_000_501, 99999999999999999999])
+    def test_header_above_graph_bound_is_a_format_error(self, tmp_path, nodes):
+        f = tmp_path / "g.txt"
+        f.write_text(f"\n# nodes={nodes} edges=1\n0 1\n")
+        with pytest.raises(EdgeListFormatError, match=r"g.txt:2: .*nodes"):
+            load_edge_list(f)
+
+    def test_header_at_graph_bound_loads(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("# nodes=3037000500 edges=1\n3037000499 0\n")
+        g = load_edge_list(f)
+        assert g.node_count == 3_037_000_500
+        assert g.edges.tolist() == [[0, 3_037_000_499]]
 
     def test_empty_file_is_an_error(self, tmp_path):
         f = tmp_path / "g.txt"

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.fft import next_fast_len
 
 from cascadelab.distributions import EmpiricalDistribution
 from cascadelab.graph import Graph, generate_er
@@ -17,6 +18,8 @@ from cascadelab.percolation import (
 )
 from cascadelab.privacy import (
     MechanismSpec,
+    _fft_length,
+    comparison_tvd,
     push_through_mechanism,
     release,
     sample_wasserstein_infinity,
@@ -27,6 +30,7 @@ from cascadelab.seeding import child_seed, rng_from_seed
 
 from oracles import (
     bfs_activated,
+    push_through_direct,
     wasserstein_infinity,
     winf_bruteforce,
     winf_exact,
@@ -501,3 +505,138 @@ class TestPushThroughMechanism:
         spec = MechanismSpec(kind="laplace", scale=2.0, clamp=True)
         with pytest.raises(ValueError, match="node count"):
             push_through_mechanism(EmpiricalDistribution.point_mass(0.0), spec)
+
+
+def on_grid(d, grid):
+    """d's probabilities laid out on an ascending grid holding its support."""
+    out = np.zeros(grid.size)
+    out[np.searchsorted(grid, d.values)] = d.probs
+    return out
+
+
+def bimodal(rng, atoms, lo, hi):
+    """Random distinct integer atoms in two clusters, at lo and near hi."""
+    values = np.concatenate(
+        (lo + rng.choice(hi // 4, atoms // 2), hi - rng.choice(hi // 4, atoms // 2))
+    )
+    values = np.unique(values).astype(float)
+    probs = rng.random(values.size) + 0.01
+    return EmpiricalDistribution(values, probs / probs.sum())
+
+
+LAPLACE = MechanismSpec(kind="laplace", scale=2.0)
+
+
+class TestPushThroughMatchesDirectSum:
+    """The FFT push-through against `push_through_direct`, point by point."""
+
+    @pytest.mark.parametrize(
+        "mu, spec, n",
+        [
+            (EmpiricalDistribution.point_mass(5.0), LAPLACE, None),
+            # [-36, 36] windows with exact zeros between them
+            (dist([(0, 0.3), (1000, 0.7)]), LAPLACE, None),
+            # kernel [0, 1, 0]
+            (dist([(2, 0.25), (5, 0.75)]), MechanismSpec("laplace", 1e-9), None),
+            (dist([(3, 0.5), (4, 0.2), (9, 0.3)]), MechanismSpec("laplace", 0.3), None),
+            # kernel tails of about 1e-109, below the FFT's round-off
+            (dist([(3, 0.5), (40, 0.5)]), MechanismSpec("laplace", 0.002), None),
+            # mass folds onto 0 and onto n = 10
+            (
+                dist([(1, 0.4), (9, 0.6)]),
+                MechanismSpec("laplace", 4.0, clamp=True),
+                10,
+            ),
+            # atoms below 0: nearly all the mass folds onto the origin
+            (
+                dist([(-60, 0.5), (-50, 0.5)]),
+                MechanismSpec("laplace", 5.0, clamp=True),
+                10,
+            ),
+            (dist([(1, 0.4), (6.4, 0.6)]), MechanismSpec("wasserstein", 3.0, 1.0), None),
+        ],
+    )
+    def test_agrees_to_1e12(self, mu, spec, n):
+        fast = push_through_mechanism(mu, spec, n=n)
+        slow = push_through_direct(mu, spec, n)
+        assert np.all(fast.probs > 0)
+        grid = np.union1d(fast.values, slow.values)
+        assert np.abs(on_grid(fast, grid) - on_grid(slow, grid)).max() <= 1e-12
+
+    def test_support_is_the_direct_sums_between_far_atoms(self):
+        mu = dist([(0, 0.3), (1000, 0.7)])
+        slow = push_through_direct(mu, LAPLACE)
+        fast = push_through_mechanism(mu, LAPLACE)
+        assert np.array_equal(fast.values, slow.values)
+        assert np.array_equal(fast.values, np.r_[-24:25, 976:1025])
+
+    def test_vanishing_kernel_keeps_the_input_atoms(self):
+        mu = dist([(2, 0.25), (5, 0.75)])
+        out = push_through_mechanism(mu, MechanismSpec(kind="laplace", scale=1e-9))
+        assert np.array_equal(out.values, mu.values)
+        assert np.abs(out.probs - mu.probs).max() <= 1e-12
+
+    def test_random_bimodal_atoms(self):
+        rng = rng_from_seed(17)
+        for scale, clamp in [(50.0, False), (50.0, True), (7.5, True)]:
+            mu = bimodal(rng, 60, 0, 400)
+            spec = MechanismSpec(kind="laplace", scale=scale, clamp=clamp)
+            fast = push_through_mechanism(mu, spec, n=400)
+            slow = push_through_direct(mu, spec, 400)
+            grid = np.union1d(fast.values, slow.values)
+            assert np.abs(on_grid(fast, grid) - on_grid(slow, grid)).max() <= 1e-12
+
+
+class TestComparisonTvd:
+    """One signed convolution against the TVD of two direct pushes."""
+
+    @pytest.mark.parametrize(
+        "spec, n",
+        [
+            (LAPLACE, None),
+            (MechanismSpec("laplace", 0.3), None),
+            (MechanismSpec("laplace", 1e-9), None),
+            (MechanismSpec("laplace", 25.0, clamp=True), 20),
+            (MechanismSpec("wasserstein", 6.0, 2.0, clamp=True), 12),
+        ],
+    )
+    def test_matches_tvd_of_direct_pushes(self, spec, n):
+        rng = rng_from_seed(23)
+        for _ in range(20):
+            mu, nu = random_dist(rng), random_dist(rng)
+            expected = tvd(
+                push_through_direct(mu, spec, n), push_through_direct(nu, spec, n)
+            )
+            assert comparison_tvd(mu, nu, spec, n=n) == pytest.approx(
+                expected, abs=1e-12
+            )
+
+    def test_giant_split_sized_laws(self):
+        rng = rng_from_seed(29)
+        mu, nu = bimodal(rng, 40, 0, 300), bimodal(rng, 80, 100, 600)
+        for clamp in (False, True):
+            spec = MechanismSpec("laplace", 40.0, clamp=clamp)
+            expected = tvd(
+                push_through_direct(mu, spec, 600), push_through_direct(nu, spec, 600)
+            )
+            got = comparison_tvd(mu, nu, spec, n=600)
+            assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_equal_and_far_apart_laws(self):
+        mu = dist([(0, 0.5), (3, 0.5)])
+        assert comparison_tvd(mu, mu, LAPLACE) <= 1e-12
+        far = dist([(1000, 1.0)])
+        assert comparison_tvd(mu, far, LAPLACE) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_what_push_through_rejects(self):
+        mu = EmpiricalDistribution.point_mass(1.0)
+        with pytest.raises(ValueError, match="push-through"):
+            comparison_tvd(mu, mu, MechanismSpec("randomized_response", flip_prob=0.4))
+        with pytest.raises(ValueError, match="node count"):
+            comparison_tvd(mu, mu, MechanismSpec("laplace", 2.0, clamp=True))
+
+
+def test_fft_length_is_the_next_5_smooth_number():
+    sizes = list(range(1, 3000)) + [120_001, 130_001, 1_200_001, 12_001_001]
+    for size in sizes:
+        assert _fft_length(size) == next_fast_len(size, real=True)
