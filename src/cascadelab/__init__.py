@@ -2,7 +2,6 @@
 
 __version__ = "0.2.4"
 
-from .distributions import *
 from .graph import *
 from .percolation import *
 from .bounds import *

@@ -99,10 +99,10 @@ def evaluate_attack(
     calibration = record_worlds(g, q, s, trials, child_seed(cal_seed, 0))
     membership = calibration.membership()
     if decision_threshold is None:
-        split = calibration.giant_split()
-        threshold = split.midpoint
-        inactive_max, active_min = split.inactive_max, split.active_min
-        tie_trials = split.tie_trials
+        x0, x1 = calibration.giant_split()
+        inactive_max, active_min = float(x0[-1]), float(x1[0])
+        threshold = 0.5 * (inactive_max + active_min)
+        tie_trials = int(calibration.tie.sum())
     else:
         threshold = float(decision_threshold)
         if not 0.0 < threshold < g.node_count:

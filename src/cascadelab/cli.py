@@ -446,14 +446,18 @@ def cmd_audit(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     # of aborting the audit
     theta_lo = theta_hi = test_tvd = test_error = float("nan")
     try:
-        split = record.giant_split()
+        x0, x1 = record.giant_split()
     except DegenerateConditioningError as exc:
         logger.warning("theta split unavailable: %s", exc)
     else:
-        theta_lo, theta_hi = split.inactive_max, split.active_min
-        test_tvd = comparison_tvd(
-            split.inactive, split.active, comparison, n=g.node_count
-        )
+        theta_lo, theta_hi = float(x0[-1]), float(x1[0])
+        try:
+            test_tvd = comparison_tvd(x0, x1, comparison, n=g.node_count)
+        except MemoryError as exc:
+            raise ConfigError(
+                f"comparison mechanism scale {comparison.scale!r} needs a "
+                f"noise kernel too large to allocate: {exc}"
+            ) from exc
         # the best test telling the two pushed laws apart errs this often
         test_error = 1.0 - test_tvd
     lap_scale = report.w_scale / epsilon

@@ -10,7 +10,9 @@ the same blocks of max(1, B // n) consecutive trials, B a fixed node
 budget, and label a block as one disjoint union of its worlds: a small
 world costs mostly per-call overhead, which the block pays once. Estimators
 reduce blocks by integer sums or by filling their trials' rows, so no
-result depends on the blocking.
+result depends on the blocking. A conditional law of the activation count
+(`WorldRecord.node_split`, `WorldRecord.giant_split`) is the ascending
+integer sample of the counts its trials gave.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .distributions import EmpiricalDistribution
 from .graph import Graph
 from .seeding import child_seed, rng_from_seed
 
@@ -36,7 +37,6 @@ __all__ = [
     "DegenerateConditioningError",
     "WorldBlock",
     "MembershipEstimate",
-    "ActivitySplit",
     "WorldRecord",
     "percolate",
     "sample_seeds",
@@ -109,24 +109,6 @@ class MembershipEstimate:
 
 
 @dataclass(frozen=True)
-class ActivitySplit:
-    """Activation-count distributions split by giant activity.
-
-    `inactive` collects trials where the largest component was not seeded
-    (including ambiguous trials whose two largest components tied), and
-    `active` the rest. `inactive_max` and `active_min` are the extreme
-    supports; `midpoint` is their average, usable as a decision threshold.
-    """
-
-    inactive: EmpiricalDistribution
-    active: EmpiricalDistribution
-    inactive_max: float
-    active_min: float
-    midpoint: float
-    tie_trials: int
-
-
-@dataclass(frozen=True)
 class WorldRecord:
     """What one pass over `world_blocks` with seeds leaves for its estimators.
 
@@ -180,26 +162,21 @@ class WorldRecord:
         names = (f"branch x_v=0 for node {v}", f"branch x_v=1 for node {v}")
         return self._split(self.activated(v), names)
 
-    def giant_split(self) -> ActivitySplit:
+    def giant_split(self) -> tuple[np.ndarray, np.ndarray]:
         """Split the counts by whether the giant component activated.
 
-        A trial counts as giant-active when a seed fell in the unique
-        largest retained component; trials whose two largest components
-        tied in size are ambiguous and go to the inactive branch
-        (`tie_trials` reports how many). The split's `midpoint` sits halfway
-        between the largest inactive count and the smallest active count.
+        Returns the ascending counts of the giant-inactive trials and of the
+        giant-active ones. A trial counts as giant-active when a seed fell
+        in the unique largest retained component; trials whose two largest
+        components tied in size are ambiguous and go to the inactive
+        branch (`tie` marks them).
 
         Raises:
             DegenerateConditioningError: either branch is empty, e.g. a
                 connected graph at q=1 activates the giant in every trial.
         """
         names = ("giant-inactive branch", "giant-active branch")
-        x0, x1 = map(
-            EmpiricalDistribution.from_samples,
-            self._split(self.giant_active & ~self.tie, names),
-        )
-        lo, hi = x0.support_max, x1.support_min
-        return ActivitySplit(x0, x1, lo, hi, 0.5 * (lo + hi), int(self.tie.sum()))
+        return self._split(self.giant_active & ~self.tie, names)
 
     def membership(self) -> MembershipEstimate:
         """The `estimate_giant_membership` reduction of these trials."""

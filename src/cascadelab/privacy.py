@@ -3,11 +3,10 @@
 The released statistic is the number of activated nodes. Mechanisms
 perturb it (Laplace noise, randomized response over per-node bits, or
 Laplace calibrated to an infinity-order Wasserstein distance between
-conditional count distributions). Total variation operates on
-`EmpiricalDistribution` atoms, W-infinity on sorted integer samples.
-Laplace noise is pushed through a law by one FFT convolution on the
-integers; the audit's comparison TVD convolves two laws' signed difference
-once.
+conditional count distributions). A conditional count law is an ascending
+integer sample of counts: W-infinity is read exactly from two samples, and
+the audit's comparison TVD pushes Laplace noise through two samples' laws
+by one FFT convolution of their signed histogram difference on the integers.
 Only this module branches on a mechanism's kind; other modules ask
 `MechanismSpec.is_laplace`.
 """
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import EmpiricalDistribution, _sorted_distinct
 from .percolation import DegenerateConditioningError, WorldRecord
 from .seeding import rng_from_seed
 
@@ -30,13 +28,10 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "MechanismSpec",
     "MechanismScaleReport",
-    "EmpiricalDistribution",
-    "tvd",
     "sample_wasserstein_infinity",
     "release",
     "mechanism_error_quantile",
     "wasserstein_mechanism_scale",
-    "push_through_mechanism",
     "comparison_tvd",
 ]
 
@@ -116,18 +111,6 @@ class MechanismScaleReport:
     w_scale: float
     per_node: dict[int, float]
     degenerate: dict[int, str]
-
-
-def tvd(mu: EmpiricalDistribution, nu: EmpiricalDistribution) -> float:
-    """Total variation distance: half the L1 gap over the union support."""
-    union = _sorted_distinct(np.concatenate((mu.values, nu.values)))
-    pa = np.zeros(union.size)
-    pa[np.searchsorted(union, mu.values)] = mu.probs
-    pb = np.zeros(union.size)
-    pb[np.searchsorted(union, nu.values)] = nu.probs
-    # rounding in probs that sum to 1 +- 1e-9 can push the half-L1 a hair
-    # past 1; keep the result a probability
-    return min(1.0, max(0.0, 0.5 * float(np.abs(pa - pb).sum())))
 
 
 def sample_wasserstein_infinity(x0: np.ndarray, x1: np.ndarray) -> int:
@@ -259,21 +242,29 @@ def _fft_length(size: int) -> int:
     return best
 
 
-def _convolve(hist: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """The full linear convolution of hist with kernel, by one real FFT."""
+def _convolve(hist: np.ndarray, scale: float) -> np.ndarray:
+    """The full linear convolution of hist with `_laplace_kernel(scale)`.
+
+    One real FFT; entry i of the result sits at hist index i - h, with
+    h = ceil(12 scale) the kernel's half width. The kernel is dropped once
+    transformed, so it is never alive beside both spectra.
+    """
+    kernel = _laplace_kernel(scale)
     size = hist.size + kernel.size - 1
     nfft = _fft_length(size)
+    kernel_spectrum = np.fft.rfft(kernel, nfft)
+    del kernel
     spectrum = np.fft.rfft(hist, nfft)
-    spectrum *= np.fft.rfft(kernel, nfft)
+    spectrum *= kernel_spectrum
+    del kernel_spectrum
     return np.fft.irfft(spectrum, nfft)[:size]
 
 
-def _fold(acc: np.ndarray, start: int, n: int) -> tuple[int, np.ndarray]:
+def _fold(acc: np.ndarray, start: int, n: int) -> np.ndarray:
     """Masses on start, start+1, ... clipped into [0, n].
 
-    Mass outside folds onto the nearest kept grid point. Returns the new
-    first grid point and masses. Linear in `acc`, so it folds signed
-    differences as well.
+    Mass outside folds onto the nearest kept grid point. Linear in `acc`,
+    so it folds signed differences as well.
     """
     lo, hi = max(start, 0) - start, min(start + acc.size - 1, n) - start
     if lo > hi:
@@ -281,14 +272,27 @@ def _fold(acc: np.ndarray, start: int, n: int) -> tuple[int, np.ndarray]:
     out = acc[lo : hi + 1].copy()
     out[0] += acc[:lo].sum()
     out[-1] += acc[hi + 1 :].sum()
-    return start + lo, out
+    return out
 
 
-def _histograms(spec: MechanismSpec, n: int | None, *dists) -> tuple:
-    """Check a push-through and lay the laws' atoms on one integer grid.
+def comparison_tvd(
+    x0: np.ndarray,
+    x1: np.ndarray,
+    spec: MechanismSpec,
+    *,
+    n: int | None = None,
+) -> float:
+    """TVD between two samples' laws each pushed through the mechanism `spec`.
 
-    Atoms are rounded to integers. Returns the grid's first point and each
-    law's histogram over the shared grid.
+    `x0` and `x1` are ascending integer samples. Each law's histogram on
+    the samples' shared integer grid is count / sample size; their signed
+    difference is convolved once, by one FFT, with the Laplace noise
+    discretized on the integers and truncated at twelve scales
+    (`_laplace_kernel`) and, with spec.clamp, folded into [0, n], so a
+    clamping spec needs the node count `n`. The TVD is half its L1 norm,
+    and the best test telling the two pushed laws apart errs with
+    probability 1 - TVD. Randomized response is not a count convolution
+    and is rejected.
     """
     if not spec.is_laplace:
         raise ValueError(
@@ -296,76 +300,13 @@ def _histograms(spec: MechanismSpec, n: int | None, *dists) -> tuple:
         )
     if spec.clamp and n is None:
         raise ValueError("a clamping mechanism needs the node count n")
-    units = [np.rint(d.values).astype(np.int64) for d in dists]
-    origin = min(int(u[0]) for u in units)
-    size = max(int(u[-1]) for u in units) - origin + 1
-    hists = [
-        np.bincount(u - origin, weights=d.probs, minlength=size)
-        for u, d in zip(units, dists)
-    ]
-    return origin, hists
-
-
-def push_through_mechanism(
-    dist: EmpiricalDistribution,
-    spec: MechanismSpec,
-    *,
-    n: int | None = None,
-) -> EmpiricalDistribution:
-    """Distribution of the mechanism output for an input distribution.
-
-    Supports the Laplace kinds: the input atoms are rounded to integers and
-    their histogram is convolved, by one FFT, with the noise density
-    discretized on the integers and truncated at twelve scales
-    (`_laplace_kernel`). With spec.clamp, mass outside [0, n] folds onto
-    its endpoints, so a clamping spec needs the node count `n`. Randomized
-    response is not a count convolution and is rejected.
-
-    The exact sum is positive only where a nonzero kernel cell reaches from
-    an input atom; FFT round-off elsewhere is set to 0 before the fold. The
-    atoms are the grid points left with positive mass, so round-off adds no
-    atom, and no point whose computed mass is 0 or below becomes one.
-    """
-    origin, (hist,) = _histograms(spec, n, dist)
-    kernel = _laplace_kernel(float(spec.scale))
-    half = kernel.size // 2
-    acc = _convolve(hist, kernel)
-    reach = np.count_nonzero(kernel[half:]) - 1
-    first = np.flatnonzero(hist) + half - reach
-    covered = np.cumsum(
-        np.bincount(first, minlength=acc.size + 1)
-        - np.bincount(first + 2 * reach + 1, minlength=acc.size + 1)
-    )
-    acc[covered[:-1] == 0] = 0.0
-    start = origin - half
+    origin = min(int(x0[0]), int(x1[0]))
+    size = max(int(x0[-1]), int(x1[-1])) - origin + 1
+    diff = np.bincount(x0 - origin, minlength=size) / x0.size
+    diff -= np.bincount(x1 - origin, minlength=size) / x1.size
+    acc = _convolve(diff, float(spec.scale))
     if spec.clamp:
-        start, acc = _fold(acc, start, n)
-    keep = acc > 0
-    out = acc[keep]
-    grid = (start + np.flatnonzero(keep)).astype(np.float64)
-    return EmpiricalDistribution(grid, out / out.sum())
-
-
-def comparison_tvd(
-    inactive: EmpiricalDistribution,
-    active: EmpiricalDistribution,
-    spec: MechanismSpec,
-    *,
-    n: int | None = None,
-) -> float:
-    """TVD between two laws each pushed through the mechanism `spec`.
-
-    Equals `tvd` of the two `push_through_mechanism` outputs up to round-off
-    (about 1e-16 per grid point), without building either: the signed
-    histogram inactive - active on the laws' shared integer grid is
-    convolved once with the kernel and, with spec.clamp, folded into
-    [0, n]; the TVD is half its L1 norm. The best test telling the two
-    pushed laws apart errs with probability 1 - TVD.
-    """
-    origin, (h0, h1) = _histograms(spec, n, inactive, active)
-    kernel = _laplace_kernel(float(spec.scale))
-    acc = _convolve(h0 - h1, kernel)
-    if spec.clamp:
-        _, acc = _fold(acc, origin - kernel.size // 2, n)
+        # the convolution starts one kernel half width below the grid
+        acc = _fold(acc, origin - (acc.size - size) // 2, n)
     # round-off can push the half-L1 a hair past 1; keep it a probability
     return min(1.0, max(0.0, 0.5 * float(np.abs(acc).sum())))

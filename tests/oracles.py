@@ -3,8 +3,10 @@
 Everything here is deliberately naive: breadth-first search over adjacency
 dictionaries, exhaustive subset enumeration, Hall-condition feasibility
 checks, a float merge for W-infinity on atoms, a direct-sum push-through
-of Laplace noise, exact rational arithmetic, an edge-list parse one line
-at a time.
+of Laplace noise, total variation over a dictionary of atoms, exact
+rational arithmetic, an edge-list parse one line at a time. The package
+holds a conditional count law as an ascending integer sample; the oracles
+read finite laws as `Law` atoms, and `law_of` turns a sample into one.
 The package code must agree with these slow oracles, not the other way
 around. `adjacency` and `label_world` are test helpers kept here, out of
 the package; `label_world` labels one world with the package's own
@@ -20,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cascadelab.distributions import EmpiricalDistribution
 from cascadelab.graph import EdgeListFormatError, EdgeListReport, Graph, logger
 from cascadelab.percolation import _hook_and_jump, _top_two
 
@@ -84,6 +85,28 @@ def giant_component(n, retained_edges):
     return max(comps, key=lambda c: (len(c), -min(c)))
 
 
+class Law(NamedTuple):
+    """A finite law: ascending distinct atoms `values`, masses `probs`."""
+
+    values: np.ndarray
+    probs: np.ndarray
+
+
+def law_of(samples):
+    """The empirical law of a sample: each distinct value, count / size."""
+    values, counts = np.unique(np.asarray(samples), return_counts=True)
+    return Law(values.astype(np.float64), counts / counts.sum())
+
+
+def tvd(mu, nu):
+    """Total variation distance: half the summed |mass gap| over all atoms."""
+    gap = dict(zip(mu.values.tolist(), mu.probs.tolist()))
+    for value, p in zip(nu.values.tolist(), nu.probs.tolist()):
+        gap[value] = gap.get(value, 0.0) - p
+    # masses that sum to 1 only up to rounding can push this a hair past 1
+    return min(1.0, 0.5 * sum(abs(d) for d in gap.values()))
+
+
 def _laplace_cdf(x, scale):
     tail = 0.5 * np.exp(-np.abs(x) / scale)
     return np.where(x < 0, tail, 1.0 - tail)
@@ -122,7 +145,7 @@ def push_through_direct(dist, spec, n=None):
         acc[-1] += above
     keep = acc > 0
     out = acc[keep]
-    return EmpiricalDistribution(grid[keep], out / out.sum())
+    return Law(grid[keep], out / out.sum())
 
 
 _MASS_TOL = 1e-12

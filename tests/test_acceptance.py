@@ -21,7 +21,6 @@ import pytest
 from cascadelab import percolation
 from cascadelab.bounds import membership_miss_approx, solve_giant_fraction
 from cascadelab.cli import main
-from cascadelab.distributions import EmpiricalDistribution
 from cascadelab.graph import (
     Graph,
     chung_lu_weights,
@@ -37,13 +36,13 @@ from cascadelab.percolation import (
 )
 from cascadelab.privacy import (
     MechanismSpec,
-    push_through_mechanism,
+    comparison_tvd,
     release,
-    tvd,
     wasserstein_mechanism_scale,
 )
 from cascadelab.seeding import child_seed
 from oracles import (
+    Law,
     all_graph_edge_lists,
     bfs_activated,
     label_world,
@@ -173,7 +172,7 @@ def _random_atoms(rng, max_atoms=6):
     k = int(rng.integers(1, max_atoms + 1))
     values = np.sort(rng.choice(20, size=k, replace=False)).astype(float)
     probs = rng.random(k) + 0.05
-    return EmpiricalDistribution(values, probs / probs.sum())
+    return Law(values, probs / probs.sum())
 
 
 def test_comonotone_distance_equals_bruteforce_coupling():
@@ -206,14 +205,13 @@ def test_mechanism_scale_is_constant_fraction_of_n():
 def test_root_n_noise_leaves_giant_status_testable():
     n = 2500
     g = generate_er(n, 5 / (n - 1), rng_seed=child_seed(77, 0))
-    split = record_worlds(
+    x0, x1 = record_worlds(
         g, 0.3, s=1, trials=1000, rng_seed=child_seed(77, 1)
     ).giant_split()
     spec = MechanismSpec(kind="laplace", scale=math.sqrt(n))
-    z0 = push_through_mechanism(split.inactive, spec)
-    z1 = push_through_mechanism(split.active, spec)
-    # the best test telling z0 from z1 errs with probability 1 - tvd
-    assert 1.0 - tvd(z0, z1) <= 0.1
+    # the best test telling the two pushed laws apart errs with
+    # probability 1 - tvd
+    assert 1.0 - comparison_tvd(x0, x1, spec) <= 0.1
 
 
 def _check_world(g, retained, checked):

@@ -210,7 +210,8 @@ class TestEvaluateAttack:
         result = evaluate_attack(g, q, 1, spec, floors=[0.6], trials=80, rng_seed=32)
         cal_seed, eval_seed = child_seed(32, 1), child_seed(32, 2)
         pass_seed = child_seed(cal_seed, 0)
-        threshold = record_worlds(g, q, 1, 80, pass_seed).giant_split().midpoint
+        x0, x1 = record_worlds(g, q, 1, 80, pass_seed).giant_split()
+        threshold = 0.5 * (float(x0[-1]) + float(x1[0]))
         assert result.decision_threshold == threshold
         membership = estimate_giant_membership(g, q, 80, pass_seed)
         assert np.array_equal(

@@ -477,6 +477,19 @@ class TestAudit:
             )
         assert tvds[True] != tvds[False]
 
+    def test_unallocatable_comparison_kernel_exits_2(self, tmp_path, capsys):
+        """Scale 1e15 asks for a 171 PiB noise kernel, which numpy refuses
+        before touching memory; the audit names the scale and exits 2."""
+        config = write_config(
+            tmp_path,
+            **{**GOLDEN_CONFIG, "mechanism": {"kind": "laplace", "scale": 1e15}},
+        )
+        rc = main(["audit", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "comparison mechanism scale 1000000000000000.0" in err
+        assert "Traceback" not in err
+
 
 class TestAttack:
     def test_deterministic_world(self, tmp_path):

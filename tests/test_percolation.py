@@ -10,7 +10,6 @@ from scipy import sparse, stats
 from scipy.sparse import csgraph
 
 from cascadelab import percolation
-from cascadelab.distributions import EmpiricalDistribution
 from cascadelab.graph import Graph, chung_lu_weights, generate_chung_lu, generate_er
 from cascadelab.percolation import (
     DegenerateConditioningError,
@@ -34,13 +33,12 @@ from oracles import (
 
 
 def count_split(g, q, s, v, trials, rng_seed):
-    """Count distributions of one recorded pass, split by node v's bit."""
-    record = record_worlds(g, q, s, trials, rng_seed)
-    return tuple(map(EmpiricalDistribution.from_samples, record.node_split(v)))
+    """Count samples of one recorded pass, split by node v's bit."""
+    return record_worlds(g, q, s, trials, rng_seed).node_split(v)
 
 
 def giant_split(g, q, s, trials, rng_seed):
-    """Count distributions of one recorded pass, split by giant activity."""
+    """Count samples of one recorded pass, split by giant activity."""
     return record_worlds(g, q, s, trials, rng_seed).giant_split()
 
 
@@ -676,16 +674,26 @@ class TestRecordWorlds:
         branches = ([], [])
         for count, active in zip(counts, (giant_active & ~tie).tolist()):
             branches[active].append(count)
-        split = rec.giant_split()
-        for got, samples in zip((split.inactive, split.active), branches):
-            want = EmpiricalDistribution.from_samples(samples)
-            assert np.array_equal(got.values, want.values)
-            assert np.array_equal(got.probs, want.probs)
-        assert split.tie_trials == tie.sum()
-        assert split.midpoint == (max(branches[0]) + min(branches[1])) / 2
+        for got, samples in zip(rec.giant_split(), branches):
+            assert got.tolist() == sorted(samples)
+        assert rec.tie.sum() == tie.sum()
         x0, x1 = rec.node_split(5)
         assert x0.tolist() == sorted(counts[~bits[:, 5]].tolist())
         assert x1.tolist() == sorted(counts[bits[:, 5]].tolist())
+
+    def test_splits_are_ascending_int64_partitions(self):
+        """Both splits return two ascending int64 count samples that
+        together hold every trial."""
+        g = generate_er(120, 0.03, rng_seed=47)
+        trials = 150
+        rec = record_worlds(g, 0.5, 1, trials, 48)
+        splits = [rec.giant_split()] + [rec.node_split(v) for v in (0, 7, 119)]
+        for x0, x1 in splits:
+            for x in (x0, x1):
+                assert x.dtype == np.int64
+                assert np.all(np.diff(x) >= 0)
+            assert x0.size + x1.size == trials
+            assert sorted(np.concatenate((x0, x1)).tolist()) == rec.counts.tolist()
 
     def test_node_split_checks_node_id(self):
         """n = 9 packs two bytes per row: -8 would read node 8's bit and 9
@@ -758,11 +766,10 @@ class TestConditionalCountDistributions:
 
     def test_disjoint_edges_full_retention(self):
         g = Graph(4, [[0, 1], [2, 3]])
-        mu0, mu1 = count_split(g, 1.0, 1, 0, trials=200, rng_seed=2)
+        x0, x1 = count_split(g, 1.0, 1, 0, trials=200, rng_seed=2)
         # every world activates exactly one two-node component
-        assert mu0.values.tolist() == [2.0]
-        assert mu1.values.tolist() == [2.0]
-        assert mu0.sample_count + mu1.sample_count == 200
+        assert set(x0.tolist()) == set(x1.tolist()) == {2}
+        assert x0.size + x1.size == 200
 
     def test_path_matches_exhaustive_enumeration(self):
         """P4 at q=1/2, one uniform seed: 8 edge patterns x 4 seeds, all
@@ -780,18 +787,19 @@ class TestConditionalCountDistributions:
         exact0 = {x: worlds0.count(x) / len(worlds0) for x in set(worlds0)}
         exact1 = {x: worlds1.count(x) / len(worlds1) for x in set(worlds1)}
 
-        mu0, mu1 = count_split(g, 0.5, 1, v, trials=trials, rng_seed=6)
-        for mu, exact in ((mu0, exact0), (mu1, exact1)):
-            emp = dict(zip(mu.values.tolist(), mu.probs.tolist()))
+        x0, x1 = count_split(g, 0.5, 1, v, trials=trials, rng_seed=6)
+        for x, exact in ((x0, exact0), (x1, exact1)):
+            values, counts = np.unique(x, return_counts=True)
+            emp = dict(zip(values.tolist(), (counts / x.size).tolist()))
             assert set(emp) <= set(exact)
             for atom, p in exact.items():
-                se = math.sqrt(p * (1 - p) / mu.sample_count)
+                se = math.sqrt(p * (1 - p) / x.size)
                 assert abs(emp.get(atom, 0.0) - p) <= 3 * se
 
     def test_branch_split_is_exact_partition(self):
         g = generate_er(40, 0.06, rng_seed=31)
-        mu0, mu1 = count_split(g, 0.5, 2, 5, trials=300, rng_seed=4)
-        assert mu0.sample_count + mu1.sample_count == 300
+        x0, x1 = count_split(g, 0.5, 2, 5, trials=300, rng_seed=4)
+        assert x0.size + x1.size == 300
 
     def test_schedule_independent(self):
         """Trial t percolates on sub-stream 0 and draws its seeds on
@@ -806,10 +814,8 @@ class TestConditionalCountDistributions:
             act = bfs_activated(50, retained, seeds)
             branches[3 in act].append(len(act))
         got = count_split(g, 0.5, 1, 3, trials=120, rng_seed=5)
-        for dist, samples in zip(got, branches):
-            expect = EmpiricalDistribution.from_samples(samples)
-            assert np.array_equal(dist.values, expect.values)
-            assert np.array_equal(dist.probs, expect.probs)
+        for sample, samples in zip(got, branches):
+            assert sample.tolist() == sorted(samples)
 
 
 class TestConditionalGiantDistributions:
@@ -822,24 +828,22 @@ class TestConditionalGiantDistributions:
         # edge kept: X=2 and the seed is always in the giant. Edge dropped:
         # sizes tie at [1,1], the trial lands in the inactive branch, X=1.
         g = Graph(2, [[0, 1]])
-        split = giant_split(g, 0.5, 1, trials=400, rng_seed=2)
-        assert split.active.values.tolist() == [2.0]
-        assert split.inactive.values.tolist() == [1.0]
-        assert split.midpoint == pytest.approx(1.5)
-        assert split.tie_trials == split.inactive.sample_count
+        record = record_worlds(g, 0.5, 1, trials=400, rng_seed=2)
+        x0, x1 = record.giant_split()
+        assert set(x1.tolist()) == {2}
+        assert set(x0.tolist()) == {1}
+        assert record.tie.sum() == x0.size
 
     def test_sparse_giant_separation(self):
         """Supercritical thinned graph: the seeded-giant counts sit far above
         the rest, so the observed supports leave a wide gap."""
         n = 2500
         g = generate_er(n, 5 / (n - 1), rng_seed=child_seed(33, 0))
-        split = giant_split(g, 0.3, 1, trials=1000, rng_seed=34)
-        assert split.active_min - split.inactive_max >= 0.3 * n
+        x0, x1 = giant_split(g, 0.3, 1, trials=1000, rng_seed=34)
+        assert x1[0] - x0[-1] >= 0.3 * n
 
     def test_midpoint_between_extremes(self):
         g = generate_er(300, 0.01, rng_seed=35)
-        split = giant_split(g, 0.5, 1, trials=200, rng_seed=36)
-        assert split.inactive_max < split.midpoint < split.active_min
-        assert split.midpoint == pytest.approx(
-            (split.inactive_max + split.active_min) / 2
-        )
+        x0, x1 = giant_split(g, 0.5, 1, trials=200, rng_seed=36)
+        inactive_max, active_min = float(x0[-1]), float(x1[0])
+        assert inactive_max < 0.5 * (inactive_max + active_min) < active_min

@@ -8,7 +8,6 @@ import pytest
 from scipy import stats
 from scipy.fft import next_fast_len
 
-from cascadelab.distributions import EmpiricalDistribution
 from cascadelab.graph import Graph, generate_er
 from cascadelab.percolation import (
     DegenerateConditioningError,
@@ -18,19 +17,22 @@ from cascadelab.percolation import (
 )
 from cascadelab.privacy import (
     MechanismSpec,
+    _convolve,
     _fft_length,
+    _fold,
     comparison_tvd,
-    push_through_mechanism,
     release,
     sample_wasserstein_infinity,
-    tvd,
     wasserstein_mechanism_scale,
 )
 from cascadelab.seeding import child_seed, rng_from_seed
 
 from oracles import (
+    Law,
     bfs_activated,
+    law_of,
     push_through_direct,
+    tvd,
     wasserstein_infinity,
     winf_bruteforce,
     winf_exact,
@@ -39,19 +41,28 @@ from oracles import (
 
 def dist(pairs):
     values, probs = zip(*sorted(pairs))
-    return EmpiricalDistribution(values, probs)
+    return Law(np.array(values, dtype=np.float64), np.array(probs))
+
+
+def point_mass(value):
+    return dist([(value, 1.0)])
 
 
 def count_split(record, v):
-    """Node v's two conditional count distributions from a recorded pass."""
-    return map(EmpiricalDistribution.from_samples, record.node_split(v))
+    """Node v's two conditional count laws from a recorded pass."""
+    return map(law_of, record.node_split(v))
 
 
 def random_dist(rng, max_atoms=6):
     k = int(rng.integers(1, max_atoms + 1))
     values = np.sort(rng.choice(20, size=k, replace=False)).astype(float)
     probs = rng.random(k) + 0.05
-    return EmpiricalDistribution(values, probs / probs.sum())
+    return Law(values, probs / probs.sum())
+
+
+def mass_between(law, lo, hi):
+    """Total probability of the atoms with lo <= value <= hi."""
+    return float(law.probs[(law.values >= lo) & (law.values <= hi)].sum())
 
 
 class TestMechanismSpec:
@@ -106,6 +117,8 @@ class TestMechanismSpec:
 
 
 class TestTvd:
+    """Self-tests of the atom-dictionary TVD oracle."""
+
     def test_identical(self):
         mu = dist([(0, 0.5), (1, 0.5)])
         assert tvd(mu, mu) == 0.0
@@ -135,10 +148,9 @@ class TestWassersteinInfinity:
         assert wasserstein_infinity(mu, mu) == 0.0
 
     def test_point_masses(self):
-        assert wasserstein_infinity(
-            EmpiricalDistribution.point_mass(3.0),
-            EmpiricalDistribution.point_mass(11.0),
-        ) == pytest.approx(8.0)
+        assert wasserstein_infinity(point_mass(3), point_mass(11)) == pytest.approx(
+            8.0
+        )
 
     def test_shifted_uniform_pair(self):
         mu = dist([(0, 0.5), (1, 0.5)])
@@ -180,7 +192,7 @@ class TestSampleWassersteinInfinity:
         for _ in range(60):
             x0 = random_sample(rng, max_size=9, max_value=6)
             x1 = random_sample(rng, max_size=9, max_value=6)
-            atoms = [EmpiricalDistribution.from_samples(x) for x in (x0, x1)]
+            atoms = [law_of(x) for x in (x0, x1)]
             assert winf_exact(x0, x1) == pytest.approx(winf_bruteforce(*atoms))
 
     def test_symmetric_and_zero_on_equal_laws(self):
@@ -404,9 +416,7 @@ class TestWassersteinMechanismScale:
             branches = ([], [])
             for act in runs:
                 branches[v in act].append(len(act))
-            expect[v] = wasserstein_infinity(
-                *(EmpiricalDistribution.from_samples(b) for b in branches)
-            )
+            expect[v] = wasserstein_infinity(*map(law_of, branches))
         report = wasserstein_mechanism_scale(
             record_worlds(g, 0.5, 1, 150, 4), [0, 1, 2]
         )
@@ -439,15 +449,15 @@ class TestWassersteinMechanismScale:
         q, s, trials, seed = 0.3, 1, 600, 14
         # one recorded pass holds both splits
         record = record_worlds(g, q, s, trials=trials, rng_seed=seed)
-        split = record.giant_split()
-        gap = split.active_min - split.inactive_max
+        x0, x1 = record.giant_split()
+        inactive_max = x0[-1]
+        gap = x1[0] - inactive_max
         assert gap > 0
         checked = 0
         for v in range(6):
             mu0, mu1 = count_split(record, v)
             lo_mass_gap = abs(
-                mu0.mass_between(0, split.inactive_max)
-                - mu1.mass_between(0, split.inactive_max)
+                mass_between(mu0, 0, inactive_max) - mass_between(mu1, 0, inactive_max)
             )
             if lo_mass_gap > 1e-12:
                 assert wasserstein_infinity(mu0, mu1) >= gap
@@ -455,56 +465,54 @@ class TestWassersteinMechanismScale:
         assert checked > 0
 
 
+def quantile(law, u):
+    """Smallest atom whose cumulative probability reaches u."""
+    idx = int(np.searchsorted(np.cumsum(law.probs), u, side="left"))
+    return float(law.values[min(idx, law.values.size - 1)])
+
+
 class TestPushThroughMechanism:
+    """Laplace noise pushed through a law: the direct-sum oracle that
+    judges `comparison_tvd` against closed forms, and the noise kinds."""
+
     def test_vanishing_scale_preserves_input(self):
         mu = dist([(2, 0.25), (5, 0.75)])
         spec = MechanismSpec(kind="laplace", scale=1e-9)
-        out = push_through_mechanism(mu, spec)
+        out = push_through_direct(mu, spec)
         assert tvd(mu, out) < 1e-3
 
     def test_point_mass_median(self):
         spec = MechanismSpec(kind="laplace", scale=2.0)
-        out = push_through_mechanism(EmpiricalDistribution.point_mass(5.0), spec)
-        assert out.quantile(0.5) == pytest.approx(5.0)
+        out = push_through_direct(point_mass(5), spec)
+        assert quantile(out, 0.5) == pytest.approx(5.0)
 
     def test_point_mass_central_mass(self):
         # grid cells are unit-wide and value-centered, so the closed window
         # [5 - scale, 5 + scale] takes half a cell of extra mass at each end,
         # about exp(-1) / (2 scale); scale 1000 puts that near 2e-4
         spec = MechanismSpec(kind="laplace", scale=1000.0)
-        out = push_through_mechanism(EmpiricalDistribution.point_mass(5.0), spec)
-        assert out.mass_between(-995.0, 1005.0) == pytest.approx(
+        out = push_through_direct(point_mass(5), spec)
+        assert mass_between(out, -995.0, 1005.0) == pytest.approx(
             1 - math.e**-1, abs=1e-3
         )
 
     def test_wasserstein_kind_is_laplace_at_given_scale(self):
-        mu = dist([(1, 0.4), (6, 0.6)])
-        a = push_through_mechanism(mu, MechanismSpec(kind="laplace", scale=3.0))
-        b = push_through_mechanism(
-            mu, MechanismSpec(kind="wasserstein", scale=3.0, epsilon=1.0)
+        x0, x1 = np.array([1, 1, 6, 6, 6]), np.array([2, 9, 9])
+        a = comparison_tvd(x0, x1, MechanismSpec(kind="laplace", scale=3.0))
+        b = comparison_tvd(
+            x0, x1, MechanismSpec(kind="wasserstein", scale=3.0, epsilon=1.0)
         )
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.probs, b.probs)
-
-    def test_randomized_response_rejected(self):
-        spec = MechanismSpec(kind="randomized_response", flip_prob=0.4)
-        with pytest.raises(ValueError, match="push-through"):
-            push_through_mechanism(EmpiricalDistribution.point_mass(1.0), spec)
+        assert a == b
 
     def test_clamp_folds_mass_onto_endpoints(self):
         spec = MechanismSpec(kind="laplace", scale=2.0, clamp=True)
-        out = push_through_mechanism(EmpiricalDistribution.point_mass(0.0), spec, n=10)
-        assert out.support_min == 0.0
-        assert out.support_max <= 10.0
+        out = push_through_direct(point_mass(0), spec, n=10)
+        assert out.values[0] == 0.0
+        assert out.values[-1] <= 10.0
         # half the noise mass is negative and folds onto the origin
         origin = out.probs[out.values == 0.0]
         assert origin.size == 1 and origin[0] >= 0.5
         assert out.probs.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_clamp_needs_node_count(self):
-        spec = MechanismSpec(kind="laplace", scale=2.0, clamp=True)
-        with pytest.raises(ValueError, match="node count"):
-            push_through_mechanism(EmpiricalDistribution.point_mass(0.0), spec)
 
 
 def on_grid(d, grid):
@@ -514,26 +522,46 @@ def on_grid(d, grid):
     return out
 
 
-def bimodal(rng, atoms, lo, hi):
-    """Random distinct integer atoms in two clusters, at lo and near hi."""
-    values = np.concatenate(
-        (lo + rng.choice(hi // 4, atoms // 2), hi - rng.choice(hi // 4, atoms // 2))
+def convolved(mu, spec, n=None):
+    """mu's rounded atoms pushed through `spec` by `_convolve` (and `_fold`
+    under clamp), as masses on every point of the output grid."""
+    units = np.rint(mu.values).astype(np.int64)
+    origin = int(units[0])
+    hist = np.bincount(units - origin, weights=mu.probs)
+    acc = _convolve(hist, float(spec.scale))
+    start = origin - (acc.size - hist.size) // 2
+    if spec.clamp:
+        acc, start = _fold(acc, start, n), max(start, 0)
+    return start + np.arange(acc.size), acc
+
+
+def gap_to_direct(mu, spec, n=None):
+    """Largest |FFT - direct sum| over the convolution's output grid."""
+    grid, fast = convolved(mu, spec, n)
+    slow = push_through_direct(mu, spec, n)
+    return np.abs(fast - on_grid(slow, grid.astype(np.float64))).max()
+
+
+def bimodal(rng, size, lo, hi):
+    """Ascending integer sample in two clusters, at lo and near hi."""
+    return np.sort(
+        np.concatenate(
+            (lo + rng.choice(hi // 4, size // 2), hi - rng.choice(hi // 4, size // 2))
+        )
     )
-    values = np.unique(values).astype(float)
-    probs = rng.random(values.size) + 0.01
-    return EmpiricalDistribution(values, probs / probs.sum())
 
 
 LAPLACE = MechanismSpec(kind="laplace", scale=2.0)
 
 
 class TestPushThroughMatchesDirectSum:
-    """The FFT push-through against `push_through_direct`, point by point."""
+    """The FFT convolution `comparison_tvd` runs against
+    `push_through_direct`, point by point."""
 
     @pytest.mark.parametrize(
         "mu, spec, n",
         [
-            (EmpiricalDistribution.point_mass(5.0), LAPLACE, None),
+            (point_mass(5), LAPLACE, None),
             # [-36, 36] windows with exact zeros between them
             (dist([(0, 0.3), (1000, 0.7)]), LAPLACE, None),
             # kernel [0, 1, 0]
@@ -557,38 +585,39 @@ class TestPushThroughMatchesDirectSum:
         ],
     )
     def test_agrees_to_1e12(self, mu, spec, n):
-        fast = push_through_mechanism(mu, spec, n=n)
-        slow = push_through_direct(mu, spec, n)
-        assert np.all(fast.probs > 0)
-        grid = np.union1d(fast.values, slow.values)
-        assert np.abs(on_grid(fast, grid) - on_grid(slow, grid)).max() <= 1e-12
+        assert gap_to_direct(mu, spec, n) <= 1e-12
 
     def test_support_is_the_direct_sums_between_far_atoms(self):
+        """The direct sum is positive exactly where a kernel cell reaches
+        from an atom; the FFT leaves only round-off between the windows."""
         mu = dist([(0, 0.3), (1000, 0.7)])
         slow = push_through_direct(mu, LAPLACE)
-        fast = push_through_mechanism(mu, LAPLACE)
-        assert np.array_equal(fast.values, slow.values)
-        assert np.array_equal(fast.values, np.r_[-24:25, 976:1025])
+        assert np.array_equal(slow.values, np.r_[-24:25, 976:1025])
+        grid, fast = convolved(mu, LAPLACE)
+        between = (grid > 24) & (grid < 976)
+        assert np.abs(fast[between]).max() <= 1e-12
 
     def test_vanishing_kernel_keeps_the_input_atoms(self):
         mu = dist([(2, 0.25), (5, 0.75)])
-        out = push_through_mechanism(mu, MechanismSpec(kind="laplace", scale=1e-9))
-        assert np.array_equal(out.values, mu.values)
-        assert np.abs(out.probs - mu.probs).max() <= 1e-12
+        grid, fast = convolved(mu, MechanismSpec(kind="laplace", scale=1e-9))
+        assert np.abs(fast - on_grid(mu, grid.astype(np.float64))).max() <= 1e-12
 
     def test_random_bimodal_atoms(self):
         rng = rng_from_seed(17)
         for scale, clamp in [(50.0, False), (50.0, True), (7.5, True)]:
-            mu = bimodal(rng, 60, 0, 400)
+            mu = law_of(bimodal(rng, 60, 0, 400))
             spec = MechanismSpec(kind="laplace", scale=scale, clamp=clamp)
-            fast = push_through_mechanism(mu, spec, n=400)
-            slow = push_through_direct(mu, spec, 400)
-            grid = np.union1d(fast.values, slow.values)
-            assert np.abs(on_grid(fast, grid) - on_grid(slow, grid)).max() <= 1e-12
+            assert gap_to_direct(mu, spec, 400) <= 1e-12
+
+
+def direct_tvd(x0, x1, spec, n=None):
+    """The oracle: TVD of the two samples' laws pushed by direct sums."""
+    return tvd(*(push_through_direct(law_of(x), spec, n) for x in (x0, x1)))
 
 
 class TestComparisonTvd:
-    """One signed convolution against the TVD of two direct pushes."""
+    """`comparison_tvd` of two integer samples against the oracle TVD of
+    their laws each pushed by `push_through_direct`."""
 
     @pytest.mark.parametrize(
         "spec, n",
@@ -602,38 +631,39 @@ class TestComparisonTvd:
     )
     def test_matches_tvd_of_direct_pushes(self, spec, n):
         rng = rng_from_seed(23)
-        for _ in range(20):
-            mu, nu = random_dist(rng), random_dist(rng)
-            expected = tvd(
-                push_through_direct(mu, spec, n), push_through_direct(nu, spec, n)
-            )
-            assert comparison_tvd(mu, nu, spec, n=n) == pytest.approx(
-                expected, abs=1e-12
+        pairs = [(random_sample(rng), random_sample(rng)) for _ in range(20)]
+        # samples of one repeated value are point masses
+        pairs += [
+            (np.array(x0), np.array(x1))
+            for x0, x1 in [([4, 4, 4], [4]), ([4], [6, 6]), ([0, 0], [1, 5, 5, 8])]
+        ]
+        for x0, x1 in pairs:
+            assert comparison_tvd(x0, x1, spec, n=n) == pytest.approx(
+                direct_tvd(x0, x1, spec, n), abs=1e-12
             )
 
     def test_giant_split_sized_laws(self):
         rng = rng_from_seed(29)
-        mu, nu = bimodal(rng, 40, 0, 300), bimodal(rng, 80, 100, 600)
+        x0, x1 = bimodal(rng, 40, 0, 300), bimodal(rng, 80, 100, 600)
         for clamp in (False, True):
             spec = MechanismSpec("laplace", 40.0, clamp=clamp)
-            expected = tvd(
-                push_through_direct(mu, spec, 600), push_through_direct(nu, spec, 600)
-            )
-            got = comparison_tvd(mu, nu, spec, n=600)
-            assert got == pytest.approx(expected, abs=1e-12)
+            got = comparison_tvd(x0, x1, spec, n=600)
+            assert got == pytest.approx(direct_tvd(x0, x1, spec, 600), abs=1e-12)
 
     def test_equal_and_far_apart_laws(self):
-        mu = dist([(0, 0.5), (3, 0.5)])
-        assert comparison_tvd(mu, mu, LAPLACE) <= 1e-12
-        far = dist([(1000, 1.0)])
-        assert comparison_tvd(mu, far, LAPLACE) == pytest.approx(1.0, abs=1e-12)
+        x = np.array([0, 3])
+        assert comparison_tvd(x, x, LAPLACE) <= 1e-12
+        # repeating every count leaves the law, and so the distance, alone
+        assert comparison_tvd(x, np.repeat(x, 3), LAPLACE) <= 1e-12
+        far = np.array([1000])
+        assert comparison_tvd(x, far, LAPLACE) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_what_push_through_rejects(self):
-        mu = EmpiricalDistribution.point_mass(1.0)
+        x = np.array([1])
         with pytest.raises(ValueError, match="push-through"):
-            comparison_tvd(mu, mu, MechanismSpec("randomized_response", flip_prob=0.4))
+            comparison_tvd(x, x, MechanismSpec("randomized_response", flip_prob=0.4))
         with pytest.raises(ValueError, match="node count"):
-            comparison_tvd(mu, mu, MechanismSpec("laplace", 2.0, clamp=True))
+            comparison_tvd(x, x, MechanismSpec("laplace", 2.0, clamp=True))
 
 
 def test_fft_length_is_the_next_5_smooth_number():
