@@ -9,7 +9,8 @@ byte-identical files. Trials are drawn in blocks
 key are accepted for older configs and scripts, and must be positive
 integers, but change nothing.
 
-Exit codes: 0 success, 2 configuration error, 3 degenerate conditioning.
+Exit codes: 0 success, 2 configuration error (a request too large to
+allocate included), 3 degenerate conditioning.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .graph import (
 )
 from .percolation import (
     DegenerateConditioningError,
-    coupled_worlds,
     estimate_giant_membership,
     record_worlds,
     world_blocks,
@@ -163,8 +163,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 
 def _number(value, key: str) -> float:
-    """Config value `value` of `key` as a finite float; bools are refused."""
-    if isinstance(value, bool):
+    """Config value `value` of `key` as a finite float; bools and strings
+    are refused."""
+    if isinstance(value, (bool, str)):
         raise ConfigError(f"{key} must be a number, not {value!r}")
     try:
         x = float(value)
@@ -270,8 +271,9 @@ def _the_graph(cfg: dict, master_seed: int) -> tuple[str, Graph]:
 
 
 def _integer(value, key: str) -> int:
-    """Config value `value` of `key` as an int; bools and fractions are refused."""
-    if isinstance(value, bool) or (
+    """Config value `value` of `key` as an int; bools, strings and fractions
+    are refused."""
+    if isinstance(value, (bool, str)) or (
         isinstance(value, float) and not value.is_integer()
     ):
         raise ConfigError(f"{key} must be an integer, not {value!r}")
@@ -380,10 +382,9 @@ def cmd_sweep(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     # integer sums: each q's mean is exact whatever the blocking
     giant = np.zeros(len(q_grid), dtype=np.int64)
     second = np.zeros(len(q_grid), dtype=np.int64)
-    stream = coupled_worlds(g, q_grid, child_seed(master, _STREAM_SWEEP), trials)
-    for _, giant_size, second_size in stream:
-        giant += giant_size.sum(axis=0)
-        second += second_size.sum(axis=0)
+    for block in world_blocks(g, q_grid, child_seed(master, _STREAM_SWEEP), trials):
+        giant[block.qi] += block.giant_size.sum()
+        second[block.qi] += block.second_size.sum()
     n = g.node_count
     rows = [
         (q, gs / trials / n, ss / trials / n)
@@ -582,7 +583,9 @@ def main(argv=None) -> int:
         except (TypeError, OSError) as exc:
             raise ConfigError(f"bad out_dir {cfg['out_dir']!r}: {exc}") from exc
         return _COMMANDS[args.command](cfg, out_dir, cfg_hash)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
+        # numpy refuses an allocation larger than the machine can grant
+        # before touching memory: a count or size in the config is too large
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DegenerateConditioningError as exc:

@@ -155,15 +155,15 @@ def generate_er(n: int, p: float, rng_seed: int) -> Graph:
     edges the work is O(n + m log m).
 
     Args:
-        n: number of nodes, >= 1.
+        n: number of nodes, in 1..3,037,000,500 as for `Graph`.
         p: edge probability in [0, 1].
         rng_seed: 64-bit seed; equal seeds give equal graphs.
 
     Returns:
         Graph with dense ids 0..n-1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= _MAX_NODES:
+        raise ValueError(f"n must lie in 1..{_MAX_NODES}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     edges = _sample_blocks(
@@ -177,15 +177,15 @@ def chung_lu_weights(n: int, d: float, b: float) -> NodeWeights:
     """Build the rank-based power-law weight sequence w_i = d * (n/i)**(1/b).
 
     Args:
-        n: number of nodes, >= 1.
+        n: number of nodes, in 1..3,037,000,500 as for `Graph`.
         d: minimum expected degree, > 0 (the weight of the last rank).
         b: power-law shape, > 0; the implied degree exponent is 1 + b.
 
     Returns:
         NodeWeights with beta = 1/b and total = sum of weights.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= _MAX_NODES:
+        raise ValueError(f"n must lie in 1..{_MAX_NODES}")
     if d <= 0:
         raise ValueError("d must be > 0")
     if b <= 0:

@@ -3,14 +3,16 @@
 A contagion with per-edge transmission probability q is simulated by
 retaining each edge independently with probability q and activating exactly
 the retained-edge components that contain a seed. Every Monte Carlo
-estimator is a reduction over `world_blocks` (or, across a grid of q, over
-`coupled_worlds`), which derive each trial's streams from (seed, trial
-index) alone, so estimates are reproducible. Both split the trials into
-the same blocks of max(1, B // n) consecutive trials, B a fixed node
-budget, and label a block as one disjoint union of its worlds: a small
-world costs mostly per-call overhead, which the block pays once. Estimators
-reduce blocks by integer sums or by filling their trials' rows, so no
-result depends on the blocking. A conditional law of the activation count
+estimator is a reduction over `world_blocks`, the one trial engine, which
+derives each trial's streams from (seed, trial index) alone, so estimates
+are reproducible. It splits the trials into blocks of max(1, B // n)
+consecutive trials, B a fixed node budget, and labels a block as one
+disjoint union of its worlds: a small world costs mostly per-call
+overhead, which the block pays once. Given a grid of q, it draws each
+trial's coins once and labels the block at every q, merging only the
+edges each q admits beyond the one before. Estimators reduce blocks by
+integer sums or by filling their trials' rows, so no result depends on the
+blocking. A conditional law of the activation count
 (`WorldRecord.node_split`, `WorldRecord.giant_split`) is the ascending
 integer sample of the counts its trials gave.
 """
@@ -38,10 +40,8 @@ __all__ = [
     "WorldBlock",
     "MembershipEstimate",
     "WorldRecord",
-    "percolate",
     "sample_seeds",
     "world_blocks",
-    "coupled_worlds",
     "record_worlds",
     "estimate_giant_membership",
 ]
@@ -55,9 +55,11 @@ class DegenerateConditioningError(RuntimeError):
 class WorldBlock:
     """Consecutive trials `start`, `start + 1`, ... labeled as one union.
 
-    Row i is trial `start + i`, drawn under `trial_seeds[i]`. Its world
-    holds the union's nodes i*n .. i*n + n-1, so node x of that trial has
-    union id i*n + x, and every id in `root` and `giant_root` is a union id.
+    Its worlds are retained at the `qi`-th q given to `world_blocks` (0 for
+    a single q). Row i is trial `start + i`, drawn under `trial_seeds[i]`.
+    Its world holds the union's nodes i*n .. i*n + n-1, so node x of that
+    trial has union id i*n + x, and every id in `root` and `giant_root` is
+    a union id.
     `root[i, x]` is the lowest member of x's component, `giant_root[i]` the
     root of row i's largest component (equal sizes give it to the
     component holding the lowest node id) and `giant_size[i]` and
@@ -69,6 +71,7 @@ class WorldBlock:
     """
 
     start: int
+    qi: int
     trial_seeds: list[int]
     root: np.ndarray
     giant_root: np.ndarray
@@ -184,19 +187,6 @@ class WorldRecord:
         return MembershipEstimate(trials, self.giant_hits / trials, int(self.tie.sum()))
 
 
-def percolate(g: Graph, q: float, rng_seed: int) -> np.ndarray:
-    """Retain each edge of g independently with probability q.
-
-    One coin per undirected edge; q must lie in (0, 1]. Returns the retained
-    rows of `g.edges`, deterministic for a fixed (g, q, rng_seed).
-    """
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must lie in (0, 1]")
-    rng = rng_from_seed(rng_seed)
-    # compress copies the kept rows several times faster than a boolean index
-    return g.edges.compress(rng.random(g.edge_count) < q, axis=0)
-
-
 def _top_two(root: np.ndarray, k: int):
     """Each of k equal rows' giant root, giant size and second size.
 
@@ -282,100 +272,99 @@ def _cascade(root: np.ndarray, seeds: np.ndarray, giant_root: np.ndarray):
     return activated, activated.sum(axis=1), seeded.take(giant_root)
 
 
-def world_blocks(
-    g: Graph, q: float, rng_seed: int, trials: int, s: int | None = None
-) -> Iterator[WorldBlock]:
-    """Draw `trials` independent worlds in blocks of consecutive trials.
+def _admitted(edges: np.ndarray, trial_seeds: list[int], qs: np.ndarray):
+    """Split a block's edges by the q of ascending `qs` that admits them.
 
-    Trial t reads only the streams under trial_seed = child_seed(rng_seed, t):
-    sub-stream 0 percolates, sub-stream 1 draws s uniform seeds, and
-    sub-stream 2 is left to the caller for the release. Without `s` no seeds
-    are drawn. A block holds max(1, B // n) trials for a fixed node budget B
-    and labels their worlds as one disjoint union, then reads each trial's
-    giant, second size and cascade off the union row by row, so every row
-    equals its world labeled alone.
+    Row e of `edges` is edge e % m of the block's trial e // m, which draws
+    its m coins from child_seed(trial_seed, 0); an edge is retained at q
+    when its coin lies below q. Part j holds the rows retained at qs[j] and
+    not at qs[j - 1]. The coins are freed on return, before any labeling:
+    labeled with the coins alive, a world at n = 10^6 took about 8 % longer,
+    its temporaries faulting in fresh pages.
     """
+    k = len(trial_seeds)
+    coins = np.empty((k, len(edges) // k))
+    for row, ts in zip(coins, trial_seeds):
+        rng_from_seed(child_seed(ts, 0)).random(out=row)
+    coins = coins.ravel()
+    before = np.zeros(coins.size, dtype=bool)
+    parts = []
+    for q in qs.tolist():
+        now = coins < q
+        # compress copies the kept rows several times faster than a boolean
+        # index
+        parts.append(edges.compress(now ^ before, axis=0))
+        before = now
+    return parts
+
+
+def world_blocks(
+    g: Graph, q, rng_seed: int, trials: int, s: int | None = None
+) -> Iterator[WorldBlock]:
+    """Draw `trials` independent worlds in blocks, labeled at every q given.
+
+    `q` is one transmission probability or a grid of them, each in (0, 1].
+    Trial t reads only the streams under trial_seed = child_seed(rng_seed, t):
+    sub-stream 0 draws one uniform coin per edge, and the edge is retained
+    at q when its coin lies below q; sub-stream 1 draws s uniform seeds; and
+    sub-stream 2 is left to the caller for the release. Without `s` no
+    seeds are drawn. A block holds max(1, B // n) trials for a fixed node
+    budget B and labels their worlds as one disjoint union, then reads each
+    trial's giant, second size and cascade off the union row by row, so
+    every row equals its world labeled alone.
+
+    Each block is yielded once per q, with `qi` the index of that q in the
+    grid. All q share the coins (Newman & Ziff, PRL 85, 4104, 2000): the
+    retained edge sets nest, so the grid is walked in ascending q (equal q
+    in grid order) and each q only merges the edges it admits beyond the
+    previous q into that q's components. Rows at different q of one trial
+    are correlated, and hold the same seeds.
+    """
+    grid = np.atleast_1d(np.asarray(q, dtype=np.float64))
+    if grid.ndim != 1 or not grid.size:
+        raise ValueError("q must hold at least one value")
+    if not np.all((grid > 0.0) & (grid <= 1.0)):
+        raise ValueError("q must lie in (0, 1]")
     n = g.node_count
+    walk = np.argsort(grid, kind="stable").tolist()
     for start, trial_seeds in _blocks(n, rng_seed, trials):
         k = len(trial_seeds)
         offsets = np.arange(0, k * n, n)
-        parts = [percolate(g, q, child_seed(ts, 0)) for ts in trial_seeds]
         if k == 1:
-            edges = parts[0]  # a lone world is labeled on its rows, uncopied
+            edges = g.edges  # a lone world is labeled on its rows, uncopied
         else:
-            edges = np.concatenate(
-                [part + offset for part, offset in zip(parts, offsets.tolist())]
-            )
-        root = _hook_and_jump(np.arange(k * n, dtype=np.int64), edges)
-        giant, giant_size, second_size = _top_two(root, k)
-        giant_root = giant + offsets
-        cascade = {}
+            edges = (g.edges + offsets[:, None, None]).reshape(-1, 2)
+        seeds = None
         if s is not None:
             seeds = np.stack(
                 [sample_seeds(n, s, child_seed(ts, 1)) for ts in trial_seeds]
             )
-            activated, counts, giant_active = _cascade(
-                root, seeds + offsets[:, None], giant_root
+        root = np.arange(k * n, dtype=np.int64)
+        for qi, admitted in zip(walk, _admitted(edges, trial_seeds, grid[walk])):
+            root = _hook_and_jump(root, admitted)
+            giant, giant_size, second_size = _top_two(root, k)
+            giant_root = giant + offsets
+            cascade = {}
+            if seeds is not None:
+                activated, counts, giant_active = _cascade(
+                    root, seeds + offsets[:, None], giant_root
+                )
+                cascade = dict(
+                    seeds=seeds,
+                    activated=activated,
+                    counts=counts,
+                    giant_active=giant_active,
+                )
+            yield WorldBlock(
+                start,
+                qi,
+                trial_seeds,
+                root.reshape(k, n),
+                giant_root,
+                giant_size,
+                second_size,
+                **cascade,
             )
-            cascade = dict(
-                seeds=seeds,
-                activated=activated,
-                counts=counts,
-                giant_active=giant_active,
-            )
-        yield WorldBlock(
-            start,
-            trial_seeds,
-            root.reshape(k, n),
-            giant_root,
-            giant_size,
-            second_size,
-            **cascade,
-        )
-
-
-def coupled_worlds(
-    g: Graph, q_grid, rng_seed: int, trials: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Draw `trials` worlds, each labeled at every q of `q_grid`.
-
-    Takes the blocks of `world_blocks` and yields (start, giant_size,
-    second_size) per block: row i is trial start + i, and column qi holds
-    the sizes of that trial's two largest components at q_grid[qi]. Trial t
-    draws one uniform coin per edge from child_seed(child_seed(rng_seed, t),
-    0), the stream `percolate` reads, so each entry is exactly that of the
-    world `percolate(g, q_grid[qi], child_seed(child_seed(rng_seed, t), 0))`
-    labeled from scratch. All q share the coins (Newman & Ziff, PRL 85,
-    4104, 2000): retained edge sets nest, so the grid is walked in ascending
-    q and each q only merges the newly admitted edges into the previous q's
-    components. Estimates at different q are correlated within a trial.
-    """
-    q = np.asarray(q_grid, dtype=np.float64)
-    if q.ndim != 1 or not q.size:
-        raise ValueError("q_grid must hold at least one q")
-    if not np.all((q > 0.0) & (q <= 1.0)):
-        raise ValueError("q must lie in (0, 1]")
-    n, m = g.node_count, g.edge_count
-    walk = np.argsort(q, kind="stable")
-    for start, trial_seeds in _blocks(n, rng_seed, trials):
-        k = len(trial_seeds)
-        # coin e of the block is edge e % m of its row e // m
-        coins = np.concatenate(
-            [rng_from_seed(child_seed(ts, 0)).random(m) for ts in trial_seeds]
-        )
-        order = np.argsort(coins)
-        # edges[:stop] are those whose coin lies below q, as in `percolate`
-        stops = np.searchsorted(coins.take(order), q[walk])
-        admitted = order[: stops[-1]]
-        edges = g.edges.take(admitted % m, axis=0) + (admitted // m * n)[:, None]
-        giant_size = np.empty((k, q.size), dtype=np.int64)
-        second_size = np.empty((k, q.size), dtype=np.int64)
-        root, done = np.arange(k * n, dtype=np.int64), 0
-        for qi, stop in zip(walk.tolist(), stops.tolist()):
-            root = _hook_and_jump(root, edges[done:stop])
-            done = stop
-            _, giant_size[:, qi], second_size[:, qi] = _top_two(root, k)
-        yield start, giant_size, second_size
 
 
 def record_worlds(

@@ -8,9 +8,11 @@ rational arithmetic, an edge-list parse one line at a time. The package
 holds a conditional count law as an ascending integer sample; the oracles
 read finite laws as `Law` atoms, and `law_of` turns a sample into one.
 The package code must agree with these slow oracles, not the other way
-around. `adjacency` and `label_world` are test helpers kept here, out of
-the package; `label_world` labels one world with the package's own
-labeler and is checked against the oracles like the package is.
+around. `adjacency`, `percolate` and `label_world` are test helpers kept
+here, out of the package: `percolate` retains one world's edges from the
+coin stream a trial of `world_blocks` reads, and `label_world` labels one
+world with the package's own labeler and is checked against the oracles
+like the package is.
 """
 
 import itertools
@@ -24,6 +26,7 @@ import numpy as np
 
 from cascadelab.graph import EdgeListFormatError, EdgeListReport, Graph, logger
 from cascadelab.percolation import _hook_and_jump, _top_two
+from cascadelab.seeding import rng_from_seed
 
 
 class World(NamedTuple):
@@ -33,6 +36,19 @@ class World(NamedTuple):
     giant_root: int
     giant_size: int
     second_size: int
+
+
+def percolate(g, q, rng_seed):
+    """Retain each edge of g independently with probability q.
+
+    One uniform coin per edge from `rng_from_seed(rng_seed)`, the edge kept
+    when its coin lies below q; q must lie in (0, 1]. Returns the retained
+    rows of `g.edges`: trial t of `world_blocks(g, q, r, ...)` retains
+    exactly `percolate(g, q, child_seed(child_seed(r, t), 0))`.
+    """
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must lie in (0, 1]")
+    return g.edges.compress(rng_from_seed(rng_seed).random(g.edge_count) < q, axis=0)
 
 
 def label_world(n, retained_edges):

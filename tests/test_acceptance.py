@@ -31,7 +31,6 @@ from cascadelab.graph import (
 from cascadelab.percolation import (
     _cascade,
     estimate_giant_membership,
-    percolate,
     record_worlds,
 )
 from cascadelab.privacy import (
@@ -47,6 +46,7 @@ from oracles import (
     bfs_activated,
     label_world,
     message_passing_membership,
+    percolate,
     wasserstein_infinity,
     winf_bruteforce,
 )

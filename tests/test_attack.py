@@ -19,7 +19,6 @@ from cascadelab.graph import (
 )
 from cascadelab.percolation import (
     estimate_giant_membership,
-    percolate,
     record_worlds,
     sample_seeds,
 )
@@ -32,6 +31,7 @@ from oracles import (
     component_sets,
     giant_component,
     label_world,
+    percolate,
 )
 
 

@@ -17,10 +17,9 @@ from cascadelab.bounds import (
     solve_giant_fraction,
 )
 from cascadelab.graph import Graph, chung_lu_weights, generate_chung_lu, generate_er
-from cascadelab.percolation import percolate
 from cascadelab.seeding import child_seed
 
-from oracles import label_world
+from oracles import label_world, percolate
 
 
 class TestSolveGiantFraction:

@@ -171,9 +171,12 @@ class TestBuildGraph:
         "source, message",
         [
             ({"kind": "er", "n": 10, "p": None}, "graph p must be a number"),
-            ({"kind": "er", "n": 10, "p": "nan"}, "graph p must be finite"),
-            ({"kind": "chung_lu", "n": 10, "d": "inf", "b": 1}, "graph d must be finite"),
+            ({"kind": "er", "n": 10, "p": math.nan}, "graph p must be finite"),
+            ({"kind": "chung_lu", "n": 10, "d": math.inf, "b": 1}, "graph d must be finite"),
             ({"kind": "chung_lu", "n": 10, "d": 2, "b": [1]}, "graph b must be a number"),
+            # a number given as a string would hash unlike the number
+            ({"kind": "er", "n": 10, "p": "0.1"}, "graph p must be a number"),
+            ({"kind": "er", "n": "10", "p": 0.1}, "graph n must be an integer"),
         ],
     )
     def test_bad_number_names_its_key(self, source, message):
@@ -632,7 +635,7 @@ class TestErrorPaths:
             ("gen", {"graph": {"kind": "er", "n": 10, "p": None}}, []),
             ("gen", {"graph": {"kind": "er", "n": 10, "p": [0.1]}}, []),
             ("gen", {"graph": {"kind": "chung_lu", "n": 10, "d": None, "b": 1.5}}, []),
-            ("gen", {"graph": {"kind": "chung_lu", "n": 10, "d": "inf", "b": 1.5}}, []),
+            ("gen", {"graph": {"kind": "chung_lu", "n": 10, "d": math.inf, "b": 1.5}}, []),
             ("gen", {"graph": {"kind": "chung_lu", "n": 10, "d": 2.0, "b": None}}, []),
             ("gen", {"graph": {"kind": "er", "n": 10, "p": True}}, []),
             ("membership", {"q": True}, []),
@@ -658,6 +661,15 @@ class TestErrorPaths:
             ("gen", {"threads": -3}, []),
             ("gen", {"threads": 2.5}, []),
             ("gen", {"threads": True}, []),
+            ("membership", {"q": "0.4"}, []),
+            ("components", {"trials": "20"}, []),
+            ("gen", {"graph": {"kind": "chung_lu", "n": 1e10, "d": 2, "b": 1.5}}, []),
+            ("gen", {"graph": {"kind": "er", "n": 1e10, "p": 1e-9}}, []),
+            # numpy refuses each of these 72.8 TiB requests before touching
+            # memory
+            ("sweep", {"q_grid": {"start": 0.1, "stop": 0.9, "count": 10**13}}, []),
+            ("sweep", {}, ["--q", "0.1:0.9:10000000000000"]),
+            ("audit", {"trials": 10**13}, []),
         ],
         ids=[
             "membership-trials-0",
@@ -713,6 +725,13 @@ class TestErrorPaths:
             "gen-threads-negative",
             "gen-threads-fractional",
             "gen-threads-bool",
+            "membership-q-string",
+            "components-trials-string",
+            "gen-chung-lu-n-above-graph-bound",
+            "gen-er-n-above-graph-bound",
+            "sweep-grid-count-unallocatable",
+            "sweep-grid-flag-unallocatable",
+            "audit-trials-unallocatable",
         ],
     )
     def test_bad_config_exits_2_without_traceback(

@@ -108,6 +108,9 @@ class TestGenerateEr:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             generate_er(0, 0.5, rng_seed=1)
+        # refused before any n-sized allocation
+        with pytest.raises(ValueError, match="n must lie in 1..3037000500"):
+            generate_er(3_037_000_501, 1e-9, rng_seed=1)
         with pytest.raises(ValueError):
             generate_er(5, 1.5, rng_seed=1)
 
@@ -166,6 +169,9 @@ class TestChungLuWeights:
         for bad in ((0, 5, 1.1), (10, 0, 1.1), (10, 5, 0)):
             with pytest.raises(ValueError):
                 chung_lu_weights(*bad)
+        # refused before the n weights are allocated
+        with pytest.raises(ValueError, match="n must lie in 1..3037000500"):
+            chung_lu_weights(3_037_000_501, 2, 1.5)
 
 
 class TestGenerateChungLu:

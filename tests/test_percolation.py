@@ -14,9 +14,7 @@ from cascadelab.graph import Graph, chung_lu_weights, generate_chung_lu, generat
 from cascadelab.percolation import (
     DegenerateConditioningError,
     _hook_and_jump,
-    coupled_worlds,
     estimate_giant_membership,
-    percolate,
     record_worlds,
     sample_seeds,
     world_blocks,
@@ -29,6 +27,7 @@ from oracles import (
     giant_component,
     label_world,
     lowest_members,
+    percolate,
 )
 
 
@@ -290,7 +289,7 @@ class TestConnectedComponents:
 
     def test_merges_into_a_forest_of_stars(self):
         """Merging a second edge set into the labeling of a first, as
-        `coupled_worlds` does, labels their union; edges inside a component
+        `world_blocks` does along a q grid, labels their union; edges inside a component
         change nothing, and the forest passed in is left as it was."""
         n = 60
         for i in range(20):
@@ -325,7 +324,7 @@ class TestConnectedComponents:
 
     def test_merges_a_deep_chain_of_stars_in_one_round(self, hook_rounds):
         """Merged edges chain 64 stars of 8 nodes in descending order of
-        their roots, as `coupled_worlds` merges into a forest of stars: each
+        their roots, as `world_blocks` merges into a forest of stars: each
         star hooks onto the next, and one round's jumps flatten the chain."""
         stars, size = 64, 8
         n = stars * size
@@ -468,6 +467,16 @@ def stacked(blocks, *fields):
     return [np.concatenate([getattr(b, f) for b in blocks]) for f in fields]
 
 
+def sweep_rows(g, grid, rng_seed, trials):
+    """Giant and second sizes of `world_blocks` over a grid, trials × q."""
+    giant = np.empty((trials, len(grid)), dtype=np.int64)
+    second = np.empty((trials, len(grid)), dtype=np.int64)
+    for block in world_blocks(g, grid, rng_seed, trials):
+        giant[block.rows, block.qi] = block.giant_size
+        second[block.rows, block.qi] = block.second_size
+    return giant, second
+
+
 class TestWorlds:
     def test_trial_streams_and_outcomes(self):
         g = generate_er(40, 0.08, rng_seed=18)
@@ -475,6 +484,7 @@ class TestWorlds:
         drawn = [ts for block in blocks for ts in block.trial_seeds]
         assert drawn == [child_seed(19, t) for t in range(6)]
         for block in blocks:
+            assert block.qi == 0
             for i, ts in enumerate(block.trial_seeds):
                 retained = percolate(g, 0.5, child_seed(ts, 0))
                 root = block.root[i] - 40 * i
@@ -491,12 +501,29 @@ class TestWorlds:
             next(world_blocks(g, 0.5, 1, 0))
         with pytest.raises(ValueError, match="s must"):
             next(world_blocks(g, 0.5, 1, 5, s=4))
+        for q in ([], 0.0, [0.5, 0.0], 1.5, [1.5]):
+            with pytest.raises(ValueError, match="q must"):
+                next(world_blocks(g, q, 1, 2))
 
+    SUBSTRATES = {
+        "er": lambda: generate_er(400, 4 / 399, rng_seed=31),
+        "chung_lu": lambda: generate_chung_lu(chung_lu_weights(500, 2, 1.5), 32),
+    }
+    UNSORTED = [0.6, 0.1, 0.35, 0.6, 1.0, 0.25, 0.5]
     BLOCKED = {
-        "er": (lambda: generate_er(40, 0.08, rng_seed=18), 0.5),
-        "edgeless": (lambda: Graph(5, []), 0.5),
-        "one-node": (lambda: Graph(1, []), 1.0),
-        # three components of two nodes: every trial's top two tie
+        # unsorted, with a duplicate q
+        "er": (lambda: generate_er(40, 0.08, rng_seed=18), UNSORTED),
+        "chung-lu": (SUBSTRATES["chung_lu"], UNSORTED),
+        "single-q": (SUBSTRATES["er"], 0.3),
+        "q-one": (SUBSTRATES["chung_lu"], [1.0]),
+        # 300 values, unsorted, q = 1 among them: more than a byte indexes
+        "long-grid": (
+            lambda: generate_er(30, 0.1, rng_seed=38),
+            ((np.arange(300) * 37 % 300 + 1) / 300).tolist(),
+        ),
+        "edgeless": (lambda: Graph(5, []), [0.5, 1.0, 0.5]),
+        "one-node": (lambda: Graph(1, []), [1.0, 0.3]),
+        # three components of two nodes: at q = 1 every trial's top two tie
         "tied-top": (lambda: Graph(6, [[0, 1], [2, 3], [4, 5]]), 1.0),
     }
 
@@ -504,19 +531,26 @@ class TestWorlds:
     @pytest.mark.parametrize("world", sorted(BLOCKED))
     def test_blocks_match_worlds_labeled_alone(self, monkeypatch, world, k):
         """With blocks of k trials (10 trials leave a block of 2 at k = 4),
-        each row of a block is its world labeled and seeded alone."""
+        each block comes once per q, and row i of the block at qi is trial
+        start + i labeled and seeded alone at the grid's qi-th q."""
         make, q = self.BLOCKED[world]
         g = make()
+        grid = np.atleast_1d(q).tolist()
         n, trials = g.node_count, 10
         monkeypatch.setattr(percolation, "_BLOCK_NODES", k * n)
         blocks = list(world_blocks(g, q, 19, trials, s=1))
-        sizes = [len(b.trial_seeds) for b in blocks]
-        assert sizes == [k] * (trials // k) + [trials % k] * (trials % k > 0)
-        assert [b.start for b in blocks] == list(range(0, trials, k))
+        starts = list(range(0, trials, k))
+        assert [(b.start, b.qi) for b in blocks] == [
+            (start, qi)
+            for start in starts
+            for qi in np.argsort(grid, kind="stable").tolist()
+        ]
         for block in blocks:
+            assert len(block.trial_seeds) == min(k, trials - block.start)
+            at_q = grid[block.qi]
             for i, ts in enumerate(block.trial_seeds):
                 assert ts == child_seed(19, block.start + i)
-                retained = percolate(g, q, child_seed(ts, 0))
+                retained = percolate(g, at_q, child_seed(ts, 0))
                 ref = label_world(n, retained)
                 assert np.array_equal(block.root[i] - i * n, ref.root)
                 got = block.giant_root[i] - i * n, block.giant_size[i]
@@ -530,84 +564,15 @@ class TestWorlds:
                 assert block.giant_active[i] == seeded_giant
         if world == "tied-top":
             assert all(block.tie.all() for block in blocks)
-
-
-def sweep_rows(g, grid, rng_seed, trials):
-    """`coupled_worlds` blocks stacked: starts, giant and second sizes."""
-    starts, giant, second = zip(*coupled_worlds(g, grid, rng_seed, trials))
-    return list(starts), np.concatenate(giant), np.concatenate(second)
-
-
-class TestCoupledWorlds:
-    SUBSTRATES = {
-        "er": lambda: generate_er(400, 4 / 399, rng_seed=31),
-        "chung_lu": lambda: generate_chung_lu(chung_lu_weights(500, 2, 1.5), 32),
-    }
-
-    @pytest.mark.parametrize("kind", sorted(SUBSTRATES))
-    @pytest.mark.parametrize(
-        "grid",
-        [[0.6, 0.1, 0.35, 0.6, 1.0, 0.25], [0.3], [1.0]],
-        ids=["unsorted-with-duplicate", "single-q", "q-one"],
-    )
-    def test_each_q_matches_a_world_labeled_from_scratch(self, kind, grid):
-        g = self.SUBSTRATES[kind]()
-        _, giant, second = sweep_rows(g, grid, 33, 5)
-        assert giant.shape == second.shape == (5, len(grid))
-        for t in range(5):
-            for qi, q in enumerate(grid):
-                retained = percolate(g, q, child_seed(child_seed(33, t), 0))
-                ref = label_world(g.node_count, retained)
-                got = giant[t, qi], second[t, qi]
-                assert got == (ref.giant_size, ref.second_size)
-
-    BLOCKED = {
-        "er": (
-            lambda: generate_er(40, 0.08, rng_seed=18),
-            [0.6, 0.1, 0.35, 0.6, 1.0, 0.25],
-        ),
-        "edgeless": (lambda: Graph(5, []), [0.5, 1.0, 0.5]),
-        "one-node": (lambda: Graph(1, []), [1.0, 0.3]),
-        # three components of two nodes: at q = 1 the top two tie
-        "tied-top": (lambda: Graph(6, [[0, 1], [2, 3], [4, 5]]), [1.0]),
-        # 300 columns, unsorted, q = 1 among them: more than a byte indexes
-        "long-grid": (
-            lambda: generate_er(30, 0.1, rng_seed=38),
-            ((np.arange(300) * 37 % 300 + 1) / 300).tolist(),
-        ),
-    }
-
-    @pytest.mark.parametrize("k", [1, 4], ids=["one-per-block", "remainder"])
-    @pytest.mark.parametrize("world", sorted(BLOCKED))
-    def test_blocks_match_worlds_labeled_from_scratch(self, monkeypatch, world, k):
-        """With blocks of k trials (10 trials leave a block of 2 at k = 4),
-        entry (i, qi) of a block is trial start + i labeled alone at
-        q_grid[qi]."""
-        make, grid = self.BLOCKED[world]
-        g = make()
-        n, trials = g.node_count, 10
-        monkeypatch.setattr(percolation, "_BLOCK_NODES", k * n)
-        blocks = list(coupled_worlds(g, grid, 19, trials))
-        assert [start for start, _, _ in blocks] == list(range(0, trials, k))
-        for start, giant, second in blocks:
-            rows = min(k, trials - start)
-            assert giant.shape == second.shape == (rows, len(grid))
-            for i in range(rows):
-                trial_seed = child_seed(19, start + i)
-                for qi, q in enumerate(grid):
-                    retained = percolate(g, q, child_seed(trial_seed, 0))
-                    ref = label_world(n, retained)
-                    got = giant[i, qi], second[i, qi]
-                    assert got == (ref.giant_size, ref.second_size)
-        if world == "tied-top":
-            assert all(np.array_equal(gs, ss) for _, gs, ss in blocks)
+        if world == "edgeless":
+            assert all((block.giant_size == 1).all() for block in blocks)
+            assert all(block.tie.all() for block in blocks)
 
     @pytest.mark.parametrize("kind", sorted(SUBSTRATES))
     def test_giant_never_shrinks_as_q_grows(self, kind):
         g = self.SUBSTRATES[kind]()
         grid = [0.9, 0.05, 0.5, 0.2, 0.7, 0.35, 1.0]
-        _, giant, _ = sweep_rows(g, grid, 34, 8)
-        assert giant.shape == (8, len(grid))
+        giant, _ = sweep_rows(g, grid, 34, 8)
         assert np.all(np.diff(giant[:, np.argsort(grid)], axis=1) >= 0)
 
     def test_walks_the_grid_in_ascending_q(self):
@@ -617,26 +582,13 @@ class TestCoupledWorlds:
         g = generate_er(60, 0.1, rng_seed=35)
         grid = [0.5, 0.2, 0.5, 0.1]
         by_q = [sorted(grid).index(q) for q in grid]
-        shuffled = sweep_rows(g, grid, 36, 6)[1:]
-        ascending = sweep_rows(g, sorted(grid), 36, 6)[1:]
+        shuffled = sweep_rows(g, grid, 36, 6)
+        ascending = sweep_rows(g, sorted(grid), 36, 6)
         for sizes, want in zip(shuffled, ascending):
             assert np.array_equal(sizes, want[:, by_q])
             assert np.array_equal(sizes[:, 0], sizes[:, 2])
         giant = shuffled[0]
         assert (giant[:, 3] < giant[:, 1]).any() and (giant[:, 1] < giant[:, 0]).any()
-
-    def test_edgeless_graph(self):
-        g = Graph(4, [])
-        _, giant, second = sweep_rows(g, [0.5, 1.0], 37, 2)
-        assert giant.tolist() == second.tolist() == [[1, 1], [1, 1]]
-
-    def test_validation(self):
-        g = Graph(3, [[0, 1]])
-        with pytest.raises(ValueError, match="trials"):
-            next(coupled_worlds(g, [0.5], 1, 0))
-        for grid in ([], [0.5, 0.0], [1.5]):
-            with pytest.raises(ValueError, match="q"):
-                next(coupled_worlds(g, grid, 1, 2))
 
 
 class TestRecordWorlds:

@@ -11,7 +11,6 @@ from scipy.fft import next_fast_len
 from cascadelab.graph import Graph, generate_er
 from cascadelab.percolation import (
     DegenerateConditioningError,
-    percolate,
     record_worlds,
     sample_seeds,
 )
@@ -31,6 +30,7 @@ from oracles import (
     Law,
     bfs_activated,
     law_of,
+    percolate,
     push_through_direct,
     tvd,
     wasserstein_infinity,
