@@ -112,6 +112,8 @@ def retained_set(retained):
 
 
 class TestPercolate:
+    """`oracles.percolate`, the one-world reference of `world_blocks`."""
+
     def test_q_one_keeps_everything(self):
         g = generate_er(30, 0.2, rng_seed=1)
         assert np.array_equal(percolate(g, 1.0, rng_seed=2), g.edges)
