@@ -479,7 +479,44 @@ def sweep_rows(g, grid, rng_seed, trials):
     return giant, second
 
 
+def check_blocks_against_worlds_alone(monkeypatch, g, q, k):
+    """With blocks of k trials (10 trials leave a block of 2 at k = 4),
+    each block comes once per q, and row i of the block at qi is trial
+    start + i labeled and seeded alone at the grid's qi-th q. Returns the
+    blocks."""
+    grid = np.atleast_1d(q).tolist()
+    n, trials = g.node_count, 10
+    monkeypatch.setattr(percolation, "_BLOCK_NODES", k * n)
+    blocks = list(world_blocks(g, q, 19, trials, s=1))
+    starts = list(range(0, trials, k))
+    assert [(b.start, b.qi) for b in blocks] == [
+        (start, qi)
+        for start in starts
+        for qi in np.argsort(grid, kind="stable").tolist()
+    ]
+    for block in blocks:
+        assert len(block.trial_seeds) == min(k, trials - block.start)
+        at_q = grid[block.qi]
+        for i, ts in enumerate(block.trial_seeds):
+            assert ts == child_seed(19, block.start + i)
+            retained = percolate(g, at_q, child_seed(ts, 0))
+            ref = label_world(n, retained)
+            assert np.array_equal(block.root[i] - i * n, ref.root)
+            got = block.giant_root[i] - i * n, block.giant_size[i]
+            assert got + (block.second_size[i],) == ref[1:]
+            seeds = sample_seeds(n, 1, child_seed(ts, 1))
+            assert np.array_equal(block.seeds[i], seeds)
+            active = bfs_activated(n, retained, seeds)
+            assert set(np.flatnonzero(block.activated[i]).tolist()) == active
+            assert block.counts[i] == len(active)
+            seeded_giant = (ref.root[seeds] == ref.giant_root).any()
+            assert block.giant_active[i] == seeded_giant
+    return blocks
+
+
 class TestWorlds:
+    """`world_blocks` at one q."""
+
     def test_trial_streams_and_outcomes(self):
         g = generate_er(40, 0.08, rng_seed=18)
         blocks = list(world_blocks(g, 0.5, 19, 6, s=2))
@@ -503,67 +540,74 @@ class TestWorlds:
             next(world_blocks(g, 0.5, 1, 0))
         with pytest.raises(ValueError, match="s must"):
             next(world_blocks(g, 0.5, 1, 5, s=4))
-        for q in ([], 0.0, [0.5, 0.0], 1.5, [1.5]):
+        for q in (0.0, 1.5):
             with pytest.raises(ValueError, match="q must"):
                 next(world_blocks(g, q, 1, 2))
 
-    SUBSTRATES = {
-        "er": lambda: generate_er(400, 4 / 399, rng_seed=31),
-        "chung_lu": lambda: generate_chung_lu(chung_lu_weights(500, 2, 1.5), 32),
-    }
-    UNSORTED = [0.6, 0.1, 0.35, 0.6, 1.0, 0.25, 0.5]
     BLOCKED = {
-        # unsorted, with a duplicate q
-        "er": (lambda: generate_er(40, 0.08, rng_seed=18), UNSORTED),
-        "chung-lu": (SUBSTRATES["chung_lu"], UNSORTED),
-        "single-q": (SUBSTRATES["er"], 0.3),
-        "q-one": (SUBSTRATES["chung_lu"], [1.0]),
-        # 300 values, unsorted, q = 1 among them: more than a byte indexes
-        "long-grid": (
-            lambda: generate_er(30, 0.1, rng_seed=38),
-            ((np.arange(300) * 37 % 300 + 1) / 300).tolist(),
-        ),
-        "edgeless": (lambda: Graph(5, []), [0.5, 1.0, 0.5]),
-        "one-node": (lambda: Graph(1, []), [1.0, 0.3]),
-        # three components of two nodes: at q = 1 every trial's top two tie
+        "er": (lambda: generate_er(40, 0.08, rng_seed=18), 0.5),
+        "edgeless": (lambda: Graph(5, []), 0.5),
+        "one-node": (lambda: Graph(1, []), 1.0),
+        # three components of two nodes: every trial's top two tie
         "tied-top": (lambda: Graph(6, [[0, 1], [2, 3], [4, 5]]), 1.0),
     }
 
     @pytest.mark.parametrize("k", [1, 4], ids=["one-per-block", "remainder"])
     @pytest.mark.parametrize("world", sorted(BLOCKED))
     def test_blocks_match_worlds_labeled_alone(self, monkeypatch, world, k):
-        """With blocks of k trials (10 trials leave a block of 2 at k = 4),
-        each block comes once per q, and row i of the block at qi is trial
-        start + i labeled and seeded alone at the grid's qi-th q."""
         make, q = self.BLOCKED[world]
-        g = make()
-        grid = np.atleast_1d(q).tolist()
-        n, trials = g.node_count, 10
-        monkeypatch.setattr(percolation, "_BLOCK_NODES", k * n)
-        blocks = list(world_blocks(g, q, 19, trials, s=1))
-        starts = list(range(0, trials, k))
-        assert [(b.start, b.qi) for b in blocks] == [
-            (start, qi)
-            for start in starts
-            for qi in np.argsort(grid, kind="stable").tolist()
-        ]
-        for block in blocks:
-            assert len(block.trial_seeds) == min(k, trials - block.start)
-            at_q = grid[block.qi]
-            for i, ts in enumerate(block.trial_seeds):
-                assert ts == child_seed(19, block.start + i)
-                retained = percolate(g, at_q, child_seed(ts, 0))
-                ref = label_world(n, retained)
-                assert np.array_equal(block.root[i] - i * n, ref.root)
-                got = block.giant_root[i] - i * n, block.giant_size[i]
-                assert got + (block.second_size[i],) == ref[1:]
-                seeds = sample_seeds(n, 1, child_seed(ts, 1))
-                assert np.array_equal(block.seeds[i], seeds)
-                active = bfs_activated(n, retained, seeds)
-                assert set(np.flatnonzero(block.activated[i]).tolist()) == active
-                assert block.counts[i] == len(active)
-                seeded_giant = (ref.root[seeds] == ref.giant_root).any()
-                assert block.giant_active[i] == seeded_giant
+        blocks = check_blocks_against_worlds_alone(monkeypatch, make(), q, k)
+        assert all(block.qi == 0 for block in blocks)
+        if world == "tied-top":
+            assert all(block.tie.all() for block in blocks)
+
+
+class TestCoupledWorlds:
+    """`world_blocks` over a q grid: each trial's worlds at every q share
+    its coins, so they are coupled across the grid."""
+
+    SUBSTRATES = {
+        "er": lambda: generate_er(400, 4 / 399, rng_seed=31),
+        "chung_lu": lambda: generate_chung_lu(chung_lu_weights(500, 2, 1.5), 32),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SUBSTRATES))
+    @pytest.mark.parametrize(
+        "grid",
+        [[0.6, 0.1, 0.35, 0.6, 1.0, 0.25], [0.3], [1.0]],
+        ids=["unsorted-with-duplicate", "single-q", "q-one"],
+    )
+    def test_each_q_matches_a_world_labeled_from_scratch(self, kind, grid):
+        g = self.SUBSTRATES[kind]()
+        giant, second = sweep_rows(g, grid, 33, 5)
+        for t in range(5):
+            for qi, q in enumerate(grid):
+                retained = percolate(g, q, child_seed(child_seed(33, t), 0))
+                ref = label_world(g.node_count, retained)
+                got = giant[t, qi], second[t, qi]
+                assert got == (ref.giant_size, ref.second_size)
+
+    BLOCKED = {
+        "er": (
+            lambda: generate_er(40, 0.08, rng_seed=18),
+            [0.6, 0.1, 0.35, 0.6, 1.0, 0.25],
+        ),
+        "edgeless": (lambda: Graph(5, []), [0.5, 1.0, 0.5]),
+        "one-node": (lambda: Graph(1, []), [1.0, 0.3]),
+        # three components of two nodes: at q = 1 the top two tie
+        "tied-top": (lambda: Graph(6, [[0, 1], [2, 3], [4, 5]]), [1.0]),
+        # 300 columns, unsorted, q = 1 among them: more than a byte indexes
+        "long-grid": (
+            lambda: generate_er(30, 0.1, rng_seed=38),
+            ((np.arange(300) * 37 % 300 + 1) / 300).tolist(),
+        ),
+    }
+
+    @pytest.mark.parametrize("k", [1, 4], ids=["one-per-block", "remainder"])
+    @pytest.mark.parametrize("world", sorted(BLOCKED))
+    def test_blocks_match_worlds_labeled_from_scratch(self, monkeypatch, world, k):
+        make, grid = self.BLOCKED[world]
+        blocks = check_blocks_against_worlds_alone(monkeypatch, make(), grid, k)
         if world == "tied-top":
             assert all(block.tie.all() for block in blocks)
         if world == "edgeless":
@@ -591,6 +635,19 @@ class TestWorlds:
             assert np.array_equal(sizes[:, 0], sizes[:, 2])
         giant = shuffled[0]
         assert (giant[:, 3] < giant[:, 1]).any() and (giant[:, 1] < giant[:, 0]).any()
+
+    def test_edgeless_graph(self):
+        g = Graph(4, [])
+        giant, second = sweep_rows(g, [0.5, 1.0], 37, 2)
+        assert giant.tolist() == second.tolist() == [[1, 1], [1, 1]]
+
+    def test_validation(self):
+        g = Graph(3, [[0, 1]])
+        with pytest.raises(ValueError, match="trials"):
+            next(world_blocks(g, [0.5], 1, 0))
+        for grid in ([], [0.5, 0.0], [1.5]):
+            with pytest.raises(ValueError, match="q must"):
+                next(world_blocks(g, grid, 1, 2))
 
 
 class TestRecordWorlds:
