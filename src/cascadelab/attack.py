@@ -7,7 +7,7 @@ giant-membership frequency clears a confidence floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FloorStats:
+class FloorStats(NamedTuple):
     """Attack quality for one confidence floor."""
 
     floor: float
@@ -41,8 +40,7 @@ class FloorStats:
     precision: float
 
 
-@dataclass(frozen=True)
-class AttackEvaluation:
+class AttackEvaluation(NamedTuple):
     """Attack quality, with the calibrated quantities it was judged by.
 
     A released count above `decision_threshold` judges the giant active;

@@ -7,8 +7,7 @@ are clamped to [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,16 +30,14 @@ _BISECT_WIDTH = 1e-13
 _BISECT_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class GiantFractionSolution:
+class GiantFractionSolution(NamedTuple):
     """Root y of exp(-c*y) = 1 - y for mean retained degree c."""
 
     c: float
     y: float
 
 
-@dataclass(frozen=True)
-class RankEnvelope:
+class RankEnvelope(NamedTuple):
     """Growth regime of the highest rank that still joins the giant."""
 
     tag: str

@@ -16,6 +16,7 @@ allocate included), 3 degenerate conditioning.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import re
@@ -593,5 +594,17 @@ def main(argv=None) -> int:
         return 3
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """Process entry: `python -m cascadelab.cli` and the `cascadelab` script.
+
+    Freezes the import-time heap (`gc.freeze`), so that no collection, the
+    one at interpreter exit included, walks numpy's and the package's
+    objects again, then exits with `main()`'s code. `main` itself leaves
+    the collector alone: in-process callers would keep their garbage.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -11,9 +11,9 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ class EdgeListFormatError(ValueError):
     """A line of an edge-list file could not be parsed."""
 
 
-@dataclass(frozen=True)
-class EdgeListReport:
+class EdgeListReport(NamedTuple):
     """Counts of records dropped while cleaning an edge-list file."""
 
     duplicates_dropped: int = 0
@@ -125,8 +124,7 @@ class Graph:
         return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
 
 
-@dataclass(frozen=True)
-class NodeWeights:
+class NodeWeights(NamedTuple):
     """Expected-degree sequence w_i = d * (n / i)**(1/b) for ranks i = 1..n.
 
     `weights` is non-increasing, `weights[-1] == min_degree` exactly, and

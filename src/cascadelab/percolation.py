@@ -19,8 +19,7 @@ integer sample of the counts its trials gave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -51,8 +50,7 @@ class DegenerateConditioningError(RuntimeError):
     """A conditional distribution received no samples in one branch."""
 
 
-@dataclass(frozen=True)
-class WorldBlock:
+class WorldBlock(NamedTuple):
     """Consecutive trials `start`, `start + 1`, ... labeled as one union.
 
     Its worlds are retained at the `qi`-th q given to `world_blocks` (0 for
@@ -98,8 +96,7 @@ class WorldBlock:
         return self.root == self.giant_root[:, None]
 
 
-@dataclass(frozen=True)
-class MembershipEstimate:
+class MembershipEstimate(NamedTuple):
     """Per-node frequency of giant-component membership over many trials."""
 
     trials: int
@@ -111,8 +108,7 @@ class MembershipEstimate:
         return self.frequency >= floor
 
 
-@dataclass(frozen=True)
-class WorldRecord:
+class WorldRecord(NamedTuple):
     """What one pass over `world_blocks` with seeds leaves for its estimators.
 
     Rows are the trials ordered by ascending activation count (stably, so
@@ -287,13 +283,13 @@ def _admitted(edges: np.ndarray, trial_seeds: list[int], qs: np.ndarray):
     for row, ts in zip(coins, trial_seeds):
         rng_from_seed(child_seed(ts, 0)).random(out=row)
     coins = coins.ravel()
-    before = np.zeros(coins.size, dtype=bool)
     parts = []
+    before = None
     for q in qs.tolist():
         now = coins < q
         # compress copies the kept rows several times faster than a boolean
         # index
-        parts.append(edges.compress(now ^ before, axis=0))
+        parts.append(edges.compress(now if before is None else now ^ before, axis=0))
         before = now
     return parts
 
@@ -340,8 +336,11 @@ def world_blocks(
                 [sample_seeds(n, s, child_seed(ts, 1)) for ts in trial_seeds]
             )
         root = np.arange(k * n, dtype=np.int64)
-        for qi, admitted in zip(walk, _admitted(edges, trial_seeds, grid[walk])):
-            root = _hook_and_jump(root, admitted)
+        # popped, so that each part is freed once merged and none outlives
+        # its block into the next block's coins
+        parts = _admitted(edges, trial_seeds, grid[walk])[::-1]
+        for qi in walk:
+            root = _hook_and_jump(root, parts.pop())
             giant, giant_size, second_size = _top_two(root, k)
             giant_root = giant + offsets
             cascade = {}

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,17 @@ _ERROR_QUANTILE_DELTA = 1e-3
 _SHOWN_DEGENERATE = 5
 
 
-@dataclass(frozen=True)
-class MechanismSpec:
+# a NamedTuple may not define __new__ itself, so MechanismSpec validates in
+# a subclass, whose __new__ also holds the defaults
+class _MechanismFields(NamedTuple):
+    kind: str
+    scale: float | None
+    epsilon: float | None
+    flip_prob: float | None
+    clamp: bool
+
+
+class MechanismSpec(_MechanismFields):
     """Declarative description of a count-release mechanism.
 
     kind "laplace" adds Laplace(scale) noise; kind "wasserstein" is the
@@ -54,13 +63,10 @@ class MechanismSpec:
     Numbers must be finite reals and `clamp` a bool.
     """
 
-    kind: str
-    scale: float | None = None
-    epsilon: float | None = None
-    flip_prob: float | None = None
-    clamp: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, kind, scale=None, epsilon=None, flip_prob=None, clamp=False):
+        self = super().__new__(cls, kind, scale, epsilon, flip_prob, clamp)
         if self.kind not in _KINDS:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
         for name in ("scale", "epsilon", "flip_prob"):
@@ -91,6 +97,12 @@ class MechanismSpec:
                 )
             if self.scale is not None or self.epsilon is not None:
                 raise ValueError("randomized_response takes only flip_prob")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # tuple's own _make, which _replace calls, would skip the checks
+        return cls(*iterable)
 
     @property
     def is_laplace(self) -> bool:
@@ -98,8 +110,7 @@ class MechanismSpec:
         return self.kind != "randomized_response"
 
 
-@dataclass(frozen=True)
-class MechanismScaleReport:
+class MechanismScaleReport(NamedTuple):
     """Wasserstein-mechanism calibration over a set of protected nodes.
 
     `w_scale` is the largest infinity-order Wasserstein distance between the

@@ -775,6 +775,27 @@ class TestErrorPaths:
         )
         assert done.stdout.strip() == "[]"
 
+    def test_import_loads_no_dataclasses(self):
+        """The records are NamedTuples: building a frozen dataclass execs
+        about six generated functions at import."""
+        src = Path(cascadelab.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def loaded(module):
+            code = f"import sys, {module}; print('dataclasses' in sys.modules)"
+            return subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+                check=True,
+            ).stdout.strip()
+
+        if loaded("numpy") == "True":
+            pytest.skip("this numpy imports dataclasses with numpy itself")
+        assert loaded("cascadelab.cli") == "False"
+
     def test_audit_and_attack_leave_numpy_ma_unimported(self, tmp_path):
         """`np.unique` without counts and `np.union1d` import `numpy.ma`,
         about 12 ms per process; the audit and attack paths avoid both."""
@@ -810,6 +831,58 @@ class TestErrorPaths:
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         found = re.findall(r'^version\s*=\s*"([^"]+)"', pyproject.read_text(), re.M)
         assert found == [cascadelab.__version__]
+
+    def test_process_entry_runs_main(self, tmp_path, capsys):
+        """`python -m cascadelab.cli` writes what `main()` writes in process,
+        keeps the exit codes 2 and 3, and the console script names the
+        same entry."""
+        src = Path(cascadelab.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def entry(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "cascadelab.cli", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+
+        out = tmp_path / "out"
+        argv = ["gen", "--config", write_config(tmp_path, **GOLDEN_CONFIG)]
+        argv += ["--out", str(out)]
+        done = entry(*argv)
+        assert done.returncode == 0
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert list(written) == ["graph.txt"]
+        for p in out.iterdir():
+            p.unlink()
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == done.stdout
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+        bad = {**GOLDEN_CONFIG, "mechanism": {"kind": "laplace", "scale": 1.0, "x": 1}}
+        edge_file = tmp_path / "k2.txt"
+        edge_file.write_text("0 1\n")
+        degenerate = {
+            "graph": {"kind": "edge_list", "path": str(edge_file)},
+            "q": 1.0,
+            "trials": 30,
+            "protected": [0, 1],
+            "mechanism": {"kind": "laplace", "scale": 1.0},
+        }
+        for entries, code, message in ((bad, 2, "config error:"),
+                                       (degenerate, 3, "degenerate conditioning:")):
+            config = write_config(tmp_path, "case.json", **entries)
+            done = entry("audit", "--config", config, "--out", str(tmp_path / "case"))
+            assert done.returncode == code
+            assert message in done.stderr
+            assert "Traceback" not in done.stderr
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = re.findall(r'^cascadelab\s*=\s*"([^"]+)"', pyproject.read_text(), re.M)
+        assert scripts == ["cascadelab.cli:entry"]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

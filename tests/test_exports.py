@@ -5,10 +5,12 @@ A stale entry left behind when a function is deleted breaks
 by attribute and by a star import. The package star-imports its modules,
 so its own `__all__` must hold every name they list. The package's only
 runtime dependency is numpy; scipy and networkx serve the tests alone.
+Every result record is immutable and names its fields in its repr.
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -16,6 +18,19 @@ from pathlib import Path
 import pytest
 
 import cascadelab
+from cascadelab import (
+    EdgeListReport,
+    MechanismScaleReport,
+    MechanismSpec,
+    chung_lu_rank_envelope,
+    chung_lu_weights,
+    estimate_giant_membership,
+    evaluate_attack,
+    generate_er,
+    record_worlds,
+    solve_giant_fraction,
+    world_blocks,
+)
 
 SUBMODULES = [info.name for info in pkgutil.iter_modules(cascadelab.__path__)]
 MODULES = ["cascadelab"] + [f"cascadelab.{name}" for name in SUBMODULES]
@@ -58,3 +73,33 @@ def test_imports_only_numpy_and_the_standard_library():
                 if name.partition(".")[0] not in allowed
             ]
     assert foreign == []
+
+
+def _records():
+    g = generate_er(30, 0.1, rng_seed=3)
+    spec = MechanismSpec("laplace", scale=1.0)
+    attack = evaluate_attack(g, 0.5, 1, spec, [0.5], 10, 4)
+    return [
+        EdgeListReport(),
+        chung_lu_weights(10, 2.0, 1.5),
+        solve_giant_fraction(2.0),
+        chung_lu_rank_envelope(1.5),
+        spec,
+        MechanismScaleReport(1.0, {0: 1.0}, {}),
+        next(world_blocks(g, 0.5, 5, 2, s=1)),
+        estimate_giant_membership(g, 0.5, 4, 6),
+        record_worlds(g, 0.5, 1, 4, 7),
+        attack.floors[0],
+        attack,
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_are_immutable_and_name_their_fields(record):
+    fields = list(inspect.signature(type(record)).parameters)
+    for name in fields + ["added"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    text = repr(record)
+    assert text.startswith(type(record).__name__ + "(")
+    assert all(f"{name}=" in text for name in fields)

@@ -92,6 +92,12 @@ class TestMechanismSpec:
         with pytest.raises(ValueError, match="kind"):
             MechanismSpec(kind="gaussian", scale=1.0)
 
+    def test_replace_checks_like_the_constructor(self):
+        spec = MechanismSpec(kind="laplace", scale=1.0)
+        assert spec._replace(clamp=True) == MechanismSpec("laplace", 1.0, clamp=True)
+        with pytest.raises(ValueError, match="scale > 0"):
+            spec._replace(scale=0.0)
+
     def test_is_laplace(self):
         assert MechanismSpec(kind="laplace", scale=1.0).is_laplace
         assert MechanismSpec(kind="wasserstein", scale=1.0, epsilon=1.0).is_laplace
