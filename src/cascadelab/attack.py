@@ -121,6 +121,7 @@ def evaluate_attack(
         judged_active = reported > threshold
         status_hits += int(np.count_nonzero(judged_active == truth_active))
         correct += (block.activated == judged_active[:, None]).sum(axis=0)
+        del block  # free it before the next block is labeled
 
     per_node_accuracy = correct / trials
     stats = []

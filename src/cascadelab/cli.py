@@ -329,6 +329,7 @@ def _component_stats(g: Graph, q: float, trials: int, seed: int):
     second = np.empty(trials, dtype=np.float64)
     for block in world_blocks(g, q, seed, trials):
         giant[block.rows], second[block.rows] = block.giant_size, block.second_size
+        del block  # free it before the next block is labeled
     return (
         float(giant.mean()),
         float(second.mean()),
@@ -386,6 +387,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     for block in world_blocks(g, q_grid, child_seed(master, _STREAM_SWEEP), trials):
         giant[block.qi] += block.giant_size.sum()
         second[block.qi] += block.second_size.sum()
+        del block  # free it before the next block is labeled
     n = g.node_count
     rows = [
         (q, gs / trials / n, ss / trials / n)

@@ -43,9 +43,18 @@ _WHITESPACE = str.maketrans(
 # the first line that is not blank, once whitespace is mapped
 _HEADER_RE = re.compile(r"\s*# *nodes=(\d+) +edges=(\d+) *(?:\n|\Z)")
 # a word holding a token's first w bytes keeps them by _LOW[w] and takes
-# spaces from _FILL[w] in the rest
+# spaces from _SPACES in the rest
 _LOW = np.array([(1 << 8 * w) - 1 for w in range(9)], dtype=np.uint64)
-_FILL = np.uint64(0x2020202020202020) & ~_LOW
+_SPACES = np.uint64(0x2020202020202020)
+# digit words: every byte's high nibble is 3, and stays 3 after adding 6
+# exactly when the byte is an ASCII digit
+_ZEROS, _SIXES = np.uint64(0x3030303030303030), np.uint64(0x0606060606060606)
+_NIBBLE = np.uint64(0xF0F0F0F0F0F0F0F0)
+_DIGIT_STEPS = [
+    (np.uint64(8), np.uint64(10), np.uint64(0x00FF00FF00FF00FF)),
+    (np.uint64(16), np.uint64(100), np.uint64(0x0000FFFF0000FFFF)),
+    (np.uint64(32), np.uint64(10000), np.uint64(0x00000000FFFFFFFF)),
+]
 # the largest n with n * (n - 1) <= 2**63, so every edge key lo * n + hi,
 # at most n * n - n - 1, fits in an int64
 _MAX_NODES = 3_037_000_500
@@ -342,29 +351,163 @@ def load_edge_list(path) -> Graph:
             f"{path}:{lineno}: header declares {header_n} nodes, "
             f"more than the {_MAX_NODES} a graph can hold"
         )
-    # the trailing spaces let every token be read as whole 8-byte words
-    b = np.frombuffer(text.encode() + b" " * 8, dtype=np.uint8)
+    # a space in front, so that every token starts where a run of separators
+    # ends, and eight behind, so that every token reads as whole 8-byte words
+    b = np.frombuffer(f" {text}{' ' * 8}".encode(), dtype=np.uint8)
     del text, m
-    brk = b == ord("\n")
-    breaks = np.flatnonzero(brk)
-    # tokens are the runs of bytes between spaces and line breaks
-    bounds = np.flatnonzero(np.diff(brk | (b == ord(" ")), prepend=True, append=True))
-    starts, lengths = bounds[0::2], bounds[1::2] - bounds[0::2]
+    flips = b == ord("\n")
+    breaks = np.flatnonzero(flips)
+    sep = b == ord(" ")
+    sep |= flips
+    # tokens are the runs of bytes between separators: each begins and ends
+    # (exclusive) where sep flips
+    np.not_equal(sep[1:], sep[:-1], out=flips[1:])
+    del sep
+    bounds = np.flatnonzero(flips).reshape(-1, 2)
+    del flips
     # per line that holds tokens: its first token, token count and comment flag
-    head = np.zeros(starts.size + 1, dtype=bool)
-    head[np.r_[0, np.searchsorted(starts, breaks)]] = True  # first, or after a break
+    head = np.zeros(len(bounds) + 1, dtype=bool)
+    head[0] = True
+    head[np.searchsorted(bounds.ravel(), breaks, side="right") // 2] = True
     head = np.flatnonzero(head[:-1])
-    count = np.diff(head, append=starts.size)
+    bounds[:, 1] -= bounds[:, 0]  # each token's (start, length)
+    starts = bounds[:, 0]
+    count = np.diff(head, append=len(bounds))
     comment = b[starts[head]] == ord("#")
     bad = np.flatnonzero(~comment & (count != 2))[:1]
     found = [f"expected two node ids, found {c} tokens" for c in count[bad]]
     problems = list(zip(starts[head[bad]], found))  # (byte offset, message)
     keep = np.repeat(~comment & (count == 2), count)
-    del brk, head, count, comment, bounds
-    starts, lengths = starts[keep], lengths[keep]
-    ids, first, tokens = _intern(b, starts, lengths)
-    if header_n is not None:
-        # ids number tokens as first seen, so the first bad id is the file's
+    del head, count, comment
+    # files tend to put their comments first: then the records are a slice
+    skip = keep.size - np.count_nonzero(keep)
+    bounds = bounds[skip:] if keep[skip:].all() else np.compress(keep, bounds, axis=0)
+    del keep
+    starts, lengths = bounds[:, 0], bounds[:, 1]
+    windows = np.ndarray((b.size - 7,), dtype="<u8", buffer=b, strides=(1,))
+    if header_n is None:
+        ids, tokens = _intern(windows, starts, lengths)
+        n = len(tokens)
+    else:
+        ids, bad_ids = _canonical_ids(windows, starts, lengths, header_n)
+        problems += bad_ids
+        n, tokens = header_n, None
+    if problems:
+        offset, message = min(problems)  # the first in the file
+        lineno = np.searchsorted(breaks, offset) + 1
+        raise EdgeListFormatError(f"{path}:{lineno}: {message}")
+    del bounds, starts, lengths, windows, b
+
+    lo, hi = np.minimum(ids[0::2], ids[1::2]), np.maximum(ids[0::2], ids[1::2])
+    key = lo * n
+    key += hi
+    key = key[lo != hi]
+    key.sort()
+    edges = key[np.diff(key, prepend=-1) != 0]
+    duplicates, self_loops = key.size - edges.size, lo.size - key.size
+    del ids, lo, hi, key
+    if duplicates or self_loops:
+        dropped = "%s: dropped %d duplicate edge(s) and %d self-loop(s)"
+        logger.warning(dropped, path, duplicates, self_loops)
+    if n < 1:
+        raise EdgeListFormatError(f"{path}: no nodes found")
+    report = EdgeListReport(duplicates, self_loops)
+    return Graph(n, np.column_stack(np.divmod(edges, n)), tokens, report)
+
+
+def _intern(windows, starts, lengths):
+    """Dense ids of the byte tokens at `starts`, numbered as first seen.
+
+    `windows[i]` holds the 8 bytes from byte i on. Each token is read as a
+    key of whole little-endian 8-byte words padded with at least one space,
+    which no token holds, so each distinct key decodes to one text; keys of
+    one width are sorted together. Returns each token's id and, per id,
+    its text.
+    """
+    if not lengths.size:
+        return np.empty(0, dtype=np.int64), []
+    classes = [1]
+    if lengths.max() > 7:
+        size = (lengths + 8) >> 3  # words per key
+        classes = np.flatnonzero(np.bincount(size)).tolist()
+    parts = []  # per width: the sort order, its runs of equal keys, run keys
+    for k in classes:
+        if len(classes) == 1:
+            members, keys = None, _keys(windows, starts, lengths, k)
+        else:
+            members = np.flatnonzero(size == k)
+            keys = _keys(windows, starts[members], lengths[members], k)
+        order = np.argsort(keys)
+        keys = keys[order]
+        runs = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        parts.append((order if members is None else members[order], runs, keys[runs]))
+        del members, keys
+    # each run's first token, and the runs in first-seen order
+    first = np.concatenate([np.minimum.reduceat(o, r) for o, r, _ in parts])
+    seen = np.argsort(first)
+    del first
+    rank = np.empty_like(seen)
+    rank[seen] = np.arange(seen.size)
+    ids = np.empty(starts.size, dtype=np.int64)
+    done = 0
+    for order, runs, _ in parts:
+        counts = np.diff(runs, append=order.size)
+        ids[order] = np.repeat(rank[done:done + runs.size], counts)
+        done += runs.size
+    if len(parts) == 1:
+        return ids, parts[0][2][seen].tobytes().decode().split()
+    texts = np.empty(seen.size, dtype=object)
+    done = 0
+    for _, runs, keys in parts:
+        texts[rank[done:done + runs.size]] = keys.tobytes().decode().split()
+        done += runs.size
+    return ids, texts.tolist()
+
+
+def _keys(windows, starts, lengths, k):
+    """Keys of k words for tokens of 8k - 8 to 8k - 1 bytes: the token's
+    bytes, then spaces."""
+    if k == 1:
+        keys, width = windows[starts], lengths
+    else:
+        word = 8 * np.arange(k)
+        keys = windows[starts[:, None] + word]
+        width = np.clip(lengths[:, None] - word, 0, 8)
+    # the bytes from the token's end on become spaces
+    keys ^= _SPACES
+    keys &= _LOW[width]
+    keys ^= _SPACES
+    return keys if k == 1 else keys.view(np.dtype((np.void, 8 * k))).ravel()
+
+
+def _canonical_ids(windows, starts, lengths, nodes):
+    """The integer ids that tokens under a canonical header spell.
+
+    Tokens of at most 18 ASCII digits are read by word arithmetic. Every
+    other token goes through `int()` once per distinct text, in first-seen
+    order, so that the first bad one is the first in the file. Returns the
+    ids and the bad ones found, as (byte offset, message): at most the
+    first of each kind.
+    """
+    # '0's in front fill each token out to whole 8-digit words
+    pad = -lengths % 8
+    words = windows[starts] << (8 * pad).astype(np.uint64)
+    words |= _LOW[pad] & _ZEROS
+    ids, digits = _eight_digits(words)
+    del words
+    digits &= lengths <= 18
+    for word in (1, 2):
+        more = np.flatnonzero(digits & (lengths + pad > 8 * word))
+        low, ok = _eight_digits(windows[starts[more] + 8 * word - pad[more]])
+        ids[more] = ids[more] * 10**8 + low
+        digits[more] &= ok
+    ids = ids.view(np.int64)  # below 10**18
+    over = np.flatnonzero(digits & (ids >= nodes))[:1]
+    problems = [(starts[i], f"id {ids[i]} outside 0..{nodes - 1}") for i in over]
+
+    rest = np.flatnonzero(~digits)
+    if rest.size:
+        rest_ids, tokens = _intern(windows, starts[rest], lengths[rest])
         values = np.empty(len(tokens), dtype=np.int64)
         for i, token in enumerate(tokens):
             try:
@@ -372,63 +515,32 @@ def load_edge_list(path) -> Graph:
             except ValueError:
                 found = f"non-integer id {token!r} under canonical header"
             else:
-                if 0 <= value < header_n:
+                if 0 <= value < nodes:
                     values[i] = value
                     continue
-                found = f"id {value} outside 0..{header_n - 1}"
-            problems.append((starts[first[i]], found))
+                found = f"id {value} outside 0..{nodes - 1}"
+            # ids number tokens as first seen: id i's first token is the
+            # first of rest_ids to equal i
+            problems.append((starts[rest[np.argmax(rest_ids == i)]], found))
             break
         else:
-            ids = values[ids]
-    if problems:
-        offset, message = min(problems)  # the first in the file
-        lineno = np.searchsorted(breaks, offset) + 1
-        raise EdgeListFormatError(f"{path}:{lineno}: {message}")
-
-    n = len(tokens) if header_n is None else header_n
-    lo, hi = np.minimum(ids[0::2], ids[1::2]), np.maximum(ids[0::2], ids[1::2])
-    key = np.sort((lo * n + hi)[lo != hi])
-    edges = key[np.diff(key, prepend=-1) != 0]
-    duplicates, self_loops = key.size - edges.size, lo.size - key.size
-    if duplicates or self_loops:
-        dropped = "%s: dropped %d duplicate edge(s) and %d self-loop(s)"
-        logger.warning(dropped, path, duplicates, self_loops)
-    if n < 1:
-        raise EdgeListFormatError(f"{path}: no nodes found")
-    external = tokens if header_n is None else None
-    report = EdgeListReport(duplicates, self_loops)
-    return Graph(n, np.column_stack(np.divmod(edges, n)), external, report)
+            ids[rest] = values[rest_ids]
+    return ids, problems
 
 
-def _intern(b, starts, lengths):
-    """Dense ids of the byte tokens b[starts:starts + lengths], first seen first.
-
-    Each token is read as a key of whole little-endian 8-byte words padded
-    with at least one space, which no token holds, so each distinct key
-    decodes to one text; keys of one width are sorted together. Returns
-    each token's id and, per id, its first token and its text.
-    """
-    windows = np.ndarray((b.size - 7,), dtype="<u8", buffer=b, strides=(1,))
-    inverse = np.empty(starts.size, dtype=np.int64)
-    firsts, texts = [np.empty(0, dtype=np.int64)], []
-    for k in np.flatnonzero(np.bincount((lengths + 8) // 8)).tolist():
-        members = np.flatnonzero((lengths + 8) // 8 == k)
-        word = 8 * np.arange(k)
-        width = np.clip(lengths[members, None] - word, 0, 8)
-        keys = windows[starts[members, None] + word] & _LOW[width] | _FILL[width]
-        del width
-        keys = keys.view(np.uint64 if k == 1 else np.dtype((np.void, 8 * k))).ravel()
-        order = np.argsort(keys)
-        keys = keys[order]
-        new = np.r_[True, keys[1:] != keys[:-1]]
-        keys = keys[new]
-        inverse[members[order]] = np.cumsum(new) + (len(texts) - 1)
-        texts += keys.tobytes().decode().split()
-        # the first token of each run of equal keys
-        firsts.append(members[np.minimum.reduceat(order, np.flatnonzero(new))])
-    first = np.concatenate(firsts)
-    order = np.argsort(first)
-    return np.argsort(order)[inverse], first[order], [texts[i] for i in order.tolist()]
+def _eight_digits(words):
+    """The numbers that words of 8 ASCII digits spell, first digit in the
+    low byte, and whether each word holds only digits."""
+    digits = ((words & _NIBBLE) == _ZEROS) & (((words + _SIXES) & _NIBBLE) == _ZEROS)
+    words -= _ZEROS
+    low = np.empty_like(words)
+    # pairs of digits, then of pairs, then of quads
+    for shift, scale, mask in _DIGIT_STEPS:
+        np.right_shift(words, shift, out=low)
+        words *= scale
+        words += low
+        words &= mask
+    return words, digits
 
 
 def dump_edge_list(g: Graph, path) -> None:

@@ -364,6 +364,8 @@ def world_blocks(
                 second_size,
                 **cascade,
             )
+            # leave the caller's block the only holder of this world's cascade
+            cascade = activated = None
 
 
 def record_worlds(
@@ -387,6 +389,7 @@ def record_worlds(
         counts[rows], packed[rows] = block.counts, np.packbits(block.activated, axis=1)
         giant_active[rows], tie[rows] = block.giant_active, block.tie
         giant_hits += block.in_giant.sum(axis=0)
+        del block  # free it before the next block is labeled
     order = np.argsort(counts, kind="stable")
     return WorldRecord(
         counts[order], packed[order], giant_active[order], tie[order], giant_hits
@@ -411,6 +414,7 @@ def estimate_giant_membership(
     for block in world_blocks(g, q, rng_seed, trials):
         counts += block.in_giant.sum(axis=0)
         ties += int(block.tie.sum())
+        del block  # free it before the next block is labeled
     return MembershipEstimate(
         trials=trials, frequency=counts / trials, ties_broken=ties
     )

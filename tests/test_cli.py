@@ -649,6 +649,9 @@ class TestErrorPaths:
                 [],
             ),
             ("gen", {"graph": {"kind": "edge_list", "path": 5}}, []),
+            ("gen", {"graph": {"kind": "edge_list", "path": "."}}, []),
+            ("gen", {"graph": {"kind": "edge_list", "path": "undecodable.txt"}}, []),
+            ("gen", {"graph": {"kind": "edge_list", "path": "empty.txt"}}, []),
             ("gen", {"out_dir": 5}, []),
             ("gen", {}, ["--out", "{config}"]),
             (
@@ -717,6 +720,9 @@ class TestErrorPaths:
             "attack-mechanism-scale-nan",
             "audit-mechanism-clamp-string",
             "gen-edge-list-path-int",
+            "gen-edge-list-path-directory",
+            "gen-edge-list-undecodable-bytes",
+            "gen-edge-list-empty-file",
             "gen-out-dir-int",
             "gen-out-names-a-file",
             "components-graph-name-list",
@@ -735,8 +741,12 @@ class TestErrorPaths:
         ],
     )
     def test_bad_config_exits_2_without_traceback(
-        self, tmp_path, capsys, command, entries, flags
+        self, tmp_path, capsys, monkeypatch, command, entries, flags
     ):
+        # edge-list paths are read relative to tmp_path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "undecodable.txt").write_bytes(b"\xff\xfe")
+        (tmp_path / "empty.txt").write_bytes(b"")
         base = {
             "graph": {"kind": "er", "n": 300, "p": 5 / 299, "seed": 40},
             "q": 0.4,

@@ -1,5 +1,6 @@
 """Tests for graph construction, generators, and edge-list files."""
 
+import collections
 import logging
 import math
 import tracemalloc
@@ -443,16 +444,21 @@ class TestEdgeListFiles:
             load_edge_list(f)
 
 
-def write_snap_like(path, seed, pool, draws):
+def write_snap_like(path, seed, pool, draws, long_share=0.0):
     """Write a SNAP-form file: tab-separated rows listing every edge both
     ways, sorted by source, under `#` comment lines, with a few self-loops
-    and sparse integer ids (rank weights, degree exponent 2.5)."""
+    and sparse integer ids (rank weights, degree exponent 2.5). A share
+    `long_share` of the ids have 9 to 16 digits in place of at most 7."""
     rng = np.random.default_rng(seed)
     weights = (pool / np.arange(1, pool + 1)) ** (2 / 3)
     cum = np.cumsum(weights)
     ends = np.searchsorted(cum, rng.random((draws, 2)) * cum[-1], side="right")
     ends = np.unique(np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1), axis=0)
     ids = rng.choice(100 * pool, size=pool, replace=False)
+    if long_share:
+        long = rng.random(pool) < long_share
+        digits = rng.integers(9, 17, size=np.count_nonzero(long))
+        ids[long] = 10 ** (digits - 1) + rng.integers(10**8, size=digits.size)
     rows = np.concatenate([ends, ends[:, ::-1], np.repeat(ends[:7, :1], 2, axis=1)])
     rows = ids[rows[np.lexsort((ids[rows[:, 1]], ids[rows[:, 0]]))]]
     body = "".join(f"{u}\t{v}\n" for u, v in rows.tolist())
@@ -535,6 +541,49 @@ class TestLoaderMatchesPerLineOracle:
             want = load_outcome(load_edge_list_per_line, path, caplog)
         assert got[0] > 20000 and got[3].duplicates_dropped > 50000
         assert got == want
+
+    def test_snap_file_with_ids_of_several_key_widths(self, tmp_path, caplog):
+        """Ids of at most 7 bytes and of 9 to 16 bytes are keyed in words
+        of different widths and sorted apart, then numbered together."""
+        path = tmp_path / "snap.txt"
+        write_snap_like(path, seed=804, pool=6000, draws=16000, long_share=0.5)
+        with caplog.at_level(logging.WARNING):
+            got = load_outcome(load_edge_list, path, caplog)
+            want = load_outcome(load_edge_list_per_line, path, caplog)
+        widths = collections.Counter((len(t) + 8) // 8 for t in got[2])
+        assert widths[1] > 1000 and widths[2] > 1000 and widths[3] > 100
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "000000000000000001",
+            "0000000000000000002",
+            "00000000000000000003",
+            "999999999999999999",
+            "9999999999999999999",
+            "99999999999999999999",
+            "+1",
+            "1_0",
+            "\u0663",
+            "-0",
+            "02",
+            "10",
+            "11",
+        ],
+    )
+    def test_canonical_ids_at_the_edges_of_digit_parsing(
+        self, tmp_path, caplog, token
+    ):
+        """Ids of up to 18 ASCII digits are parsed as digits and every
+        other id by int(): 18, 19 and 20 digits, signs, underscores,
+        non-ASCII digits, leading zeros, and the ids nodes - 1 and nodes."""
+        path = tmp_path / "g.txt"
+        for text in (f"0 1\n1 {token}\n{token} 2\n", f"{token} 3\n4 x\n"):
+            path.write_bytes(f"# nodes=11 edges=3\n{text}".encode())
+            with caplog.at_level(logging.WARNING):
+                got = load_outcome(load_edge_list, path, caplog)
+                assert got == load_outcome(load_edge_list_per_line, path, caplog)
 
     def test_random_small_files(self, tmp_path, caplog):
         rng = np.random.default_rng(802)
