@@ -8,12 +8,15 @@ dense node ids 0..n-1.
 
 from __future__ import annotations
 
+import io
 import logging
 import math
+import os
 import re
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
+from zipfile import BadZipFile
 
 import numpy as np
 
@@ -95,17 +98,21 @@ class Graph:
         if edges.size:
             if edges.min() < 0 or edges.max() >= node_count:
                 raise ValueError("edge endpoint outside 0..node_count-1")
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            if (lo == hi).any():
-                raise ValueError("self-loops are not allowed")
+            lo, hi = edges[:, 0], edges[:, 1]
+            if not (lo < hi).all():
+                lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+                if (lo == hi).any():
+                    raise ValueError("self-loops are not allowed")
             # one int64 key per edge sorts as (lo, hi) does
             key = lo * node_count + hi
-            key.sort()
-            if (np.diff(key) == 0).any():
-                raise ValueError("duplicate edges are not allowed")
-            edges = np.empty((key.size, 2), dtype=np.int64)
-            np.divmod(key, node_count, out=(edges[:, 0], edges[:, 1]))
+            if (key[1:] > key[:-1]).all():  # already sorted and distinct
+                edges = np.column_stack((lo, hi))
+            else:
+                key.sort()
+                if (np.diff(key) == 0).any():
+                    raise ValueError("duplicate edges are not allowed")
+                edges = np.empty((key.size, 2), dtype=np.int64)
+                np.divmod(key, node_count, out=(edges[:, 0], edges[:, 1]))
         self.node_count = node_count
         self.edges = edges
         self.external_ids = external_ids
@@ -336,14 +343,88 @@ def load_edge_list(path) -> Graph:
     `dump_edge_list`) switches to verbatim integer ids so canonical dumps
     round-trip exactly, including isolated nodes.
 
+    The parsed graph is cached in `$XDG_CACHE_HOME/cascadelab` (by default
+    `~/.cache/cascadelab`), one entry per resolved path, under the SHA-256
+    of the file's bytes, this module's source and numpy's version, so a
+    hit returns exactly what the parse gave. An entry that cannot be read
+    or written costs only the parse.
+
     Raises:
         EdgeListFormatError: a line does not hold exactly two tokens, ids
             under a canonical header are not integers in range, or the
             header declares more nodes than a `Graph` can hold.
         OSError: the file cannot be read.
     """
+    import hashlib
+
     path = Path(path)
-    text = path.read_text().translate(_WHITESPACE)
+    data = path.read_bytes()
+    digest = hashlib.sha256(np.__version__.encode())
+    digest.update(Path(__file__).read_bytes())
+    digest.update(data)
+    key = np.frombuffer(digest.digest(), dtype=np.uint8)
+    entry = g = None
+    try:
+        name = hashlib.sha256(bytes(path.resolve())).hexdigest()
+        entry = _cache_dir() / f"{name}.npz"
+        g = _cached_graph(entry, key)
+    except _CACHE_ERRORS:
+        pass
+    if g is None:
+        stream = io.TextIOWrapper(io.BytesIO(data))  # decodes as read_text does
+        del data  # closing the stream frees the bytes before tokenizing
+        g = _parse_edge_list(path, stream)
+        if entry is not None:
+            try:
+                _store_graph(entry, key, g)
+            except _CACHE_ERRORS:
+                pass
+    if any(g.source_report):
+        dropped = "%s: dropped %d duplicate edge(s) and %d self-loop(s)"
+        logger.warning(dropped, path, *g.source_report)
+    return g
+
+
+# a cache entry that cannot be found, read or written is a miss
+_CACHE_ERRORS = (OSError, RuntimeError, ValueError, KeyError, EOFError, BadZipFile)
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "cascadelab"
+
+
+def _cached_graph(entry: Path, key) -> Graph | None:
+    """The graph stored at `entry`, if it was stored under `key`."""
+    with np.load(entry) as stored:
+        if not np.array_equal(stored["key"], key):
+            return None
+        n, duplicates, self_loops = stored["counts"].tolist()
+        ids = stored["ids"].tobytes().decode().split("\n") if "ids" in stored else None
+        return Graph(n, stored["edges"], ids, EdgeListReport(duplicates, self_loops))
+
+
+def _store_graph(entry: Path, key, g: Graph) -> None:
+    """Write `g` to `entry` under `key` in place of any older entry."""
+    arrays = {"key": key, "counts": np.array([g.node_count, *g.source_report]),
+              "edges": g.edges}
+    if g.external_ids is not None:  # no id holds a line break
+        arrays["ids"] = np.frombuffer("\n".join(g.external_ids).encode(), np.uint8)
+    entry.parent.mkdir(parents=True, exist_ok=True)
+    part = entry.with_name(f"{entry.name}.{os.getpid()}.part")
+    try:
+        with open(part, "wb") as f:
+            np.savez(f, **arrays)
+        os.replace(part, entry)
+    finally:
+        part.unlink(missing_ok=True)
+
+
+def _parse_edge_list(path: Path, stream) -> Graph:
+    """The graph that the text `stream` holds; `path` names it in errors."""
+    with stream:
+        text = stream.read()
+    text = text.translate(_WHITESPACE)
     header_n = int(m.group(1)) if (m := _HEADER_RE.match(text)) else None
     if header_n is not None and header_n > _MAX_NODES:
         lineno = text.count("\n", 0, m.start(1)) + 1
@@ -406,9 +487,6 @@ def load_edge_list(path) -> Graph:
     edges = key[np.diff(key, prepend=-1) != 0]
     duplicates, self_loops = key.size - edges.size, lo.size - key.size
     del ids, lo, hi, key
-    if duplicates or self_loops:
-        dropped = "%s: dropped %d duplicate edge(s) and %d self-loop(s)"
-        logger.warning(dropped, path, duplicates, self_loops)
     if n < 1:
         raise EdgeListFormatError(f"{path}: no nodes found")
     report = EdgeListReport(duplicates, self_loops)
@@ -455,7 +533,9 @@ def _intern(windows, starts, lengths):
         ids[order] = np.repeat(rank[done:done + runs.size], counts)
         done += runs.size
     if len(parts) == 1:
-        return ids, parts[0][2][seen].tobytes().decode().split()
+        keys = parts[0][2]
+        del parts, order, runs, counts  # spent: free them before the texts exist
+        return ids, keys[seen].tobytes().decode().split()
     texts = np.empty(seen.size, dtype=object)
     done = 0
     for _, runs, keys in parts:
@@ -491,7 +571,8 @@ def _canonical_ids(windows, starts, lengths, nodes):
     """
     # '0's in front fill each token out to whole 8-digit words
     pad = -lengths % 8
-    words = windows[starts] << (8 * pad).astype(np.uint64)
+    words = windows[starts]
+    words <<= pad.view(np.uint64) << np.uint64(3)
     words |= _LOW[pad] & _ZEROS
     ids, digits = _eight_digits(words)
     del words

@@ -806,6 +806,28 @@ class TestErrorPaths:
             pytest.skip("this numpy imports dataclasses with numpy itself")
         assert loaded("cascadelab.cli") == "False"
 
+    def test_import_leaves_hashlib_unloaded(self):
+        """Only `load_edge_list` hashes, so only it imports `hashlib`: about
+        5 ms per process after numpy, which generated substrates never pay."""
+        src = Path(cascadelab.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def loaded(module):
+            code = f"import sys, {module}; print('hashlib' in sys.modules)"
+            return subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+                check=True,
+            ).stdout.strip()
+
+        if loaded("numpy") == "True":
+            pytest.skip("this numpy imports hashlib with numpy itself")
+        assert loaded("cascadelab") == "False"
+        assert loaded("cascadelab.cli") == "False"
+
     def test_audit_and_attack_leave_numpy_ma_unimported(self, tmp_path):
         """`np.unique` without counts and `np.union1d` import `numpy.ma`,
         about 12 ms per process; the audit and attack paths avoid both."""

@@ -3,12 +3,15 @@
 import collections
 import logging
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from cascadelab import graph as graph_module
 from cascadelab.graph import (
     _WHITESPACE,
     EdgeListFormatError,
@@ -42,6 +45,32 @@ class TestGraph:
             rows = [p if rng.random() < 0.5 else p[::-1] for p in pairs]
             g = Graph(n, [rows[i] for i in rng.permutation(len(rows))])
             assert g.edges.tolist() == [list(p) for p in pairs]
+
+    def test_sorted_shuffled_and_flipped_rows_give_one_graph(self):
+        """Rows already in canonical order skip the sort; every other order
+        and orientation of the same edges gives equal `edges`."""
+        canonical = Graph(60, generate_er(60, 0.2, rng_seed=4).edges).edges
+        rng = np.random.default_rng(6)
+        flipped = canonical.copy()
+        flip = rng.random(len(flipped)) < 0.5
+        flipped[flip] = flipped[flip, ::-1]
+        shuffled = canonical[rng.permutation(len(canonical))]
+        for rows in (canonical, flipped, shuffled, flipped[::-1], canonical[:, ::-1]):
+            assert np.array_equal(Graph(60, rows).edges, canonical)
+
+    def test_sorted_rows_with_repeat_or_loop_still_raise(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            Graph(4, [[0, 1], [0, 2], [0, 2], [1, 3]])
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph(4, [[0, 1], [1, 1], [1, 3]])
+
+    def test_never_aliases_the_callers_array(self):
+        for rows in ([[0, 1], [1, 2]], [[1, 2], [0, 1]], [[2, 1], [0, 1]]):
+            given = np.array(rows, dtype=np.int64)
+            g = Graph(3, given)
+            assert not np.shares_memory(g.edges, given)
+            given[:] = 0
+            assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -651,3 +680,160 @@ class TestLoaderMatchesPerLineOracle:
         finally:
             tracemalloc.stop()
         assert peaks[0] <= peaks[1]
+
+
+def count_parses(monkeypatch) -> list:
+    """A list that grows by one with every parse of an edge-list file."""
+    parses, parse = [], graph_module._parse_edge_list
+
+    def counted(path, stream):
+        parses.append(path)
+        return parse(path, stream)
+
+    monkeypatch.setattr(graph_module, "_parse_edge_list", counted)
+    return parses
+
+
+def cache_entries(cache_home) -> list:
+    folder = cache_home / "cascadelab"
+    return sorted(folder.iterdir()) if folder.exists() else []
+
+
+class TestCacheHitMatchesMiss(TestLoaderMatchesPerLineOracle):
+    """Every file of the oracle tests, loaded twice: the parse that stores
+    an entry and the hit that reads it give one outcome, and the hit then
+    meets the per-line loader."""
+
+    # the table reads no file, and the peak test measures a single parse
+    test_whitespace_table_matches_str_methods = None
+    test_peak_memory_within_per_line_loader = None
+
+    @pytest.fixture(autouse=True)
+    def load_twice(self, monkeypatch, caplog):
+        load, parses = load_edge_list, count_parses(monkeypatch)
+
+        def twice(path):
+            miss = load_outcome(load, path, caplog)
+            parsed = len(parses)
+            hit = load_outcome(load, path, caplog)
+            assert hit == miss
+            # a bad file is parsed every time, a good one only until stored
+            assert len(parses) == parsed + (miss[0] == "error")
+            caplog.clear()
+            return load(path)
+
+        monkeypatch.setattr(sys.modules[__name__], "load_edge_list", twice)
+
+
+class TestEdgeListCache:
+    def test_edit_at_same_size_and_mtime_is_parsed_again(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        path = tmp_path / "g.txt"
+        path.write_text("# nodes=3 edges=2\n0 1\n1 2\n")
+        load_edge_list(path)
+        before = path.stat()
+        path.write_text("# nodes=3 edges=2\n0 2\n1 2\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert after.st_size == before.st_size
+        assert after.st_mtime_ns == before.st_mtime_ns
+        parses = count_parses(monkeypatch)
+        got = load_outcome(load_edge_list, path, caplog)
+        assert parses == [path]
+        assert got == load_outcome(load_edge_list_per_line, path, caplog)
+        assert got[1] == [[0, 2], [1, 2]]
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty"])
+    def test_damaged_entry_is_a_miss(
+        self, tmp_path, cache_home, monkeypatch, caplog, damage
+    ):
+        path = tmp_path / "snap.txt"
+        write_snap_like(path, seed=805, pool=300, draws=800)
+        with caplog.at_level(logging.WARNING):
+            want = load_outcome(load_edge_list, path, caplog)
+            [entry] = cache_entries(cache_home)
+            data = entry.read_bytes()
+            entry.write_bytes(data[: len(data) // 2] if damage == "truncated" else b"")
+            parses = count_parses(monkeypatch)
+            assert load_outcome(load_edge_list, path, caplog) == want
+            assert load_outcome(load_edge_list, path, caplog) == want
+        # the parse stored a sound entry again, and the last load hit it
+        assert parses == [path]
+        assert cache_entries(cache_home) == [entry]
+
+    @pytest.mark.parametrize("where", ["cache home", "cascadelab"])
+    def test_cache_location_that_is_a_file_costs_only_the_parse(
+        self, tmp_path, cache_home, monkeypatch, caplog, where
+    ):
+        if where == "cache home":
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "plain"))
+            (tmp_path / "plain").write_text("a file\n")
+        else:
+            (cache_home / "cascadelab").write_text("a file\n")
+        path = tmp_path / "g.txt"
+        path.write_text("a b\nb c\nc a\na b\n")
+        parses = count_parses(monkeypatch)
+        with caplog.at_level(logging.WARNING):
+            want = load_outcome(load_edge_list_per_line, path, caplog)
+            assert load_outcome(load_edge_list, path, caplog) == want
+            assert load_outcome(load_edge_list, path, caplog) == want
+        assert parses == [path, path]
+
+    def test_bad_file_raises_the_same_error_and_stores_nothing(
+        self, tmp_path, cache_home
+    ):
+        path = tmp_path / "g.txt"
+        path.write_text("# c\n0 1\n1 2 3\n")
+        for _ in range(2):
+            with pytest.raises(EdgeListFormatError) as raised:
+                load_edge_list(path)
+            message = f"{path}:3: expected two node ids, found 3 tokens"
+            assert str(raised.value) == message
+        assert cache_entries(cache_home) == []
+
+    def test_one_entry_per_resolved_path(self, tmp_path, cache_home):
+        path, other = tmp_path / "g.txt", tmp_path / "h.txt"
+        (tmp_path / "sub").mkdir()
+        for i in range(3):
+            path.write_text(f"# nodes=5 edges=1\n0 {i + 1}\n")
+            load_edge_list(path)
+            load_edge_list(tmp_path / "sub" / ".." / "g.txt")
+        assert len(cache_entries(cache_home)) == 1
+        other.write_text("0 1\n")
+        load_edge_list(other)
+        assert [e.suffix for e in cache_entries(cache_home)] == [".npz", ".npz"]
+
+    def test_hit_warns_with_the_callers_path(self, tmp_path, monkeypatch, caplog):
+        path = tmp_path / "g.txt"
+        path.write_text("a b\nb a\nc c\n")
+        (tmp_path / "sub").mkdir()
+        alias = tmp_path / "sub" / ".." / "g.txt"
+        load_edge_list(path)
+        parses = count_parses(monkeypatch)
+        with caplog.at_level(logging.WARNING):
+            got = load_outcome(load_edge_list, alias, caplog)
+        assert parses == []
+        assert got[-1] == [f"{alias}: dropped 1 duplicate edge(s) and 1 self-loop(s)"]
+
+    def test_default_location_is_under_home(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        path = tmp_path / "g.txt"
+        path.write_text("a b\n")
+        load_edge_list(path)
+        assert len(cache_entries(tmp_path / "home" / ".cache")) == 1
+
+    def test_hit_peaks_below_the_parse(self, tmp_path):
+        path = tmp_path / "snap.txt"
+        write_snap_like(path, seed=803, pool=6000, draws=12000)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                load_edge_list(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] < peaks[0]
