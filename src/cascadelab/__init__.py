@@ -4,7 +4,6 @@ __version__ = "0.2.4"
 
 from .graph import *
 from .percolation import *
-from .bounds import *
 from .privacy import *
 from .attack import *
 

@@ -11,13 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import (
-    chung_lu_giant_condition,
-    chung_lu_miss_bound,
-    er_miss_bound,
-    solve_giant_fraction,
-)
-from .graph import Graph, NodeWeights
+from .graph import Graph
 from .percolation import MembershipEstimate, record_worlds, world_blocks
 from .privacy import MechanismSpec, mechanism_error_quantile, release
 from .seeding import child_seed
@@ -26,8 +20,6 @@ __all__ = [
     "FloorStats",
     "AttackEvaluation",
     "evaluate_attack",
-    "vulnerable_set_er",
-    "vulnerable_set_cl",
 ]
 
 
@@ -149,34 +141,3 @@ def evaluate_attack(
         tie_trials=tie_trials,
         trials=trials,
     )
-
-
-def vulnerable_set_er(g: Graph, p: float, q: float, eps: float) -> np.ndarray:
-    """Nodes of an ER substrate whose miss-probability bound is at most eps.
-
-    Uses the giant fraction for mean retained degree n * p * q; requires the
-    supercritical regime n * p * q > 1.
-    """
-    c = g.node_count * p * q
-    if c <= 1.0:
-        raise ValueError("n * p * q must exceed 1 for a giant component")
-    y = solve_giant_fraction(c).y
-    bound = er_miss_bound(g.degrees, q, y)
-    return np.nonzero(bound <= eps)[0].astype(np.int64)
-
-
-def vulnerable_set_cl(
-    weights: NodeWeights, q: float, eps: float, alpha: float
-) -> np.ndarray:
-    """Node ids of a power-law substrate whose miss bound is at most eps.
-
-    Node id i carries rank i + 1. The bound grows with rank, so the result
-    is a prefix of the heaviest nodes. Requires the giant-existence
-    condition for (b, d, q).
-    """
-    b, d = weights.scale, weights.min_degree
-    if not chung_lu_giant_condition(b, d, q):
-        raise ValueError("no giant component for these (b, d, q)")
-    n = weights.node_count
-    bound = chung_lu_miss_bound(np.arange(1, n + 1), n, d, q, b, alpha)
-    return np.nonzero(bound <= eps)[0].astype(np.int64)

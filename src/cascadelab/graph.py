@@ -8,6 +8,7 @@ dense node ids 0..n-1.
 
 from __future__ import annotations
 
+import codecs
 import io
 import logging
 import math
@@ -343,24 +344,29 @@ def load_edge_list(path) -> Graph:
     `dump_edge_list`) switches to verbatim integer ids so canonical dumps
     round-trip exactly, including isolated nodes.
 
-    The parsed graph is cached in `$XDG_CACHE_HOME/cascadelab` (by default
-    `~/.cache/cascadelab`), one entry per resolved path, under the SHA-256
-    of the file's bytes, this module's source and numpy's version, so a
-    hit returns exactly what the parse gave. An entry that cannot be read
-    or written costs only the parse.
+    The parsed graph is cached in `$XDG_CACHE_HOME/cascadelab` (by default,
+    and when that variable holds a relative path, `~/.cache/cascadelab`),
+    one entry per resolved path, under the SHA-256 of the file's bytes, the
+    encoding they are decoded with, this module's source and numpy's
+    version, so a hit returns exactly what the parse gave. An entry that
+    cannot be read or written costs only the parse.
 
     Raises:
         EdgeListFormatError: a line does not hold exactly two tokens, ids
             under a canonical header are not integers in range, or the
             header declares more nodes than a `Graph` can hold.
+        UnicodeDecodeError: the file is not text in the locale's encoding.
         OSError: the file cannot be read.
     """
     import hashlib
 
     path = Path(path)
     data = path.read_bytes()
+    stream = io.TextIOWrapper(io.BytesIO(data))  # decodes as read_text does
     digest = hashlib.sha256(np.__version__.encode())
     digest.update(Path(__file__).read_bytes())
+    # by codec, not spelling: UTF-8 mode says 'utf-8', a UTF-8 locale 'UTF-8'
+    digest.update(codecs.lookup(stream.encoding).name.encode())
     digest.update(data)
     key = np.frombuffer(digest.digest(), dtype=np.uint8)
     entry = g = None
@@ -371,7 +377,6 @@ def load_edge_list(path) -> Graph:
     except _CACHE_ERRORS:
         pass
     if g is None:
-        stream = io.TextIOWrapper(io.BytesIO(data))  # decodes as read_text does
         del data  # closing the stream frees the bytes before tokenizing
         g = _parse_edge_list(path, stream)
         if entry is not None:
@@ -390,7 +395,9 @@ _CACHE_ERRORS = (OSError, RuntimeError, ValueError, KeyError, EOFError, BadZipFi
 
 
 def _cache_dir() -> Path:
-    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # relative values are ignored, as XDG says
+        base = Path.home() / ".cache"
     return Path(base) / "cascadelab"
 
 

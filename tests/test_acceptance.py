@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from cascadelab import percolation
-from cascadelab.bounds import membership_miss_approx, solve_giant_fraction
 from cascadelab.cli import main
 from cascadelab.graph import (
     Graph,
@@ -50,6 +49,7 @@ from oracles import (
     wasserstein_infinity,
     winf_bruteforce,
 )
+from theory import membership_miss_approx, solve_giant_fraction
 
 GRQC_PATH = Path(__file__).resolve().parent.parent / "data" / "ca-GrQc.txt"
 

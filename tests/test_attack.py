@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cascadelab.attack import (
-    evaluate_attack,
-    vulnerable_set_cl,
-    vulnerable_set_er,
-)
-from cascadelab.bounds import er_miss_bound, solve_giant_fraction
+from cascadelab.attack import evaluate_attack
 from cascadelab.graph import (
     Graph,
     chung_lu_weights,
@@ -32,6 +27,12 @@ from oracles import (
     giant_component,
     label_world,
     percolate,
+)
+from theory import (
+    er_miss_bound,
+    solve_giant_fraction,
+    vulnerable_set_cl,
+    vulnerable_set_er,
 )
 
 

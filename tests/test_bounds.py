@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from cascadelab.bounds import (
+from cascadelab.graph import Graph, chung_lu_weights, generate_chung_lu, generate_er
+from cascadelab.seeding import child_seed
+
+from oracles import label_world, percolate
+from theory import (
     chung_lu_giant_condition,
     chung_lu_miss_bound,
     chung_lu_rank_envelope,
@@ -16,10 +20,6 @@ from cascadelab.bounds import (
     percolation_threshold,
     solve_giant_fraction,
 )
-from cascadelab.graph import Graph, chung_lu_weights, generate_chung_lu, generate_er
-from cascadelab.seeding import child_seed
-
-from oracles import label_world, percolate
 
 
 class TestSolveGiantFraction:

@@ -916,6 +916,56 @@ class TestErrorPaths:
         scripts = re.findall(r'^cascadelab\s*=\s*"([^"]+)"', pyproject.read_text(), re.M)
         assert scripts == ["cascadelab.cli:entry"]
 
+    def test_cached_edge_list_is_decoded_again_under_another_encoding(
+        self, tmp_path, cache_home
+    ):
+        """A file that decodes under UTF-8 but not under ASCII exits 2 in an
+        ASCII locale even after a UTF-8 run has cached its graph: the cache
+        key holds the encoding. UTF-8 mode and a UTF-8 locale name one
+        encoding, so they share the entry. `PYTHONUTF8=0` is set explicitly
+        because Python may run in UTF-8 mode by default."""
+        src = Path(cascadelab.__file__).resolve().parents[1]
+        edge_file = tmp_path / "accents.txt"
+        edge_file.write_bytes("café 1\n1 2\n".encode())
+        config = write_config(
+            tmp_path, graph={"kind": "edge_list", "path": str(edge_file)}
+        )
+        locales = {
+            "utf-8 mode": {"PYTHONUTF8": "1"},
+            "utf-8 locale": {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "0"},
+            "ascii": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+        }
+
+        def gen(encoding):
+            env = {**os.environ, "PYTHONPATH": str(src), **locales[encoding]}
+            out = tmp_path / encoding.replace(" ", "_")
+            return subprocess.run(
+                [sys.executable, "-m", "cascadelab.cli", "gen", "--config", config,
+                 "--out", str(out)],
+                env=env,
+                capture_output=True,
+                timeout=120,
+            ), out
+
+        done, out = gen("utf-8 mode")
+        assert done.returncode == 0
+        assert (out / "graph.txt").exists()
+        [entry] = (cache_home / "cascadelab").iterdir()
+        stored = entry.stat()
+        done, out = gen("utf-8 locale")
+        assert done.returncode == 0
+        assert (out / "graph.txt").read_bytes() == (
+            tmp_path / "utf-8_mode" / "graph.txt"
+        ).read_bytes()
+        # a hit: a parse would have replaced the entry with a new file
+        now = entry.stat()
+        assert (now.st_ino, now.st_mtime_ns) == (stored.st_ino, stored.st_mtime_ns)
+        done, out = gen("ascii")
+        assert done.returncode == 2
+        assert b"'ascii' codec can't decode" in done.stderr
+        assert b"Traceback" not in done.stderr
+        assert not (out / "graph.txt").exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

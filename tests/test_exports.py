@@ -2,9 +2,11 @@
 
 A stale entry left behind when a function is deleted breaks
 `from module import *` for every caller, so each module is checked both
-by attribute and by a star import. The package star-imports its modules,
-so its own `__all__` must hold every name they list. The package's only
-runtime dependency is numpy; scipy and networkx serve the tests alone.
+by attribute and by a star import; so is the test-side `theory` module,
+which holds the closed-form results the tests judge the package against.
+The package star-imports its modules, so its own `__all__` must hold
+every name they list. The package's only runtime dependency is numpy;
+scipy and networkx serve the tests alone.
 Every result record is immutable and names its fields in its repr.
 """
 
@@ -22,18 +24,17 @@ from cascadelab import (
     EdgeListReport,
     MechanismScaleReport,
     MechanismSpec,
-    chung_lu_rank_envelope,
     chung_lu_weights,
     estimate_giant_membership,
     evaluate_attack,
     generate_er,
     record_worlds,
-    solve_giant_fraction,
     world_blocks,
 )
+from theory import chung_lu_rank_envelope, solve_giant_fraction
 
 SUBMODULES = [info.name for info in pkgutil.iter_modules(cascadelab.__path__)]
-MODULES = ["cascadelab"] + [f"cascadelab.{name}" for name in SUBMODULES]
+MODULES = ["cascadelab"] + [f"cascadelab.{name}" for name in SUBMODULES] + ["theory"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -824,6 +824,21 @@ class TestEdgeListCache:
         load_edge_list(path)
         assert len(cache_entries(tmp_path / "home" / ".cache")) == 1
 
+    def test_relative_cache_home_is_ignored(self, tmp_path, monkeypatch):
+        """The XDG spec says a relative `XDG_CACHE_HOME` is ignored, so loads
+        run from two working directories share the one entry under
+        `~/.cache` and write nothing where they run."""
+        monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        path = tmp_path / "g.txt"
+        path.write_text("a b\n")
+        for cwd in (tmp_path / "one", tmp_path / "two"):
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            load_edge_list(path)
+            assert list(cwd.iterdir()) == []
+        assert len(cache_entries(tmp_path / "home" / ".cache")) == 1
+
     def test_hit_peaks_below_the_parse(self, tmp_path):
         path = tmp_path / "snap.txt"
         write_snap_like(path, seed=803, pool=6000, draws=12000)

@@ -1,5 +1,11 @@
 """Closed-form theory for giant components of percolated random graphs.
 
+The paper's predictions that the tests judge the simulator against: the
+giant fraction exp(-c*y) = 1 - y, the miss bounds by degree and by rank,
+the giant-existence conditions, the percolation threshold, and the node
+sets those bounds certify as vulnerable. No subcommand reports any of
+them, so they are kept here, beside `oracles.py`, and out of the package.
+
 All logarithms are natural. Probabilities returned by the bound functions
 are clamped to [0, 1].
 """
@@ -11,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graph import Graph
+from cascadelab.graph import Graph, NodeWeights
 
 __all__ = [
     "GiantFractionSolution",
@@ -24,6 +30,8 @@ __all__ = [
     "chung_lu_rank_envelope",
     "chung_lu_giant_condition",
     "percolation_threshold",
+    "vulnerable_set_er",
+    "vulnerable_set_cl",
 ]
 
 _BISECT_WIDTH = 1e-13
@@ -201,3 +209,34 @@ def percolation_threshold(g: Graph) -> float:
     deg = g.degrees.astype(np.float64)
     d_tilde = float((deg * deg).sum() / deg.sum())
     return 1.0 / d_tilde
+
+
+def vulnerable_set_er(g: Graph, p: float, q: float, eps: float) -> np.ndarray:
+    """Nodes of an ER substrate whose miss-probability bound is at most eps.
+
+    Uses the giant fraction for mean retained degree n * p * q; requires the
+    supercritical regime n * p * q > 1.
+    """
+    c = g.node_count * p * q
+    if c <= 1.0:
+        raise ValueError("n * p * q must exceed 1 for a giant component")
+    y = solve_giant_fraction(c).y
+    bound = er_miss_bound(g.degrees, q, y)
+    return np.nonzero(bound <= eps)[0].astype(np.int64)
+
+
+def vulnerable_set_cl(
+    weights: NodeWeights, q: float, eps: float, alpha: float
+) -> np.ndarray:
+    """Node ids of a power-law substrate whose miss bound is at most eps.
+
+    Node id i carries rank i + 1. The bound grows with rank, so the result
+    is a prefix of the heaviest nodes. Requires the giant-existence
+    condition for (b, d, q).
+    """
+    b, d = weights.scale, weights.min_degree
+    if not chung_lu_giant_condition(b, d, q):
+        raise ValueError("no giant component for these (b, d, q)")
+    n = weights.node_count
+    bound = chung_lu_miss_bound(np.arange(1, n + 1), n, d, q, b, alpha)
+    return np.nonzero(bound <= eps)[0].astype(np.int64)
