@@ -92,7 +92,7 @@ def evaluate_attack(
         x0, x1 = calibration.giant_split()
         inactive_max, active_min = float(x0[-1]), float(x1[0])
         threshold = 0.5 * (inactive_max + active_min)
-        tie_trials = int(calibration.tie.sum())
+        tie_trials = membership.ties_broken
     else:
         threshold = float(decision_threshold)
         if not 0.0 < threshold < g.node_count:

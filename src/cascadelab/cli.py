@@ -5,9 +5,10 @@ takes an optional JSON config plus flag overrides, and writes CSV files
 whose first line is a comment carrying the 64-bit FNV-1a hash of the
 effective config and the tool version. Identical (config, seed) runs write
 byte-identical files. Trials are drawn in blocks
-(`percolation.world_blocks`) in one thread; `--threads` and the `threads`
-key are accepted for older configs and scripts, and must be positive
-integers, but change nothing.
+(`percolation.world_blocks`) in one thread; the sweep folds them at every
+q, and each single-q subcommand reads a `percolation.record_worlds` record.
+`--threads` and the `threads` key are accepted for older configs and
+scripts, and must be positive integers, but change nothing.
 
 Exit codes: 0 success, 2 configuration error (a request too large to
 allocate included), 3 degenerate conditioning.
@@ -35,12 +36,7 @@ from .graph import (
     generate_er,
     load_edge_list,
 )
-from .percolation import (
-    DegenerateConditioningError,
-    estimate_giant_membership,
-    record_worlds,
-    world_blocks,
-)
+from .percolation import DegenerateConditioningError, record_worlds, world_blocks
 from .privacy import MechanismSpec, comparison_tvd, wasserstein_mechanism_scale
 from .seeding import child_seed
 
@@ -288,11 +284,12 @@ def _master_seed(cfg: dict) -> int:
     return _integer(cfg["seed"], "seed")
 
 
-def _count(cfg: dict, key: str, hi: int | None = None) -> int:
-    """Integer config value `key`, required to be >= 1 (and <= hi if given)."""
+def _count(cfg: dict, key: str, hi: int = np.iinfo(np.intp).max) -> int:
+    """Integer config value `key`, required to lie in 1..hi; hi defaults to
+    numpy's longest array, since a longer one cannot even be requested."""
     value = _integer(cfg[key], key)
-    if value < 1 or (hi is not None and value > hi):
-        raise ConfigError(f"{key} must lie in 1..{'' if hi is None else hi}")
+    if not 1 <= value <= hi:
+        raise ConfigError(f"{key} must lie in 1..{hi}")
     return value
 
 
@@ -321,23 +318,6 @@ def _mechanism(cfg: dict) -> MechanismSpec:
         raise ConfigError(f"bad mechanism: {exc}") from exc
 
 
-def _component_stats(g: Graph, q: float, trials: int, seed: int):
-    """Means and stds of the two largest retained component sizes."""
-    # per-trial sizes in trial order, so the float means do not depend on
-    # the blocking
-    giant = np.empty(trials, dtype=np.float64)
-    second = np.empty(trials, dtype=np.float64)
-    for block in world_blocks(g, q, seed, trials):
-        giant[block.rows], second[block.rows] = block.giant_size, block.second_size
-        del block  # free it before the next block is labeled
-    return (
-        float(giant.mean()),
-        float(second.mean()),
-        float(giant.std()),
-        float(second.std()),
-    )
-
-
 def cmd_gen(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     name, g = _the_graph(cfg, _master_seed(cfg))
     path = out_dir / "graph.txt"
@@ -353,9 +333,13 @@ def cmd_components(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     rows = []
     for idx, source in enumerate(_graph_sources(cfg)):
         name, g = build_graph(source, master)
-        stats = _component_stats(
-            g, q, trials, child_seed(child_seed(master, _STREAM_TRIALS), idx)
+        record = record_worlds(
+            g, q, None, trials, child_seed(child_seed(master, _STREAM_TRIALS), idx)
         )
+        # float64 sizes in trial order, so the means do not depend on the
+        # blocking
+        sizes = [x.astype(np.float64) for x in (record.giant_size, record.second_size)]
+        stats = [float(x.mean()) for x in sizes] + [float(x.std()) for x in sizes]
         rows.append((name, g.node_count, g.edge_count, q, trials, *stats))
     write_csv(
         out_dir / "components.csv",
@@ -408,9 +392,8 @@ def cmd_membership(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     q = _single_q(cfg)
     trials = _count(cfg, "trials")
     thresholds = _numbers(cfg["thresholds"], "thresholds")
-    est = estimate_giant_membership(
-        g, q, trials, child_seed(master, _STREAM_TRIALS)
-    )
+    record = record_worlds(g, q, None, trials, child_seed(master, _STREAM_TRIALS))
+    est = record.membership()
     rows = []
     for threshold in thresholds:
         count = int(est.at_least(threshold).sum())

@@ -10,11 +10,12 @@ consecutive trials, B a fixed node budget, and labels a block as one
 disjoint union of its worlds: a small world costs mostly per-call
 overhead, which the block pays once. Given a grid of q, it draws each
 trial's coins once and labels the block at every q, merging only the
-edges each q admits beyond the one before. Estimators reduce blocks by
+edges each q admits beyond the one before. Three consumers fold blocks, by
 integer sums or by filling their trials' rows, so no result depends on the
-blocking. A conditional law of the activation count
-(`WorldRecord.node_split`, `WorldRecord.giant_split`) is the ascending
-integer sample of the counts its trials gave.
+blocking: `record_worlds`, which every single-q estimator reads, the
+sweep and the attack's evaluation. A conditional law of the activation
+count (`WorldRecord.node_split`, `WorldRecord.giant_split`) is the
+ascending integer sample of the counts its trials gave.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "sample_seeds",
     "world_blocks",
     "record_worlds",
-    "estimate_giant_membership",
 ]
 
 
@@ -109,24 +109,39 @@ class MembershipEstimate(NamedTuple):
 
 
 class WorldRecord(NamedTuple):
-    """What one pass over `world_blocks` with seeds leaves for its estimators.
+    """What one pass over `world_blocks` at one q leaves for its estimators.
 
-    Rows are the trials ordered by ascending activation count (stably, so
-    equal counts keep trial order). Row t holds the count `counts[t]`, the
-    activation vector `packed[t]` (packed by `np.packbits`), whether a seed
-    fell in the largest component (`giant_active[t]`) and whether the two
-    largest components tied (`tie[t]`). `giant_hits[v]` counts the trials
-    whose largest component held node v.
+    With seeds, rows are the trials ordered by ascending activation count
+    (stably, so equal counts keep trial order). Row t holds the count
+    `counts[t]`, the activation vector `packed[t]` (packed by
+    `np.packbits`) and whether a seed fell in the largest component
+    (`giant_active[t]`). Without seeds, rows keep trial order and those
+    three are None. Either way row t holds the two largest component sizes
+    `giant_size[t]` and `second_size[t]`, and `giant_hits[v]` counts the
+    trials whose largest component held node v.
     """
 
-    counts: np.ndarray
-    packed: np.ndarray
-    giant_active: np.ndarray
-    tie: np.ndarray
+    counts: np.ndarray | None
+    packed: np.ndarray | None
+    giant_active: np.ndarray | None
+    giant_size: np.ndarray
+    second_size: np.ndarray
     giant_hits: np.ndarray
+
+    @property
+    def tie(self) -> np.ndarray:
+        """Per row, whether the two largest components have equal size."""
+        return self.second_size == self.giant_size
+
+    def _require_seeds(self) -> None:
+        if self.counts is None:
+            raise ValueError(
+                "this record drew no seeds (s=None), so it holds no activations"
+            )
 
     def activated(self, v: int) -> np.ndarray:
         """Node v's activation bit in every row; v must lie in 0..n-1."""
+        self._require_seeds()
         if not 0 <= v < self.giant_hits.size:
             raise ValueError("v outside 0..node_count-1")
         return (self.packed[:, v >> 3] >> (7 - (v & 7)) & 1).astype(bool)
@@ -154,7 +169,7 @@ class WorldRecord(NamedTuple):
         on x_v = 0 and on x_v = 1.
 
         Raises:
-            ValueError: v is outside 0..n-1.
+            ValueError: v is outside 0..n-1, or the record drew no seeds.
             DegenerateConditioningError: one branch received zero samples,
                 e.g. a connected graph at q=1 never leaves v inactive.
         """
@@ -171,15 +186,18 @@ class WorldRecord(NamedTuple):
         branch (`tie` marks them).
 
         Raises:
+            ValueError: the record drew no seeds.
             DegenerateConditioningError: either branch is empty, e.g. a
                 connected graph at q=1 activates the giant in every trial.
         """
+        self._require_seeds()
         names = ("giant-inactive branch", "giant-active branch")
         return self._split(self.giant_active & ~self.tie, names)
 
     def membership(self) -> MembershipEstimate:
-        """The `estimate_giant_membership` reduction of these trials."""
-        trials = self.counts.size
+        """Each node's giant-membership frequency; `ties_broken` counts the
+        trials whose top two sizes tied (the lowest-id rule picks the giant)."""
+        trials = self.giant_size.size
         return MembershipEstimate(trials, self.giant_hits / trials, int(self.tie.sum()))
 
 
@@ -369,52 +387,36 @@ def world_blocks(
 
 
 def record_worlds(
-    g: Graph, q: float, s: int, trials: int, rng_seed: int
+    g: Graph, q: float, s: int | None, trials: int, rng_seed: int
 ) -> WorldRecord:
     """Record every trial of `world_blocks(g, q, rng_seed, trials, s)` in one pass.
 
-    Each estimator that splits the activation count, by one node's bit or
-    by giant activity, reads this record, so a calibration over any number
-    of nodes draws `trials` worlds in all. Memory is one bit per node and
-    trial.
+    Every single-q estimator reads this record: the component sizes and the
+    membership from any record, and the splits of the activation count, by
+    one node's bit or by giant activity, from one drawn with seeds. So a
+    calibration over any number of nodes draws `trials` worlds in all.
+    With `s=None` no seeds are drawn and the rows keep trial order. Memory
+    is two sizes per trial and, with seeds, one bit per node and trial.
     """
     n = g.node_count
-    counts = np.empty(trials, dtype=np.int64)
-    packed = np.empty((trials, (n + 7) // 8), dtype=np.uint8)
-    giant_active = np.empty(trials, dtype=bool)
-    tie = np.empty(trials, dtype=bool)
+    giant_size = np.empty(trials, dtype=np.int64)
+    second_size = np.empty(trials, dtype=np.int64)
     giant_hits = np.zeros(n, dtype=np.int64)
+    counts = packed = giant_active = None
+    if s is not None:
+        counts = np.empty(trials, dtype=np.int64)
+        packed = np.empty((trials, (n + 7) // 8), dtype=np.uint8)
+        giant_active = np.empty(trials, dtype=bool)
     for block in world_blocks(g, q, rng_seed, trials, s):
         rows = block.rows
-        counts[rows], packed[rows] = block.counts, np.packbits(block.activated, axis=1)
-        giant_active[rows], tie[rows] = block.giant_active, block.tie
-        giant_hits += block.in_giant.sum(axis=0)
+        giant_size[rows], second_size[rows] = block.giant_size, block.second_size
+        # a block holds at most _BLOCK_NODES = 2^14 rows, so uint16 cannot
+        # overflow; summing bytes so is faster than a bool sum into int64
+        giant_hits += block.in_giant.view(np.uint8).sum(axis=0, dtype=np.uint16)
+        if s is not None:
+            counts[rows], giant_active[rows] = block.counts, block.giant_active
+            packed[rows] = np.packbits(block.activated, axis=1)
         del block  # free it before the next block is labeled
-    order = np.argsort(counts, kind="stable")
-    return WorldRecord(
-        counts[order], packed[order], giant_active[order], tie[order], giant_hits
-    )
-
-
-def estimate_giant_membership(
-    g: Graph,
-    q: float,
-    trials: int,
-    rng_seed: int,
-) -> MembershipEstimate:
-    """Estimate each node's probability of landing in the giant component.
-
-    Runs `trials` independent percolation rounds and counts, per node, the
-    rounds whose largest retained component contained it. `frequency * trials`
-    is integral by construction. `ties_broken` counts the rounds whose two
-    largest components had equal size and were ordered by the lowest-id rule.
-    """
-    counts = np.zeros(g.node_count, dtype=np.int64)
-    ties = 0
-    for block in world_blocks(g, q, rng_seed, trials):
-        counts += block.in_giant.sum(axis=0)
-        ties += int(block.tie.sum())
-        del block  # free it before the next block is labeled
-    return MembershipEstimate(
-        trials=trials, frequency=counts / trials, ties_broken=ties
-    )
+    order = slice(None) if s is None else np.argsort(counts, kind="stable")
+    fields = counts, packed, giant_active, giant_size, second_size
+    return WorldRecord(*(None if x is None else x[order] for x in fields), giant_hits)

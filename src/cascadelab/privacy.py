@@ -228,6 +228,9 @@ def _laplace_kernel(scale: float) -> np.ndarray:
     is a difference of numbers near 1 and a cell past the underflow of exp
     holds exactly 0.
     """
+    if 12.0 * scale >= 2.0**59:
+        # numpy refuses 2^63 bytes with a ValueError, and ceil(inf) overflows
+        raise MemoryError("a numpy array holds less than 2^63 bytes")
     h = int(math.ceil(12.0 * scale))
     kernel = np.abs(np.arange(-h, h + 1, dtype=np.float64))
     kernel[h] = 0.5  # overwritten below; keeps exp finite at any scale

@@ -27,11 +27,7 @@ from cascadelab.graph import (
     generate_er,
     load_edge_list,
 )
-from cascadelab.percolation import (
-    _cascade,
-    estimate_giant_membership,
-    record_worlds,
-)
+from cascadelab.percolation import _cascade, record_worlds
 from cascadelab.privacy import (
     MechanismSpec,
     comparison_tvd,
@@ -102,7 +98,7 @@ def _fractions_off(probabilities, reference, tolerance):
 
 def test_er_membership_fractions_at_thresholds():
     g = generate_er(2500, 5 / 2499, rng_seed=2024)
-    est = estimate_giant_membership(g, 0.3, trials=1000, rng_seed=555)
+    est = record_worlds(g, 0.3, None, trials=1000, rng_seed=555).membership()
     reference = [(0.50, 0.695), (0.75, 0.173), (0.90, 0.004)]
     off = _threshold_fractions(est, reference)
     assert not off, f"node fractions off by more than 5 points: {off}"
@@ -111,7 +107,7 @@ def test_er_membership_fractions_at_thresholds():
 def test_chung_lu_membership_fractions_at_thresholds():
     weights = chung_lu_weights(2500, 5.0, 1.1)
     g = generate_chung_lu(weights, rng_seed=child_seed(31, 0))
-    est = estimate_giant_membership(g, 0.3, trials=1000, rng_seed=991)
+    est = record_worlds(g, 0.3, None, trials=1000, rng_seed=991).membership()
     # Expected fractions come from message passing on the realized graph,
     # so they hold for this graph whatever parametrization produced it.
     predicted = message_passing_membership(g.node_count, g.edges, 0.3)

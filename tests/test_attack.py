@@ -12,11 +12,7 @@ from cascadelab.graph import (
     generate_chung_lu,
     generate_er,
 )
-from cascadelab.percolation import (
-    estimate_giant_membership,
-    record_worlds,
-    sample_seeds,
-)
+from cascadelab.percolation import record_worlds, sample_seeds
 from cascadelab.privacy import MechanismSpec
 from cascadelab.seeding import child_seed, rng_from_seed
 
@@ -214,7 +210,7 @@ class TestEvaluateAttack:
         x0, x1 = record_worlds(g, q, 1, 80, pass_seed).giant_split()
         threshold = 0.5 * (float(x0[-1]) + float(x1[0]))
         assert result.decision_threshold == threshold
-        membership = estimate_giant_membership(g, q, 80, pass_seed)
+        membership = record_worlds(g, q, None, 80, pass_seed).membership()
         assert np.array_equal(
             result.membership.frequency, membership.frequency
         )

@@ -480,17 +480,23 @@ class TestAudit:
             )
         assert tvds[True] != tvds[False]
 
-    def test_unallocatable_comparison_kernel_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scale", [1e15, 1e17, 1e18, 1e300, 1.7e308])
+    def test_unallocatable_comparison_kernel_exits_2(self, tmp_path, capsys, scale):
         """Scale 1e15 asks for a 171 PiB noise kernel, which numpy refuses
-        before touching memory; the audit names the scale and exits 2."""
+        before touching memory; from about 5e16 on, the kernel's bytes pass
+        2^63, which numpy refuses with a ValueError, and at 1.7e308 twelve
+        scales overflow to inf. Each time the audit names the scale and
+        exits 2."""
         config = write_config(
             tmp_path,
-            **{**GOLDEN_CONFIG, "mechanism": {"kind": "laplace", "scale": 1e15}},
+            **{**GOLDEN_CONFIG, "mechanism": {"kind": "laplace", "scale": scale}},
         )
         rc = main(["audit", "--config", config, "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "comparison mechanism scale 1000000000000000.0" in err
+        assert err.startswith("config error:")
+        assert f"comparison mechanism scale {scale!r} " in err
+        assert "too large to allocate" in err
         assert "Traceback" not in err
 
 
@@ -673,6 +679,10 @@ class TestErrorPaths:
             ("sweep", {"q_grid": {"start": 0.1, "stop": 0.9, "count": 10**13}}, []),
             ("sweep", {}, ["--q", "0.1:0.9:10000000000000"]),
             ("audit", {"trials": 10**13}, []),
+            # numpy refuses an array length of 2^63 or more with a ValueError
+            ("components", {}, ["--trials", "10000000000000000000"]),
+            ("audit", {}, ["--trials", "10000000000000000000"]),
+            ("attack", {}, ["--trials", "10000000000000000000"]),
         ],
         ids=[
             "membership-trials-0",
@@ -738,6 +748,9 @@ class TestErrorPaths:
             "sweep-grid-count-unallocatable",
             "sweep-grid-flag-unallocatable",
             "audit-trials-unallocatable",
+            "components-trials-above-int64",
+            "audit-trials-above-int64",
+            "attack-trials-above-int64",
         ],
     )
     def test_bad_config_exits_2_without_traceback(

@@ -6,7 +6,8 @@ by attribute and by a star import; so is the test-side `theory` module,
 which holds the closed-form results the tests judge the package against.
 The package star-imports its modules, so its own `__all__` must hold
 every name they list. The package's only runtime dependency is numpy;
-scipy and networkx serve the tests alone.
+scipy and networkx serve the tests alone, and only three functions loop
+over the trial engine.
 Every result record is immutable and names its fields in its repr.
 """
 
@@ -25,7 +26,6 @@ from cascadelab import (
     MechanismScaleReport,
     MechanismSpec,
     chung_lu_weights,
-    estimate_giant_membership,
     evaluate_attack,
     generate_er,
     record_worlds,
@@ -76,6 +76,24 @@ def test_imports_only_numpy_and_the_standard_library():
     assert foreign == []
 
 
+def test_only_three_functions_iterate_world_blocks():
+    """`record_worlds`, the sweep and the attack's evaluation are the only
+    functions that name `world_blocks` in the package, once each: a new
+    single-q estimator is a reduction of a `WorldRecord`, not a new loop."""
+    users = []
+    for path in sorted(Path(cascadelab.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                users += [
+                    fn.name
+                    for node in ast.walk(fn)
+                    # a Name's id or an Attribute's attr
+                    if getattr(node, "id", getattr(node, "attr", None))
+                    == "world_blocks"
+                ]
+    assert sorted(users) == ["cmd_sweep", "evaluate_attack", "record_worlds"]
+
+
 def _records():
     g = generate_er(30, 0.1, rng_seed=3)
     spec = MechanismSpec("laplace", scale=1.0)
@@ -88,7 +106,7 @@ def _records():
         spec,
         MechanismScaleReport(1.0, {0: 1.0}, {}),
         next(world_blocks(g, 0.5, 5, 2, s=1)),
-        estimate_giant_membership(g, 0.5, 4, 6),
+        record_worlds(g, 0.5, None, 4, 6).membership(),
         record_worlds(g, 0.5, 1, 4, 7),
         attack.floors[0],
         attack,

@@ -16,7 +16,6 @@ from cascadelab.graph import Graph, chung_lu_weights, generate_chung_lu, generat
 from cascadelab.percolation import (
     DegenerateConditioningError,
     _hook_and_jump,
-    estimate_giant_membership,
     record_worlds,
     sample_seeds,
     world_blocks,
@@ -41,6 +40,11 @@ def count_split(g, q, s, v, trials, rng_seed):
 def giant_split(g, q, s, trials, rng_seed):
     """Count samples of one recorded pass, split by giant activity."""
     return record_worlds(g, q, s, trials, rng_seed).giant_split()
+
+
+def membership(g, q, trials, rng_seed):
+    """The membership of one recorded pass that draws no seeds."""
+    return record_worlds(g, q, None, trials, rng_seed).membership()
 
 
 def _no_retained_edges():
@@ -596,12 +600,12 @@ class TestWorlds:
         As above, each block holds one world. A consumer that keeps its
         last block bound while the next one is labeled holds that block's
         roots (0.8 MB here), and raised the 4-world peak by about 11 %.
-        `record_worlds` also keeps a bit per node and trial, 38 kB more
-        for 4 worlds than for 1.
+        With seeds, `record_worlds` also keeps a bit per node and trial,
+        38 kB more for 4 worlds than for 1.
         """
         g = generate_chung_lu(chung_lu_weights(10**5, 2, 1.5), 7)
         run = {
-            "membership": lambda t: estimate_giant_membership(g, 0.3, t, 11),
+            "membership": lambda t: record_worlds(g, 0.3, None, t, 11),
             "record": lambda t: record_worlds(g, 0.3, 1, t, 11),
         }[estimator]
         peaks = [traced_peak(lambda: run(t)) for t in (1, 4)]
@@ -716,18 +720,23 @@ class TestRecordWorlds:
         assert rec.packed.shape == (trials, 9)
 
     def test_membership_and_splits_match_estimators(self):
-        """The membership matches `estimate_giant_membership`, and both
-        splits match the same trials read straight off `world_blocks`."""
+        """The membership and sizes match a record drawn without seeds,
+        whose coins are the same, and both splits match the same trials
+        read straight off `world_blocks`."""
         n, q, s, trials, seed = 90, 0.4, 1, 120, 43
         g = generate_er(n, 0.04, rng_seed=44)
         rec = record_worlds(g, q, s, trials, seed)
-        est = estimate_giant_membership(g, q, trials, seed)
-        assert np.array_equal(rec.membership().frequency, est.frequency)
-        assert rec.membership().ties_broken == est.ties_broken
+        seedless = record_worlds(g, q, None, trials, seed)
+        got, want = rec.membership(), seedless.membership()
+        assert np.array_equal(got.frequency, want.frequency)
+        assert got.ties_broken == want.ties_broken
         counts, giant_active, tie, bits = stacked(
             world_blocks(g, q, seed, trials, s),
             "counts", "giant_active", "tie", "activated",
         )
+        order = np.argsort(counts, kind="stable")
+        assert np.array_equal(rec.giant_size, seedless.giant_size[order])
+        assert np.array_equal(rec.second_size, seedless.second_size[order])
         branches = ([], [])
         for count, active in zip(counts, (giant_active & ~tie).tolist()):
             branches[active].append(count)
@@ -766,23 +775,75 @@ class TestRecordWorlds:
         x0, x1 = rec.node_split(8)
         assert x0.size + x1.size == 30
 
-class TestEstimateGiantMembership:
+    def test_seedless_record_is_a_fold_over_world_blocks(self):
+        """Without seeds the rows keep trial order, and the sizes and the
+        membership equal a fold written here over `world_blocks`."""
+        n, q, trials, seed = 80, 0.5, 70, 49
+        g = generate_er(n, 0.04, rng_seed=50)
+        giant_size = np.empty(trials, dtype=np.int64)
+        second_size = np.empty(trials, dtype=np.int64)
+        hits = np.zeros(n, dtype=np.int64)
+        ties = 0
+        for block in world_blocks(g, q, seed, trials):
+            giant_size[block.rows] = block.giant_size
+            second_size[block.rows] = block.second_size
+            hits += block.in_giant.sum(axis=0)
+            ties += int(block.tie.sum())
+        rec = record_worlds(g, q, None, trials, seed)
+        assert rec.counts is None and rec.packed is None and rec.giant_active is None
+        assert rec.giant_size.tolist() == giant_size.tolist()
+        assert rec.second_size.tolist() == second_size.tolist()
+        est = rec.membership()
+        assert est.trials == trials
+        assert np.array_equal(est.frequency, hits / trials)
+        assert est.ties_broken == ties
+
+    def test_seedless_record_is_block_invariant(self, monkeypatch):
+        """At n = 120 the default budget makes one block of 100 trials,
+        B = 840 blocks of 7 that end in a block of 2, and B = 1 one trial
+        per block; every field comes out the same."""
+        g = generate_er(120, 5 / 119, rng_seed=51)
+        records = []
+        for budget in (percolation._BLOCK_NODES, 1, 7 * 120):
+            monkeypatch.setattr(percolation, "_BLOCK_NODES", budget)
+            records.append(record_worlds(g, 0.4, None, 100, 52))
+        for rec in records[1:]:
+            for got, want in zip(rec, records[0]):
+                assert got is want is None or np.array_equal(got, want)
+
+    def test_seedless_fold_counts_the_largest_block(self):
+        """A one-node graph puts B = 2^14 trials in each block, the most a
+        block holds; the giant-hit fold counts every one of them."""
+        trials = percolation._BLOCK_NODES + 3
+        est = membership(Graph(1, []), 0.5, trials, 54)
+        assert est.frequency.tolist() == [1.0]
+        assert est.trials == trials
+
+    def test_seedless_record_refuses_the_seeded_reductions(self):
+        rec = record_worlds(Graph(4, [[0, 1]]), 0.5, None, 5, 53)
+        reads = (lambda: rec.activated(0), lambda: rec.node_split(0), rec.giant_split)
+        for read in reads:
+            with pytest.raises(ValueError, match="drew no seeds"):
+                read()
+
+
+class TestMembership:
     def test_complete_graph_full_retention(self):
         g = Graph(5, list(itertools.combinations(range(5), 2)))
-        est = estimate_giant_membership(g, 1.0, trials=10, rng_seed=1)
+        est = membership(g, 1.0, trials=10, rng_seed=1)
         assert np.all(est.frequency == 1.0)
         assert est.ties_broken == 0
 
     def test_edgeless_graph_tie_policy(self):
         # every trial ties at size 1; lowest-id rule hands node 0 the giant
         g = Graph(4, [])
-        est = estimate_giant_membership(g, 0.5, trials=20, rng_seed=2)
+        est = membership(g, 0.5, trials=20, rng_seed=2)
         assert est.frequency.tolist() == [1.0, 0.0, 0.0, 0.0]
         assert est.ties_broken == 20
 
     def test_frequencies_times_trials_integral(self):
         g = generate_er(60, 0.05, rng_seed=25)
-        est = estimate_giant_membership(g, 0.5, trials=37, rng_seed=26)
+        est = membership(g, 0.5, trials=37, rng_seed=26)
         scaled = est.frequency * 37
         assert np.allclose(scaled, np.round(scaled))
 
@@ -798,7 +859,7 @@ class TestEstimateGiantMembership:
                 counts[v] += 1
             sizes = sorted(len(c) for c in component_sets(150, retained))
             ties += len(sizes) > 1 and sizes[-1] == sizes[-2]
-        est = estimate_giant_membership(g, 0.4, trials=48, rng_seed=28)
+        est = membership(g, 0.4, trials=48, rng_seed=28)
         assert np.array_equal(est.frequency, counts / 48)
         assert est.ties_broken == ties
 
@@ -811,7 +872,7 @@ class TestEstimateGiantMembership:
             giant = giant_component(25, retained)
             for v in giant:
                 expect[v] += 1
-        est = estimate_giant_membership(g, 0.6, trials=trials, rng_seed=30)
+        est = membership(g, 0.6, trials=trials, rng_seed=30)
         assert np.allclose(est.frequency, expect / trials)
 
 
