@@ -512,6 +512,9 @@ def cmd_attack(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     return 0
 
 
+# the subcommands that run at the config's one q; `sweep` alone walks the grid
+_SINGLE_Q_COMMANDS = ("components", "membership", "audit", "attack")
+
 _COMMANDS = {
     "gen": cmd_gen,
     "components": cmd_components,
@@ -536,7 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--trials", type=int, help="trial count override")
         p.add_argument(
-            "--q", help="transmission probability: X, or X,Y,Z, or start:stop:count"
+            "--q",
+            help="transmission probability X; for sweep, a grid X,Y,Z or "
+            "start:stop:count",
         )
         p.add_argument(
             "--threads", type=int, help="accepted and ignored; trials run in one thread"
@@ -556,10 +561,18 @@ def main(argv=None) -> int:
         }
         if args.q is not None:
             q_spec = _parse_q_flag(args.q)
-            if isinstance(q_spec, list):
-                overrides["q_grid"] = q_spec
-            else:
-                overrides["q"] = q_spec
+            grid = isinstance(q_spec, list)
+            # a form the subcommand never reads would run it at the config's q
+            if grid and args.command in _SINGLE_Q_COMMANDS:
+                raise ConfigError(
+                    f"{args.command} runs at one q; --q {args.q!r} gives a grid"
+                )
+            if not grid and args.command == "sweep":
+                raise ConfigError(
+                    f"sweep walks a q grid; --q {args.q!r} gives one value, "
+                    "not X,Y,Z or start:stop:count"
+                )
+            overrides["q_grid" if grid else "q"] = q_spec
         cfg = load_config(args.config, overrides)
         _count(cfg, "threads")  # ignored, but a bad value is still an error
         cfg_hash = config_hash(cfg)

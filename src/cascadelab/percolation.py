@@ -5,12 +5,16 @@ retaining each edge independently with probability q and activating exactly
 the retained-edge components that contain a seed. Every Monte Carlo
 estimator is a reduction over `world_blocks`, the one trial engine, which
 derives each trial's streams from (seed, trial index) alone, so estimates
-are reproducible. It splits the trials into blocks of max(1, B // n)
-consecutive trials, B a fixed node budget, and labels a block as one
-disjoint union of its worlds: a small world costs mostly per-call
-overhead, which the block pays once. Given a grid of q, it draws each
-trial's coins once and labels the block at every q, merging only the
-edges each q admits beyond the one before. Three consumers fold blocks, by
+are reproducible. Their starting states come from one numpy pass per
+chunk of trials (`seeding.trial_streams`) and are set in turn on one
+generator that the call owns, so no trial pays for a generator of its own.
+It splits the trials into blocks of max(1, B // n) consecutive trials, B a
+fixed node budget, and labels a block as one disjoint union of its worlds
+by hook-and-jump: a small world costs mostly per-call overhead, which the
+block pays once, and a round that merges few edges jumps only the roots it
+hooked. Given a grid of q, it draws each trial's coins once and labels the
+block at every q, merging only the edges each q admits beyond the one
+before. Three consumers fold blocks, by
 integer sums or by filling their trials' rows, so no result depends on the
 blocking: `record_worlds`, which every single-q estimator reads, the
 sweep and the attack's evaluation. A conditional law of the activation
@@ -20,12 +24,13 @@ ascending integer sample of the counts its trials gave.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .graph import Graph
-from .seeding import child_seed, rng_from_seed
+from .seeding import rng_from_seed, set_pcg64_state, trial_streams
 
 # node budget B of one block of trials, which holds max(1, B // n) worlds.
 # A small world's labeling costs mostly per-call overhead, which a block
@@ -34,6 +39,11 @@ from .seeding import child_seed, rng_from_seed
 # blocks of 3 (2^15) did not reliably beat lone worlds; and B = 2^17 was
 # slower than 2^15 at every n from 1000 to 20000.
 _BLOCK_NODES = 1 << 14
+
+# a labeling round with fewer crossing edges than this share of the entries
+# pointer-jumps only the roots it hooked, then makes one full pass; with
+# more, it jumps every entry until none moves
+_CHASE_SHARE = 0.25
 
 __all__ = [
     "DegenerateConditioningError",
@@ -228,21 +238,40 @@ def _hook_and_jump(root: np.ndarray, edges: np.ndarray) -> np.ndarray:
     `root[x] <= x` holds throughout, so each component ends rooted at its
     lowest member, and the result is again a forest of stars that later
     edges can be merged into. `root` itself is not modified.
+
+    A hook moves only the roots it hooks, and every other node points at a
+    root. So a round with fewer crossing edges than `_CHASE_SHARE` of the
+    entries jumps only the hooked roots until each points at a root that
+    stays put, then makes one full pass; other rounds jump every entry.
     """
     root = root.copy()
     u, v = edges[:, 0], edges[:, 1]
     ru, rv = root.take(u), root.take(v)
     while u.size:
-        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
-        # since root[x] <= x, a jump never raises an entry, so an unchanged
-        # sum means that no entry moved
-        total = root.sum()
-        while True:
+        hooked = np.maximum(ru, rv)
+        np.minimum.at(root, hooked, np.minimum(ru, rv))
+        if u.size < _CHASE_SHARE * root.size:
+            at = root.take(hooked)
+            total = at.sum()
+            while True:
+                # duplicate hooked roots take equal values
+                at = root.take(at)
+                jumped = at.sum()
+                if jumped == total:
+                    break
+                root[hooked] = at
+                total = jumped
             root = root.take(root)
-            jumped = root.sum()
-            if jumped == total:
-                break
-            total = jumped
+        else:
+            # since root[x] <= x, a jump never raises an entry, so an
+            # unchanged sum means that no entry moved
+            total = root.sum()
+            while True:
+                root = root.take(root)
+                jumped = root.sum()
+                if jumped == total:
+                    break
+                total = jumped
         ru, rv = root.take(u), root.take(v)
         # flatnonzero + take copies several times faster than a boolean index
         cross = np.flatnonzero(ru != rv)
@@ -252,24 +281,36 @@ def _hook_and_jump(root: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 def sample_seeds(n: int, s: int, rng_seed: int) -> np.ndarray:
     """Draw s distinct seed nodes uniformly from 0..n-1, sorted ascending."""
+    return _draw_seeds(n, s, rng_from_seed(rng_seed))
+
+
+def _draw_seeds(n: int, s: int, rng: np.random.Generator) -> np.ndarray:
+    """`sample_seeds` drawn from `rng`."""
     if not 0 < s <= n:
         raise ValueError("s must satisfy 0 < s <= n")
-    return np.sort(rng_from_seed(rng_seed).choice(n, size=s, replace=False))
+    if s == 1:
+        # choice draws one node by one bounded integer draw (Floyd's
+        # algorithm), which `integers` makes at a quarter of the cost
+        return np.array([rng.integers(n)])
+    return np.sort(rng.choice(n, size=s, replace=False))
 
 
-def _blocks(n: int, rng_seed: int, trials: int) -> Iterator[tuple[int, list[int]]]:
+def _blocks(
+    n: int, rng_seed: int, trials: int, streams
+) -> Iterator[tuple[int, list[tuple]]]:
     """Plan `trials` trials on n nodes as blocks of consecutive trials.
 
-    Yields each block's first trial index and its trial seeds, trial t
-    drawn under child_seed(rng_seed, t); a block holds max(1, B // n) trials
-    for the node budget B.
+    Yields each block's first trial index and its rows of
+    `trial_streams(rng_seed, trials, streams)`: trial t's seed
+    child_seed(rng_seed, t), then the state of each of its sub-streams
+    `streams`. A block holds max(1, B // n) trials for the node budget B.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     size = max(1, _BLOCK_NODES // n)
+    rows = trial_streams(rng_seed, trials, streams)
     for start in range(0, trials, size):
-        stop = min(start + size, trials)
-        yield start, [child_seed(rng_seed, t) for t in range(start, stop)]
+        yield start, list(islice(rows, size))
 
 
 def _cascade(root: np.ndarray, seeds: np.ndarray, giant_root: np.ndarray):
@@ -286,20 +327,21 @@ def _cascade(root: np.ndarray, seeds: np.ndarray, giant_root: np.ndarray):
     return activated, activated.sum(axis=1), seeded.take(giant_root)
 
 
-def _admitted(edges: np.ndarray, trial_seeds: list[int], qs: np.ndarray):
+def _admitted(edges: np.ndarray, coin_states, qs: np.ndarray, rng):
     """Split a block's edges by the q of ascending `qs` that admits them.
 
     Row e of `edges` is edge e % m of the block's trial e // m, which draws
-    its m coins from child_seed(trial_seed, 0); an edge is retained at q
-    when its coin lies below q. Part j holds the rows retained at qs[j] and
-    not at qs[j - 1]. The coins are freed on return, before any labeling:
-    labeled with the coins alive, a world at n = 10^6 took about 8 % longer,
-    its temporaries faulting in fresh pages.
+    its m coins from its sub-stream 0, whose state is `coin_states[e // m]`
+    (set on the reused generator `rng`); an edge is retained at q when its
+    coin lies below q. Part j holds the rows retained at qs[j] and not at
+    qs[j - 1]. The coins are freed on return, before any labeling: labeled
+    with the coins alive, a world at n = 10^6 took about 8 % longer, its
+    temporaries faulting in fresh pages.
     """
-    k = len(trial_seeds)
+    k = len(coin_states)
     coins = np.empty((k, len(edges) // k))
-    for row, ts in zip(coins, trial_seeds):
-        rng_from_seed(child_seed(ts, 0)).random(out=row)
+    for row, state in zip(coins, coin_states):
+        set_pcg64_state(rng, state).random(out=row)
     coins = coins.ravel()
     parts = []
     before = None
@@ -325,7 +367,9 @@ def world_blocks(
     seeds are drawn. A block holds max(1, B // n) trials for a fixed node
     budget B and labels their worlds as one disjoint union, then reads each
     trial's giant, second size and cascade off the union row by row, so
-    every row equals its world labeled alone.
+    every row equals its world labeled alone. The sub-streams' states are
+    derived a chunk of trials at a time (`seeding.trial_streams`) and set in
+    turn on one generator that the call owns.
 
     Each block is yielded once per q, with `qi` the index of that q in the
     grid. All q share the coins (Newman & Ziff, PRL 85, 4104, 2000): the
@@ -341,22 +385,29 @@ def world_blocks(
         raise ValueError("q must lie in (0, 1]")
     n = g.node_count
     walk = np.argsort(grid, kind="stable").tolist()
-    for start, trial_seeds in _blocks(n, rng_seed, trials):
-        k = len(trial_seeds)
+    rng = rng_from_seed(0)  # reset to each stream's state before each draw
+    union = None
+    for start, rows in _blocks(n, rng_seed, trials, (0,) if s is None else (0, 1)):
+        k = len(rows)
+        trial_seeds, coin_states, *seed_states = map(list, zip(*rows))
         offsets = np.arange(0, k * n, n)
-        if k == 1:
-            edges = g.edges  # a lone world is labeled on its rows, uncopied
-        else:
-            edges = (g.edges + offsets[:, None, None]).reshape(-1, 2)
+        if union is None:
+            # built for the first and largest block; rows are trial-major, so
+            # a shorter last block reads a prefix, and a lone world is
+            # labeled on its rows, uncopied
+            union = g.edges
+            if k > 1:
+                union = (union + offsets[:, None, None]).reshape(-1, 2)
+        edges = union[: k * g.edge_count]
         seeds = None
         if s is not None:
             seeds = np.stack(
-                [sample_seeds(n, s, child_seed(ts, 1)) for ts in trial_seeds]
+                [_draw_seeds(n, s, set_pcg64_state(rng, st)) for st in seed_states[0]]
             )
         root = np.arange(k * n, dtype=np.int64)
         # popped, so that each part is freed once merged and none outlives
         # its block into the next block's coins
-        parts = _admitted(edges, trial_seeds, grid[walk])[::-1]
+        parts = _admitted(edges, coin_states, grid[walk], rng)[::-1]
         for qi in walk:
             root = _hook_and_jump(root, parts.pop())
             giant, giant_size, second_size = _top_two(root, k)

@@ -30,6 +30,7 @@ __all__ = [
     "MechanismScaleReport",
     "sample_wasserstein_infinity",
     "release",
+    "release_from",
     "mechanism_error_quantile",
     "wasserstein_mechanism_scale",
     "comparison_tvd",
@@ -150,9 +151,17 @@ def release(spec: MechanismSpec, bits, rng_seed: int) -> float:
     (reported - n * flip_prob / 2) / (1 - flip_prob). With spec.clamp the
     output is clipped to [0, n]. Deterministic for a fixed rng_seed.
     """
+    return release_from(spec, bits, rng_from_seed(rng_seed))
+
+
+def release_from(spec: MechanismSpec, bits, rng: np.random.Generator) -> float:
+    """`release`, drawing its noise from `rng` instead of a fresh generator.
+
+    `rng` set to the state `rng_from_seed(rng_seed)` starts from releases
+    exactly what `release(spec, bits, rng_seed)` does.
+    """
     bits = np.asarray(bits, dtype=bool)
     n = bits.size
-    rng = rng_from_seed(rng_seed)
     if spec.is_laplace:
         out = float(bits.sum()) + float(rng.laplace(0.0, spec.scale))
     else:

@@ -3,15 +3,41 @@
 Every trial of every experiment draws from its own generator, seeded by a
 pure function of (master seed, trial index). Results therefore do not depend
 on execution order or chunking.
+
+`rng_from_seed` builds one generator from one seed through numpy's
+`SeedSequence` hash. The trial engine instead derives the starting states
+of many streams in one numpy pass (`pcg64_states`, read one chunk of trials
+at a time by `trial_streams`) and sets each on one reused generator
+(`set_pcg64_state`). The pass runs the same fixed public algorithms:
+SplitMix64 for `child_seed`, `SeedSequence`'s pool mixing (after O'Neill's
+PCG `seed_seq`, 2014) and the PCG64 srandom step, so every stream draws
+exactly what `rng_from_seed` of its seed draws.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# trials whose stream states `trial_streams` derives in one call. On 2
+# vCPUs a call costs about 40 us plus 0.6 us per seed, against 11 us for one
+# `default_rng`; the states it returns are held until the chunk is read
+_CHUNK_TRIALS = 1024
+
+# numpy's SeedSequence constants: hashmix multipliers, the mix multipliers
+# and the xorshift
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def splitmix64(state: int) -> int:
@@ -34,3 +60,133 @@ def child_seed(master_seed: int, index: int) -> int:
 def rng_from_seed(seed: int) -> np.random.Generator:
     """PCG64 generator for a 64-bit seed (negative ints are wrapped)."""
     return np.random.default_rng(seed & MASK64)
+
+
+def _splitmix64_array(z: np.ndarray) -> np.ndarray:
+    """`splitmix64` of every entry of the uint64 array `z`, in place."""
+    z += np.uint64(_GOLDEN)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _hash_consts(init: int, mult: int, count: int) -> list[int]:
+    """The first count + 1 values of a SeedSequence hash constant."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return consts
+
+
+def _mix_consts() -> tuple[np.ndarray, np.ndarray]:
+    """Per mixing step, the xor and multiply constant of each pool word's hashmix.
+
+    SeedSequence's mixing runs hashmix four times to fill the pool, then
+    once per ordered pair (src, dst) of distinct words, src the outer loop;
+    call j xors with hash constant j and multiplies by constant j + 1. Step
+    0 fills the pool; step 1 + src mixes word src into the other three, and
+    its own row holds dummy constants, since that word keeps its value.
+    """
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL)
+    xor = np.zeros((1 + _POOL, _POOL, 1), dtype=np.uint32)
+    mul = np.zeros((1 + _POOL, _POOL, 1), dtype=np.uint32)
+    calls = [(0, dst) for dst in range(_POOL)] + [
+        (1 + src, dst) for src in range(_POOL) for dst in range(_POOL) if dst != src
+    ]
+    for j, (step, dst) in enumerate(calls):
+        xor[step, dst], mul[step, dst] = consts[j], consts[j + 1]
+    return xor, mul
+
+
+def _generate_consts() -> tuple[np.ndarray, np.ndarray]:
+    """Xor and multiply constants of `generate_state`'s eight 32-bit words."""
+    consts = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+    xor = np.array(consts[:-1], dtype=np.uint32)[:, None]
+    mul = np.array(consts[1:], dtype=np.uint32)[:, None]
+    return xor, mul
+
+
+_MIX_XOR, _MIX_MUL = _mix_consts()
+_GEN_XOR, _GEN_MUL = _generate_consts()
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 rows, each under its own constants."""
+    words = words ^ xor
+    words *= mul
+    words ^= words >> np.uint32(16)
+    return words
+
+
+def pcg64_states(seeds) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that `rng_from_seed(seed)` starts from, per seed.
+
+    `seeds` is an array of 64-bit seeds. SeedSequence(seed) hashes the
+    seed's two 32-bit words (a seed below 2^32 has one, and its pool then
+    hashes 0 in the second place, which is what the high word holds) into a
+    pool of four words, and `generate_state` hashes the pool into four
+    64-bit words: the PCG64 seed and stream. Here each pool word is a row of
+    uint32 columns, one column per seed, so the hash runs once for all
+    seeds. The srandom step then runs in Python ints: inc = 2 * stream + 1
+    and state = (inc + seed) * multiplier + inc, modulo 2^128.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    entropy = np.zeros((_POOL, seeds.size), dtype=np.uint32)
+    # the low and high 32-bit words (astype keeps the low word)
+    entropy[0] = seeds.astype(np.uint32)
+    entropy[1] = (seeds >> np.uint64(32)).astype(np.uint32)
+    pool = _hashmix(entropy, _MIX_XOR[0], _MIX_MUL[0])
+    for src in range(_POOL):
+        hashed = _hashmix(pool[src], _MIX_XOR[1 + src], _MIX_MUL[1 + src])
+        mixed = pool * np.uint32(_MIX_L)
+        mixed -= hashed * np.uint32(_MIX_R)
+        mixed ^= mixed >> np.uint32(16)
+        mixed[src] = pool[src]
+        pool = mixed
+    words = _hashmix(np.concatenate([pool, pool]), _GEN_XOR, _GEN_MUL)
+    words = words.astype(np.uint64)
+    # little-endian pairs of 32-bit words make the four 64-bit words
+    seed_and_stream = words[0::2] | words[1::2] << np.uint64(32)
+    states = []
+    for hi, lo, inc_hi, inc_lo in zip(*seed_and_stream.tolist()):
+        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+        states.append((((hi << 64 | lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return states
+
+
+def set_pcg64_state(rng: np.random.Generator, state: tuple[int, int]):
+    """Put the PCG64 generator `rng` at `state`, a (state, inc) pair from
+    `pcg64_states`, with no buffered 32-bit half, and return it: it then
+    draws what a fresh generator of that seed draws."""
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state[0], "inc": state[1]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def trial_streams(master_seed: int, trials: int, streams) -> Iterator[tuple]:
+    """Per trial t in 0..trials-1, its seed and the states of its sub-streams.
+
+    Yields (trial_seed, state_0, ...), where trial_seed is
+    child_seed(master_seed, t) and state_i the PCG64 state that
+    rng_from_seed(child_seed(trial_seed, streams[i])) starts from. The states
+    are derived in one `pcg64_states` call per chunk of `_CHUNK_TRIALS`
+    trials, and only the chunk being read is held.
+    """
+    subs = np.array([splitmix64(j & MASK64) for j in streams], dtype=np.uint64)
+    master = np.uint64(master_seed & MASK64)
+    for first in range(0, trials, _CHUNK_TRIALS):
+        t = np.arange(first, min(first + _CHUNK_TRIALS, trials), dtype=np.uint64)
+        seeds = _splitmix64_array(master ^ _splitmix64_array(t))
+        # stream-major: sub-stream i of the chunk's trials is states[i*k:(i+1)*k]
+        states = pcg64_states(_splitmix64_array(seeds ^ subs[:, None]).ravel())
+        k = seeds.size
+        per_stream = [states[i * k : (i + 1) * k] for i in range(subs.size)]
+        yield from zip(seeds.tolist(), *per_stream)
+        del states, per_stream  # dropped before the next chunk is derived

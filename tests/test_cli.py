@@ -683,6 +683,15 @@ class TestErrorPaths:
             ("components", {}, ["--trials", "10000000000000000000"]),
             ("audit", {}, ["--trials", "10000000000000000000"]),
             ("attack", {}, ["--trials", "10000000000000000000"]),
+            # a --q form the subcommand never reads would run it at the
+            # config's q
+            ("components", {}, ["--q", "0.1,0.2"]),
+            ("membership", {}, ["--q", "0.1:0.9:3"]),
+            ("audit", {}, ["--q", "0.1,0.2"]),
+            ("attack", {}, ["--q", "0.1:0.9:3"]),
+            ("components", {}, ["--q", "0.1:0.9:1"]),
+            ("sweep", {}, ["--q", "0.9"]),
+            ("sweep", {}, ["--q", "nan"]),
         ],
         ids=[
             "membership-trials-0",
@@ -751,6 +760,13 @@ class TestErrorPaths:
             "components-trials-above-int64",
             "audit-trials-above-int64",
             "attack-trials-above-int64",
+            "components-q-flag-list",
+            "membership-q-flag-range",
+            "audit-q-flag-list",
+            "attack-q-flag-range",
+            "components-q-flag-one-value-range",
+            "sweep-q-flag-one-value",
+            "sweep-q-flag-nan",
         ],
     )
     def test_bad_config_exits_2_without_traceback(

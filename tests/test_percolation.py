@@ -390,6 +390,81 @@ class TestConnectedComponents:
                 assert lab.second_size == np.sort(sizes)[-2]
 
 
+# the two branches of the labeler's cut-off, each forced for every round:
+# jump every entry, or chase only the hooked roots and make one full pass
+BRANCHES = {"jump-all": 0.0, "chase-hooked": math.inf}
+
+
+class TestChaseCutoff:
+    """Both branches of `_hook_and_jump`'s cut-off give the roots that
+    `label_world` gives with every round jumping every entry."""
+
+    @staticmethod
+    def reference(monkeypatch, n, retained):
+        monkeypatch.setattr(percolation, "_CHASE_SHARE", BRANCHES["jump-all"])
+        return label_world(n, retained).root
+
+    @pytest.mark.parametrize("n, p", [(200, 0.02), (12, 0.3)], ids=["n200", "n12"])
+    @pytest.mark.parametrize("k", [1, 4], ids=["one-per-block", "blocks-of-4"])
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_grid_blocks_match_label_world(self, monkeypatch, branch, k, n, p):
+        """A q grid walked over blocks of one world and of four (30 trials
+        leave a block of 2), each q merged into the last q's stars."""
+        g = generate_er(n, p, rng_seed=child_seed(33, n))
+        grid = [0.9, 0.2, 0.5, 0.5, 0.05, 1.0]
+        monkeypatch.setattr(percolation, "_BLOCK_NODES", k * n)
+        monkeypatch.setattr(percolation, "_CHASE_SHARE", BRANCHES[branch])
+        blocks = list(world_blocks(g, grid, 34, 30))
+        assert len(blocks) == len(grid) * -(-30 // k)
+        for block in blocks:
+            for i, ts in enumerate(block.trial_seeds):
+                retained = percolate(g, grid[block.qi], child_seed(ts, 0))
+                want = self.reference(monkeypatch, n, retained)
+                assert np.array_equal(block.root[i] - i * n, want)
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    @pytest.mark.parametrize(
+        "world",
+        [_descending_path, _star_behind_a_chain, _equal_sizes],
+        ids=lambda f: f.__name__.lstrip("_"),
+    )
+    def test_merged_one_edge_at_a_time(self, monkeypatch, branch, world):
+        """Each edge merged alone into the stars of the edges before it,
+        in a shuffled order, so hooks land on roots at every depth."""
+        n, edges = world()
+        order = rng_from_seed(child_seed(35, n)).permutation(len(edges))
+        edges = edges[order]
+        root = np.arange(n, dtype=np.int64)
+        for i in range(len(edges)):
+            monkeypatch.setattr(percolation, "_CHASE_SHARE", BRANCHES[branch])
+            root = _hook_and_jump(root, edges[i : i + 1])
+            if i % 37 == 0 or i == len(edges) - 1:
+                want = self.reference(monkeypatch, n, edges[: i + 1])
+                assert np.array_equal(root, want)
+        assert np.array_equal(root, lowest_members(n, edges))
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_chain_of_stars_merged_in_one_call(self, monkeypatch, branch):
+        """64 stars of 8 nodes, each hooked onto the star below it by one
+        merged edge given in shuffled order: the hooked roots form a chain
+        63 deep, which one round must flatten."""
+        stars, size = 64, 8
+        n = stars * size
+        first = np.array(
+            [(b * size, b * size + i) for b in range(stars) for i in range(1, size)]
+        )
+        second = np.array(
+            [(b * size + size - 1, (b - 1) * size + 3) for b in range(1, stars)]
+        )
+        second = second[rng_from_seed(child_seed(36, 0)).permutation(stars - 1)]
+        forest = self.reference(monkeypatch, n, first)
+        monkeypatch.setattr(percolation, "_CHASE_SHARE", BRANCHES[branch])
+        merged = _hook_and_jump(forest, second)
+        union = np.concatenate([first, second])
+        assert np.array_equal(merged, self.reference(monkeypatch, n, union))
+        assert not merged.any()
+
+
 class TestRunCascade:
     """The cascade `world_blocks` gathers for each row of a block."""
 
@@ -467,6 +542,17 @@ class TestSampleSeeds:
         s = sample_seeds(40, 10, rng_seed=24)
         assert len(set(s.tolist())) == 10
         assert np.all(np.diff(s) > 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 2500, 10_001, 28_374, 3_037_000_500])
+    def test_one_seed_is_what_choice_draws(self, n):
+        """A single seed is drawn by `integers`, which must give the node
+        that `choice(n, 1, replace=False)` gives, up to the largest n a
+        `Graph` allows."""
+        for i in range(500):
+            seed = child_seed(n, i)
+            want = rng_from_seed(seed).choice(n, size=1, replace=False)
+            got = sample_seeds(n, 1, seed)
+            assert np.array_equal(got, want) and got.dtype == want.dtype
 
 
 def stacked(blocks, *fields):

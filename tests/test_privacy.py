@@ -21,10 +21,11 @@ from cascadelab.privacy import (
     _fold,
     comparison_tvd,
     release,
+    release_from,
     sample_wasserstein_infinity,
     wasserstein_mechanism_scale,
 )
-from cascadelab.seeding import child_seed, rng_from_seed
+from cascadelab.seeding import child_seed, pcg64_states, rng_from_seed, set_pcg64_state
 
 from oracles import (
     Law,
@@ -343,6 +344,20 @@ class TestRelease:
         assert all(0.0 <= x <= 10.0 for x in outs)
         assert min(raw) < 0.0 or max(raw) > 10.0
         assert outs == [min(max(x, 0.0), 10.0) for x in raw]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [MechanismSpec(kind="laplace", scale=20.0, clamp=True), rr(0.6)],
+        ids=["laplace", "randomized-response"],
+    )
+    def test_reused_generator_releases_what_a_seed_releases(self, spec):
+        """`release_from` on one generator set to each seed's state in turn,
+        as the attack's evaluation runs it, equals `release` of the seed."""
+        seeds = [child_seed(43, i) for i in range(50)]
+        rng = rng_from_seed(0)
+        for seed, state in zip(seeds, pcg64_states(seeds)):
+            got = release_from(spec, self.bits, set_pcg64_state(rng, state))
+            assert got == release(spec, self.bits, seed)
 
 
 class TestWassersteinMechanismScale:
