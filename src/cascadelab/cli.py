@@ -1,17 +1,18 @@
 """Config-driven experiment runner.
 
 Subcommands: gen, components, sweep, membership, audit, attack. Every run
-takes an optional JSON config plus flag overrides, and writes CSV files
-whose first line is a comment carrying the 64-bit FNV-1a hash of the
-effective config and the tool version. Identical (config, seed) runs write
-byte-identical files. Trials are drawn in blocks
-(`percolation.world_blocks`) in one thread; the sweep folds them at every
-q, and each single-q subcommand reads a `percolation.record_worlds` record.
-`--threads` and the `threads` key are accepted for older configs and
-scripts, and must be positive integers, but change nothing.
+takes an optional JSON config plus flag overrides, each subcommand offering
+only the flags it reads (`build_parser`), and writes CSV files whose first
+line is a comment carrying the 64-bit FNV-1a hash of the effective config
+and the tool version. Identical (config, seed) runs write byte-identical
+files. Trials are drawn in blocks (`percolation.world_blocks`) in one
+thread; the sweep folds them at every q, and each single-q subcommand reads
+a `percolation.record_worlds` record. `--threads` and the `threads` key are
+accepted for older configs and scripts, and must be positive integers, but
+change nothing.
 
-Exit codes: 0 success, 2 configuration error (a request too large to
-allocate included), 3 degenerate conditioning.
+Exit codes: 0 success, 2 configuration error (a bad command line and a
+request too large to allocate included), 3 degenerate conditioning.
 """
 
 from __future__ import annotations
@@ -123,20 +124,22 @@ def write_csv(path: Path, columns: list[str], rows, cfg_hash: int) -> None:
         fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
-def _parse_q_flag(text: str):
-    """Accept '0.3', '0.1,0.2,0.3', or 'start:stop:count'."""
+def _q_grid(text: str) -> list[float]:
+    """The sweep's `--q`: a grid '0.1,0.2,0.3' or 'start:stop:count'.
+
+    One value is refused, since the sweep would walk a grid of one q.
+    """
     try:
         if ":" in text:
             start, stop, count = text.split(":")
-            return [
-                float(v)
-                for v in np.linspace(float(start), float(stop), int(count))
-            ]
+            return np.linspace(float(start), float(stop), int(count)).tolist()
         if "," in text:
             return [float(v) for v in text.split(",")]
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse q specification {text!r}") from exc
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"{text!r} is not a q grid X,Y,Z or start:stop:count"
+    )
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
@@ -319,6 +322,7 @@ def _mechanism(cfg: dict) -> MechanismSpec:
 
 
 def cmd_gen(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
+    """Realize the configured graph and write its edge list (graph.txt)."""
     name, g = _the_graph(cfg, _master_seed(cfg))
     path = out_dir / "graph.txt"
     dump_edge_list(g, path)
@@ -327,6 +331,7 @@ def cmd_gen(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
 
 
 def cmd_components(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
+    """Mean and std of the two largest components over trials at one q."""
     q = _single_q(cfg)
     trials = _count(cfg, "trials")
     master = _master_seed(cfg)
@@ -361,6 +366,7 @@ def cmd_components(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
 
 
 def cmd_sweep(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
+    """Mean giant and second fractions at every q of the grid (sweep.csv)."""
     master = _master_seed(cfg)
     q_grid = _q_values(cfg)
     trials = _count(cfg, "sweep_trials")
@@ -387,6 +393,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
 
 
 def cmd_membership(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
+    """Count the nodes in the giant in at least each threshold's share of trials."""
     master = _master_seed(cfg)
     _, g = _the_graph(cfg, master)
     q = _single_q(cfg)
@@ -408,6 +415,7 @@ def cmd_membership(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
 
 
 def cmd_audit(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
+    """Calibrate the Wasserstein mechanism's noise scale over the protected nodes."""
     master = _master_seed(cfg)
     _, g = _the_graph(cfg, master)
     q = _single_q(cfg)
@@ -470,6 +478,7 @@ def cmd_audit(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
 
 
 def cmd_attack(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
+    """Evaluate the count-threshold attack end to end at one q."""
     master = _master_seed(cfg)
     _, g = _the_graph(cfg, master)
     q = _single_q(cfg)
@@ -512,9 +521,6 @@ def cmd_attack(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
     return 0
 
 
-# the subcommands that run at the config's one q; `sweep` alone walks the grid
-_SINGLE_Q_COMMANDS = ("components", "membership", "audit", "attack")
-
 _COMMANDS = {
     "gen": cmd_gen,
     "components": cmd_components,
@@ -525,55 +531,47 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise `ConfigError`, so that `main`
+    reports a bad command line as it reports a bad config (exit 2)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One parser per subcommand with only the flags it reads, each stored
+    under the config key it overrides."""
+    parser = _Parser(
         prog="cascadelab",
         description="Percolated-contagion experiments on privacy of released counts",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__, description=command.__doc__)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="master RNG seed")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--trials", type=int, help="trial count override")
-        p.add_argument(
-            "--q",
-            help="transmission probability X; for sweep, a grid X,Y,Z or "
-            "start:stop:count",
-        )
+        p.add_argument("--out", dest="out_dir", help="output directory")
         p.add_argument(
             "--threads", type=int, help="accepted and ignored; trials run in one thread"
         )
+        if name == "sweep":
+            p.add_argument(
+                "--q", dest="q_grid", type=_q_grid, help="X,Y,Z or start:stop:count"
+            )
+        elif name != "gen":
+            p.add_argument("--trials", type=int, help="trial count")
+            p.add_argument("--q", type=float, help="transmission probability in (0, 1]")
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
     try:
-        overrides: dict = {
-            "seed": args.seed,
-            "out_dir": args.out,
-            "trials": args.trials,
-            "threads": args.threads,
-        }
-        if args.q is not None:
-            q_spec = _parse_q_flag(args.q)
-            grid = isinstance(q_spec, list)
-            # a form the subcommand never reads would run it at the config's q
-            if grid and args.command in _SINGLE_Q_COMMANDS:
-                raise ConfigError(
-                    f"{args.command} runs at one q; --q {args.q!r} gives a grid"
-                )
-            if not grid and args.command == "sweep":
-                raise ConfigError(
-                    f"sweep walks a q grid; --q {args.q!r} gives one value, "
-                    "not X,Y,Z or start:stop:count"
-                )
-            overrides["q_grid" if grid else "q"] = q_spec
-        cfg = load_config(args.config, overrides)
+        overrides = vars(build_parser().parse_args(argv))
+        command = _COMMANDS[overrides.pop("command")]
+        cfg = load_config(overrides.pop("config"), overrides)
         _count(cfg, "threads")  # ignored, but a bad value is still an error
         cfg_hash = config_hash(cfg)
         try:
@@ -581,10 +579,10 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except (TypeError, OSError) as exc:
             raise ConfigError(f"bad out_dir {cfg['out_dir']!r}: {exc}") from exc
-        return _COMMANDS[args.command](cfg, out_dir, cfg_hash)
+        return command(cfg, out_dir, cfg_hash)
     except (ConfigError, MemoryError) as exc:
         # numpy refuses an allocation larger than the machine can grant
-        # before touching memory: a count or size in the config is too large
+        # before touching memory: a count or size asked for is too large
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DegenerateConditioningError as exc:

@@ -45,12 +45,15 @@ _BLOCK_NODES = 1 << 14
 # more, it jumps every entry until none moves
 _CHASE_SHARE = 0.25
 
+# a jump halves every chain, and chains are shorter than 2^63, so a jump
+# loop that runs longer than this is at fault
+_MAX_JUMPS = 64
+
 __all__ = [
     "DegenerateConditioningError",
     "WorldBlock",
     "MembershipEstimate",
     "WorldRecord",
-    "sample_seeds",
     "world_blocks",
     "record_worlds",
 ]
@@ -243,17 +246,38 @@ def _hook_and_jump(root: np.ndarray, edges: np.ndarray) -> np.ndarray:
     root. So a round with fewer crossing edges than `_CHASE_SHARE` of the
     entries jumps only the hooked roots until each points at a root that
     stays put, then makes one full pass; other rounds jump every entry.
+
+    Raises:
+        RuntimeError: a round's hook lowered no entry, or a jump loop ran
+            past `_MAX_JUMPS` passes. In a forest of stars every crossing
+            edge's larger end is a root that its hook lowers, so either
+            means the labels are corrupt, and the rounds would never end.
     """
     root = root.copy()
     u, v = edges[:, 0], edges[:, 1]
     ru, rv = root.take(u), root.take(v)
+    # `before` sums the entries that a round's hook must lower: every entry
+    # in a full round, the hooked roots in a chase round. Since root[x] <= x,
+    # neither a hook nor a jump raises an entry, so an unchanged sum means
+    # that none moved. It is None in the first round, whose edges need not
+    # cross. Crossing edges only shrink, so the full rounds come first, and
+    # each reads the sum that the last one's jumps left.
+    before = None
     while u.size:
         hooked = np.maximum(ru, rv)
+        chase = u.size < _CHASE_SHARE * root.size
+        if chase and before is not None:
+            before = root.take(hooked).sum()
         np.minimum.at(root, hooked, np.minimum(ru, rv))
-        if u.size < _CHASE_SHARE * root.size:
+        if chase:
             at = root.take(hooked)
             total = at.sum()
-            while True:
+        else:
+            total = root.sum()
+        if total == before:
+            raise RuntimeError("a hook lowered no root: the labels are not stars")
+        if chase:
+            for _ in range(_MAX_JUMPS):
                 # duplicate hooked roots take equal values
                 at = root.take(at)
                 jumped = at.sum()
@@ -261,31 +285,29 @@ def _hook_and_jump(root: np.ndarray, edges: np.ndarray) -> np.ndarray:
                     break
                 root[hooked] = at
                 total = jumped
+            else:
+                raise RuntimeError(f"hooked roots still moved after {_MAX_JUMPS} jumps")
             root = root.take(root)
         else:
-            # since root[x] <= x, a jump never raises an entry, so an
-            # unchanged sum means that no entry moved
-            total = root.sum()
-            while True:
+            for _ in range(_MAX_JUMPS):
                 root = root.take(root)
                 jumped = root.sum()
                 if jumped == total:
                     break
                 total = jumped
+            else:
+                raise RuntimeError(f"entries still moved after {_MAX_JUMPS} jumps")
         ru, rv = root.take(u), root.take(v)
         # flatnonzero + take copies several times faster than a boolean index
         cross = np.flatnonzero(ru != rv)
         u, v, ru, rv = u.take(cross), v.take(cross), ru.take(cross), rv.take(cross)
+        before = total
     return root
 
 
-def sample_seeds(n: int, s: int, rng_seed: int) -> np.ndarray:
-    """Draw s distinct seed nodes uniformly from 0..n-1, sorted ascending."""
-    return _draw_seeds(n, s, rng_from_seed(rng_seed))
-
-
 def _draw_seeds(n: int, s: int, rng: np.random.Generator) -> np.ndarray:
-    """`sample_seeds` drawn from `rng`."""
+    """Draw s distinct seed nodes uniformly from 0..n-1 by `rng`, sorted
+    ascending."""
     if not 0 < s <= n:
         raise ValueError("s must satisfy 0 < s <= n")
     if s == 1:

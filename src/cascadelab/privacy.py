@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .percolation import DegenerateConditioningError, WorldRecord
-from .seeding import rng_from_seed
 
 logger = logging.getLogger(__name__)
 
@@ -29,7 +28,6 @@ __all__ = [
     "MechanismSpec",
     "MechanismScaleReport",
     "sample_wasserstein_infinity",
-    "release",
     "release_from",
     "mechanism_error_quantile",
     "wasserstein_mechanism_scale",
@@ -141,24 +139,15 @@ def sample_wasserstein_infinity(x0: np.ndarray, x1: np.ndarray) -> int:
     return int(max(at_k0, at_k1))
 
 
-def release(spec: MechanismSpec, bits, rng_seed: int) -> float:
+def release_from(spec: MechanismSpec, bits, rng: np.random.Generator) -> float:
     """Release the activation count of `bits` through the mechanism `spec`.
 
-    The Laplace kinds add one Laplace(scale) draw to the count. Randomized
-    response reports each bit truly with probability 1 - flip_prob and as
-    a fair coin otherwise (one uniform per bit for the flip, then one for
-    the coin), and releases the debiased total
+    The Laplace kinds add one Laplace(scale) draw from `rng` to the count.
+    Randomized response reports each bit truly with probability
+    1 - flip_prob and as a fair coin otherwise (one uniform per bit for the
+    flip, then one for the coin), and releases the debiased total
     (reported - n * flip_prob / 2) / (1 - flip_prob). With spec.clamp the
-    output is clipped to [0, n]. Deterministic for a fixed rng_seed.
-    """
-    return release_from(spec, bits, rng_from_seed(rng_seed))
-
-
-def release_from(spec: MechanismSpec, bits, rng: np.random.Generator) -> float:
-    """`release`, drawing its noise from `rng` instead of a fresh generator.
-
-    `rng` set to the state `rng_from_seed(rng_seed)` starts from releases
-    exactly what `release(spec, bits, rng_seed)` does.
+    output is clipped to [0, n]. Deterministic for a fixed state of `rng`.
     """
     bits = np.asarray(bits, dtype=bool)
     n = bits.size

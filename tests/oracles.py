@@ -8,11 +8,13 @@ rational arithmetic, an edge-list parse one line at a time. The package
 holds a conditional count law as an ascending integer sample; the oracles
 read finite laws as `Law` atoms, and `law_of` turns a sample into one.
 The package code must agree with these slow oracles, not the other way
-around. `adjacency`, `percolate` and `label_world` are test helpers kept
-here, out of the package: `percolate` retains one world's edges from the
-coin stream a trial of `world_blocks` reads, and `label_world` labels one
-world with the package's own labeler and is checked against the oracles
-like the package is.
+around. `adjacency`, `percolate`, `sample_seeds`, `release` and
+`label_world` are test helpers kept here, out of the package: `percolate`
+and `sample_seeds` draw one world's retained edges and seeds from the
+streams a trial of `world_blocks` reads, by numpy's own calls; `release`
+releases a count from a fresh generator of one seed; and `label_world`
+labels one world with the package's own labeler and is checked against the
+oracles like the package is.
 """
 
 import itertools
@@ -26,6 +28,7 @@ import numpy as np
 
 from cascadelab.graph import EdgeListFormatError, EdgeListReport, Graph, logger
 from cascadelab.percolation import _hook_and_jump, _top_two
+from cascadelab.privacy import release_from
 from cascadelab.seeding import rng_from_seed
 
 
@@ -49,6 +52,21 @@ def percolate(g, q, rng_seed):
     if not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0, 1]")
     return g.edges.compress(rng_from_seed(rng_seed).random(g.edge_count) < q, axis=0)
+
+
+def sample_seeds(n, s, rng_seed):
+    """s distinct nodes of 0..n-1 drawn uniformly, sorted ascending.
+
+    numpy's `choice` without replacement from `rng_from_seed(rng_seed)`:
+    trial t of `world_blocks(g, q, r, trials, s)` seeds exactly
+    `sample_seeds(n, s, child_seed(child_seed(r, t), 1))`.
+    """
+    return np.sort(rng_from_seed(rng_seed).choice(n, s, replace=False))
+
+
+def release(spec, bits, rng_seed):
+    """`privacy.release_from` with a fresh generator of `rng_seed`."""
+    return release_from(spec, bits, rng_from_seed(rng_seed))
 
 
 def label_world(n, retained_edges):

@@ -31,7 +31,6 @@ from cascadelab.percolation import _cascade, record_worlds
 from cascadelab.privacy import (
     MechanismSpec,
     comparison_tvd,
-    release,
     wasserstein_mechanism_scale,
 )
 from cascadelab.seeding import child_seed
@@ -42,6 +41,7 @@ from oracles import (
     label_world,
     message_passing_membership,
     percolate,
+    release,
     wasserstein_infinity,
     winf_bruteforce,
 )

@@ -12,7 +12,7 @@ from cascadelab.graph import (
     generate_chung_lu,
     generate_er,
 )
-from cascadelab.percolation import record_worlds, sample_seeds
+from cascadelab.percolation import record_worlds
 from cascadelab.privacy import MechanismSpec
 from cascadelab.seeding import child_seed, rng_from_seed
 
@@ -23,6 +23,7 @@ from oracles import (
     giant_component,
     label_world,
     percolate,
+    sample_seeds,
 )
 from theory import (
     er_miss_bound,

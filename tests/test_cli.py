@@ -1,5 +1,6 @@
 """End-to-end tests of the experiment runner."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -17,8 +18,9 @@ import pytest
 import cascadelab
 from cascadelab.cli import (
     ConfigError,
-    _parse_q_flag,
+    _q_grid,
     build_graph,
+    build_parser,
     config_hash,
     load_config,
     main,
@@ -47,19 +49,23 @@ def write_config(tmp_path, name="config.json", **entries):
 
 
 class TestParseQFlag:
+    """The sweep's `--q`, which takes a grid only."""
+
     def test_single(self):
-        assert _parse_q_flag("0.3") == 0.3
+        with pytest.raises(argparse.ArgumentTypeError, match="'0.3'"):
+            _q_grid("0.3")
 
     def test_comma_list(self):
-        assert _parse_q_flag("0.1,0.2") == [0.1, 0.2]
+        assert _q_grid("0.1,0.2") == [0.1, 0.2]
 
     def test_grid(self):
-        grid = _parse_q_flag("0.05:0.9:3")
+        grid = _q_grid("0.05:0.9:3")
         assert grid == pytest.approx([0.05, 0.475, 0.9])
 
     def test_garbage(self):
-        with pytest.raises(ConfigError):
-            _parse_q_flag("zero point three")
+        for text in ("zero point three", "0.1,x", "0.1:0.9", "0.1:0.9:2.5"):
+            with pytest.raises(argparse.ArgumentTypeError, match=repr(text)):
+                _q_grid(text)
 
 
 class TestConfigHash:
@@ -692,6 +698,10 @@ class TestErrorPaths:
             ("components", {}, ["--q", "0.1:0.9:1"]),
             ("sweep", {}, ["--q", "0.9"]),
             ("sweep", {}, ["--q", "nan"]),
+            # a flag the subcommand never reads is not offered
+            ("gen", {}, ["--q", "0.1,0.2"]),
+            ("gen", {}, ["--trials", "7"]),
+            ("sweep", {}, ["--trials", "1"]),
         ],
         ids=[
             "membership-trials-0",
@@ -767,6 +777,9 @@ class TestErrorPaths:
             "components-q-flag-one-value-range",
             "sweep-q-flag-one-value",
             "sweep-q-flag-nan",
+            "gen-q-flag",
+            "gen-trials-flag",
+            "sweep-trials-flag",
         ],
     )
     def test_bad_config_exits_2_without_traceback(
@@ -994,6 +1007,56 @@ class TestErrorPaths:
         assert b"'ascii' codec can't decode" in done.stderr
         assert b"Traceback" not in done.stderr
         assert not (out / "graph.txt").exists()
+
+    def test_each_subcommand_offers_only_the_flags_it_reads(self):
+        """`gen` reads no q and no trial count, and the sweep reads a q grid
+        and `sweep_trials`, so neither offers `--trials` or a one-value
+        `--q`; every flag stores the config key it overrides."""
+        common = {
+            "--config": "config",
+            "--seed": "seed",
+            "--out": "out_dir",
+            "--threads": "threads",
+        }
+        single_q = {**common, "--trials": "trials", "--q": "q"}
+        want = {
+            "gen": common,
+            "components": single_q,
+            "sweep": {**common, "--q": "q_grid"},
+            "membership": single_q,
+            "audit": single_q,
+            "attack": single_q,
+        }
+        (sub,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        got = {
+            name: {
+                flag: action.dest
+                for action in parser._actions
+                for flag in action.option_strings
+                if flag not in ("-h", "--help")
+            }
+            for name, parser in sub.choices.items()
+        }
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["components", "--trials", "abc"], ["bogus"], [], ["gen", "extra"]],
+        ids=["trials-not-integer", "unknown-subcommand", "no-subcommand", "extra-argument"],
+    )
+    def test_bad_command_line_returns_2(self, capsys, argv):
+        """In process, `main` returns 2 for a command line it cannot parse,
+        as for a bad config, instead of raising `SystemExit`, and prints
+        one `config error:` line with no usage."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:")
+        assert captured.err.count("\n") == 1
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,11 @@ import collections
 import itertools
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +19,9 @@ from cascadelab import percolation
 from cascadelab.graph import Graph, chung_lu_weights, generate_chung_lu, generate_er
 from cascadelab.percolation import (
     DegenerateConditioningError,
+    _draw_seeds,
     _hook_and_jump,
     record_worlds,
-    sample_seeds,
     world_blocks,
 )
 from cascadelab.seeding import child_seed, rng_from_seed
@@ -29,6 +33,7 @@ from oracles import (
     label_world,
     lowest_members,
     percolate,
+    sample_seeds,
 )
 
 
@@ -465,6 +470,65 @@ class TestChaseCutoff:
         assert not merged.any()
 
 
+# the chase branch with its final full pass deleted, so that nodes below a
+# hooked root keep pointing at it; merging a chain of stars with it leaves a
+# crossing edge whose hook lowers nothing, round after round
+CHASE_WITHOUT_FULL_PASS = """
+import inspect, math, time
+import numpy as np
+from cascadelab import percolation
+stars, size = 64, 8
+first = [(b * size, b * size + i) for b in range(stars) for i in range(1, size)]
+second = [(b * size + size - 1, (b - 1) * size + 3) for b in range(1, stars)]
+forest = percolation._hook_and_jump(np.arange(stars * size), np.array(first))
+full_pass = "\\n            root = root.take(root)\\n"
+source = inspect.getsource(percolation._hook_and_jump)
+assert source.count(full_pass) == 1
+# redefined in the module itself, so that it reads the module's globals
+exec(source.replace(full_pass, "\\n"), vars(percolation))
+percolation._CHASE_SHARE = math.inf
+start = time.perf_counter()
+try:
+    percolation._hook_and_jump(forest, np.array(second))
+except RuntimeError as exc:
+    print(f"{time.perf_counter() - start:.3f} {exc}")
+"""
+
+
+class TestLabelerFaults:
+    """A labeler whose forest is no longer one of stars raises, instead of
+    running its rounds forever."""
+
+    def test_chase_without_its_full_pass_raises(self):
+        """Run in a subprocess, so that a labeler that spins fails the test
+        by the timeout instead of stalling the suite."""
+        src = Path(percolation.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", CHASE_WITHOUT_FULL_PASS],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=30,
+            check=True,
+        )
+        seconds, message = done.stdout.split(" ", 1)
+        assert float(seconds) < 1.0
+        assert "lowered no root" in message
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_jump_loop_is_bounded(self, monkeypatch, branch):
+        """A jump loop that needs more than `_MAX_JUMPS` passes raises: the
+        300-node descending path needs ten, nine that move entries and one
+        that finds none moved."""
+        monkeypatch.setattr(percolation, "_CHASE_SHARE", BRANCHES[branch])
+        n, edges = _descending_path()
+        monkeypatch.setattr(percolation, "_MAX_JUMPS", 9)
+        with pytest.raises(RuntimeError, match="after 9 jumps"):
+            _hook_and_jump(np.arange(n, dtype=np.int64), edges)
+        monkeypatch.setattr(percolation, "_MAX_JUMPS", 10)
+        assert not _hook_and_jump(np.arange(n, dtype=np.int64), edges).any()
+
+
 class TestRunCascade:
     """The cascade `world_blocks` gathers for each row of a block."""
 
@@ -521,37 +585,33 @@ class TestRunCascade:
         assert seen == {False, True}
 
 class TestSampleSeeds:
-    def test_all_nodes_when_s_equals_n(self):
-        assert sample_seeds(5, 5, rng_seed=1).tolist() == [0, 1, 2, 3, 4]
+    """The seeds `world_blocks` draws for a trial (`_draw_seeds`)."""
 
-    def test_rejects_s_out_of_range(self):
-        with pytest.raises(ValueError):
-            sample_seeds(5, 6, rng_seed=1)
-        with pytest.raises(ValueError):
-            sample_seeds(5, 0, rng_seed=1)
+    def test_all_nodes_when_s_equals_n(self):
+        assert _draw_seeds(5, 5, rng_from_seed(1)).tolist() == [0, 1, 2, 3, 4]
 
     def test_uniform_over_nodes(self):
         draws = 10_000
         counts = np.zeros(5, dtype=int)
         for i in range(draws):
-            counts[sample_seeds(5, 1, rng_seed=child_seed(23, i))[0]] += 1
+            counts[_draw_seeds(5, 1, rng_from_seed(child_seed(23, i)))[0]] += 1
         se = math.sqrt(draws * 0.2 * 0.8)
         assert np.all(np.abs(counts - draws * 0.2) <= 3 * se)
 
     def test_sorted_without_replacement(self):
-        s = sample_seeds(40, 10, rng_seed=24)
+        s = _draw_seeds(40, 10, rng_from_seed(24))
         assert len(set(s.tolist())) == 10
         assert np.all(np.diff(s) > 0)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 2500, 10_001, 28_374, 3_037_000_500])
     def test_one_seed_is_what_choice_draws(self, n):
         """A single seed is drawn by `integers`, which must give the node
-        that `choice(n, 1, replace=False)` gives, up to the largest n a
-        `Graph` allows."""
+        that `choice(n, 1, replace=False)` (the `sample_seeds` oracle)
+        gives, up to the largest n a `Graph` allows."""
         for i in range(500):
             seed = child_seed(n, i)
-            want = rng_from_seed(seed).choice(n, size=1, replace=False)
-            got = sample_seeds(n, 1, seed)
+            want = sample_seeds(n, 1, seed)
+            got = _draw_seeds(n, 1, rng_from_seed(seed))
             assert np.array_equal(got, want) and got.dtype == want.dtype
 
 
@@ -640,8 +700,11 @@ class TestWorlds:
         g = Graph(3, [[0, 1]])
         with pytest.raises(ValueError, match="trials"):
             next(world_blocks(g, 0.5, 1, 0))
-        with pytest.raises(ValueError, match="s must"):
-            next(world_blocks(g, 0.5, 1, 5, s=4))
+        for s in (0, 4):
+            with pytest.raises(ValueError, match="s must"):
+                next(world_blocks(g, 0.5, 1, 5, s=s))
+            with pytest.raises(ValueError, match="s must"):
+                record_worlds(g, 0.5, s, 5, 1)
         for q in (0.0, 1.5):
             with pytest.raises(ValueError, match="q must"):
                 next(world_blocks(g, q, 1, 2))

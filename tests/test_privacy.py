@@ -9,18 +9,13 @@ from scipy import stats
 from scipy.fft import next_fast_len
 
 from cascadelab.graph import Graph, generate_er
-from cascadelab.percolation import (
-    DegenerateConditioningError,
-    record_worlds,
-    sample_seeds,
-)
+from cascadelab.percolation import DegenerateConditioningError, record_worlds
 from cascadelab.privacy import (
     MechanismSpec,
     _convolve,
     _fft_length,
     _fold,
     comparison_tvd,
-    release,
     release_from,
     sample_wasserstein_infinity,
     wasserstein_mechanism_scale,
@@ -33,6 +28,8 @@ from oracles import (
     law_of,
     percolate,
     push_through_direct,
+    release,
+    sample_seeds,
     tvd,
     wasserstein_infinity,
     winf_bruteforce,
