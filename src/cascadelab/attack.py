@@ -14,7 +14,7 @@ import numpy as np
 from .graph import Graph
 from .percolation import MembershipEstimate, record_worlds, world_blocks
 from .privacy import MechanismSpec, mechanism_error_quantile, release_from
-from .seeding import child_seed, rng_from_seed, set_pcg64_state, trial_streams
+from .seeding import child_seed, rng_from_seed, set_pcg64_state
 
 __all__ = [
     "FloorStats",
@@ -102,17 +102,13 @@ def evaluate_attack(
     n = g.node_count
     status_hits = 0
     correct = np.zeros(n, dtype=np.int64)
-    # trial t releases under sub-stream 2 of its trial seed, whose states
-    # are derived a chunk of trials at a time and set on one generator
-    release_streams = trial_streams(eval_seed, trials, (2,))
-    rng = rng_from_seed(0)
+    rng = rng_from_seed(0)  # set to each trial's release state in turn
     for block in world_blocks(g, q, eval_seed, trials, s):
         truth_active = block.giant_active & ~block.tie
         reported = np.array(
             [
                 release_from(spec, bits, set_pcg64_state(rng, state))
-                # the block's rows first, so that zip takes no state past them
-                for bits, (_, state) in zip(block.activated, release_streams)
+                for bits, state in zip(block.activated, block.release_states)
             ]
         )
         judged_active = reported > threshold

@@ -6,10 +6,11 @@ only the flags it reads (`build_parser`), and writes CSV files whose first
 line is a comment carrying the 64-bit FNV-1a hash of the effective config
 and the tool version. Identical (config, seed) runs write byte-identical
 files. Trials are drawn in blocks (`percolation.world_blocks`) in one
-thread; the sweep folds them at every q, and each single-q subcommand reads
-a `percolation.record_worlds` record. `--threads` and the `threads` key are
-accepted for older configs and scripts, and must be positive integers, but
-change nothing.
+thread; the sweep folds them at every q, each single-q subcommand reads a
+`percolation.record_worlds` record, and the attack's evaluation also folds
+blocks of fresh trials. `--threads` and the `threads` key are accepted for
+older configs and scripts, and must be positive integers, but change
+nothing.
 
 Exit codes: 0 success, 2 configuration error (a bad command line and a
 request too large to allocate included), 3 degenerate conditioning.
@@ -541,15 +542,20 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     """One parser per subcommand with only the flags it reads, each stored
-    under the config key it overrides."""
+    under the config key it overrides. No parser takes a prefix of a flag
+    for the flag (`allow_abbrev`): `sweep --t 500` would set the ignored
+    `--threads`, not a trial count."""
     parser = _Parser(
         prog="cascadelab",
         description="Percolated-contagion experiments on privacy of released counts",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.__doc__, description=command.__doc__)
+        p = sub.add_parser(
+            name, help=command.__doc__, description=command.__doc__, allow_abbrev=False
+        )
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="master RNG seed")
         p.add_argument("--out", dest="out_dir", help="output directory")

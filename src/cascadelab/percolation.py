@@ -5,21 +5,22 @@ retaining each edge independently with probability q and activating exactly
 the retained-edge components that contain a seed. Every Monte Carlo
 estimator is a reduction over `world_blocks`, the one trial engine, which
 derives each trial's streams from (seed, trial index) alone, so estimates
-are reproducible. Their starting states come from one numpy pass per
-chunk of trials (`seeding.trial_streams`) and are set in turn on one
-generator that the call owns, so no trial pays for a generator of its own.
-It splits the trials into blocks of max(1, B // n) consecutive trials, B a
-fixed node budget, and labels a block as one disjoint union of its worlds
-by hook-and-jump: a small world costs mostly per-call overhead, which the
+are reproducible. It is the one place that derives them: their starting
+states come from one numpy pass per chunk of trials
+(`seeding.trial_streams`), so no trial pays for a generator of its own, and
+each block hands its rows' release states to the caller. It splits the
+trials into blocks of max(1, B // n) consecutive trials, B a fixed node
+budget, and labels a block as one disjoint union of its worlds by
+hook-and-jump: a small world costs mostly per-call overhead, which the
 block pays once, and a round that merges few edges jumps only the roots it
 hooked. Given a grid of q, it draws each trial's coins once and labels the
 block at every q, merging only the edges each q admits beyond the one
-before. Three consumers fold blocks, by
-integer sums or by filling their trials' rows, so no result depends on the
-blocking: `record_worlds`, which every single-q estimator reads, the
-sweep and the attack's evaluation. A conditional law of the activation
-count (`WorldRecord.node_split`, `WorldRecord.giant_split`) is the
-ascending integer sample of the counts its trials gave.
+before. Three consumers fold blocks, by integer sums or by filling their
+trials' rows, so no result depends on the blocking: `record_worlds`, which
+every single-q estimator reads, the sweep and the attack's evaluation. A
+conditional law of the activation count (`WorldRecord.node_split`,
+`WorldRecord.giant_split`) is the ascending integer sample of the counts
+its trials gave.
 """
 
 from __future__ import annotations
@@ -76,9 +77,10 @@ class WorldBlock(NamedTuple):
     component holding the lowest node id) and `giant_size[i]` and
     `second_size[i]` the two largest sizes. With seeds, `seeds[i]` holds
     row i's sorted seed ids (as node ids, not union ids), `activated[i]`
-    its activation vector, `counts[i]` its activation count and
-    `giant_active[i]` whether a seed fell in its largest component; without
-    seeds these four are None.
+    its activation vector, `counts[i]` its activation count,
+    `giant_active[i]` whether a seed fell in its largest component and
+    `release_states[i]` the PCG64 state of its release sub-stream (2), for
+    `seeding.set_pcg64_state`; without seeds these five are None.
     """
 
     start: int
@@ -92,6 +94,7 @@ class WorldBlock(NamedTuple):
     activated: np.ndarray | None = None
     counts: np.ndarray | None = None
     giant_active: np.ndarray | None = None
+    release_states: list[tuple[int, int]] | None = None
 
     @property
     def rows(self) -> slice:
@@ -385,13 +388,15 @@ def world_blocks(
     Trial t reads only the streams under trial_seed = child_seed(rng_seed, t):
     sub-stream 0 draws one uniform coin per edge, and the edge is retained
     at q when its coin lies below q; sub-stream 1 draws s uniform seeds; and
-    sub-stream 2 is left to the caller for the release. Without `s` no
-    seeds are drawn. A block holds max(1, B // n) trials for a fixed node
-    budget B and labels their worlds as one disjoint union, then reads each
-    trial's giant, second size and cascade off the union row by row, so
-    every row equals its world labeled alone. The sub-streams' states are
-    derived a chunk of trials at a time (`seeding.trial_streams`) and set in
-    turn on one generator that the call owns.
+    sub-stream 2 is the caller's, for the release: each block hands over its
+    rows' states (`release_states`). Without `s` neither sub-stream 1 nor 2
+    is derived and no seeds are drawn. A block holds max(1, B // n) trials
+    for a fixed node budget B and labels their worlds as one disjoint union,
+    then reads each trial's giant, second size and cascade off the union
+    row by row, so every row equals its world labeled alone. The states are
+    derived a chunk of trials at a time (`seeding.trial_streams`), and those
+    of sub-streams 0 and 1 are set in turn on one generator that the call
+    owns.
 
     Each block is yielded once per q, with `qi` the index of that q in the
     grid. All q share the coins (Newman & Ziff, PRL 85, 4104, 2000): the
@@ -409,9 +414,9 @@ def world_blocks(
     walk = np.argsort(grid, kind="stable").tolist()
     rng = rng_from_seed(0)  # reset to each stream's state before each draw
     union = None
-    for start, rows in _blocks(n, rng_seed, trials, (0,) if s is None else (0, 1)):
+    for start, rows in _blocks(n, rng_seed, trials, (0,) if s is None else (0, 1, 2)):
         k = len(rows)
-        trial_seeds, coin_states, *seed_states = map(list, zip(*rows))
+        trial_seeds, coin_states, *seeded = map(list, zip(*rows))
         offsets = np.arange(0, k * n, n)
         if union is None:
             # built for the first and largest block; rows are trial-major, so
@@ -421,10 +426,11 @@ def world_blocks(
             if k > 1:
                 union = (union + offsets[:, None, None]).reshape(-1, 2)
         edges = union[: k * g.edge_count]
-        seeds = None
+        seeds = release_states = None
         if s is not None:
+            seed_states, release_states = seeded
             seeds = np.stack(
-                [_draw_seeds(n, s, set_pcg64_state(rng, st)) for st in seed_states[0]]
+                [_draw_seeds(n, s, set_pcg64_state(rng, st)) for st in seed_states]
             )
         root = np.arange(k * n, dtype=np.int64)
         # popped, so that each part is freed once merged and none outlives
@@ -444,6 +450,7 @@ def world_blocks(
                     activated=activated,
                     counts=counts,
                     giant_active=giant_active,
+                    release_states=release_states,
                 )
             yield WorldBlock(
                 start,
@@ -470,7 +477,10 @@ def record_worlds(
     calibration over any number of nodes draws `trials` worlds in all.
     With `s=None` no seeds are drawn and the rows keep trial order. Memory
     is two sizes per trial and, with seeds, one bit per node and trial.
+    `q` must be one number: its rows would mix the worlds of a grid.
     """
+    if np.ndim(q):
+        raise ValueError(f"q must be one number, not {q!r}")
     n = g.node_count
     giant_size = np.empty(trials, dtype=np.int64)
     second_size = np.empty(trials, dtype=np.int64)

@@ -5,13 +5,14 @@ pure function of (master seed, trial index). Results therefore do not depend
 on execution order or chunking.
 
 `rng_from_seed` builds one generator from one seed through numpy's
-`SeedSequence` hash. The trial engine instead derives the starting states
-of many streams in one numpy pass (`pcg64_states`, read one chunk of trials
-at a time by `trial_streams`) and sets each on one reused generator
-(`set_pcg64_state`). The pass runs the same fixed public algorithms:
-SplitMix64 for `child_seed`, `SeedSequence`'s pool mixing (after O'Neill's
-PCG `seed_seq`, 2014) and the PCG64 srandom step, so every stream draws
-exactly what `rng_from_seed` of its seed draws.
+`SeedSequence` hash. The trial engine (`percolation.world_blocks`) instead
+derives the starting states of all its trials' sub-streams in one numpy
+pass per chunk of trials (`trial_streams`, which calls `pcg64_states`) and
+sets each on one reused generator (`set_pcg64_state`). The pass runs the
+same fixed public algorithms: SplitMix64 for `child_seed`, then
+`SeedSequence`'s hashmix calls (after O'Neill's PCG `seed_seq`, 2014) in
+their own order, and the PCG64 srandom step, so every stream draws exactly
+what `rng_from_seed` of its seed draws.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ _MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 # trials whose stream states `trial_streams` derives in one call. On 2
-# vCPUs a call costs about 40 us plus 0.6 us per seed, against 11 us for one
+# vCPUs a call costs about 63 us plus 0.53 us per seed, against 9 us for one
 # `default_rng`; the states it returns are held until the chunk is read
 _CHUNK_TRIALS = 1024
 
@@ -73,50 +74,28 @@ def _splitmix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _hash_consts(init: int, mult: int, count: int) -> list[int]:
-    """The first count + 1 values of a SeedSequence hash constant."""
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The first count + 1 values of a SeedSequence hash constant, as a
+    uint32 column: hashmix call j xors with row j and multiplies by row
+    j + 1."""
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    return consts
+    return np.array(consts, dtype=np.uint32)[:, None]
 
 
-def _mix_consts() -> tuple[np.ndarray, np.ndarray]:
-    """Per mixing step, the xor and multiply constant of each pool word's hashmix.
-
-    SeedSequence's mixing runs hashmix four times to fill the pool, then
-    once per ordered pair (src, dst) of distinct words, src the outer loop;
-    call j xors with hash constant j and multiplies by constant j + 1. Step
-    0 fills the pool; step 1 + src mixes word src into the other three, and
-    its own row holds dummy constants, since that word keeps its value.
-    """
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL)
-    xor = np.zeros((1 + _POOL, _POOL, 1), dtype=np.uint32)
-    mul = np.zeros((1 + _POOL, _POOL, 1), dtype=np.uint32)
-    calls = [(0, dst) for dst in range(_POOL)] + [
-        (1 + src, dst) for src in range(_POOL) for dst in range(_POOL) if dst != src
-    ]
-    for j, (step, dst) in enumerate(calls):
-        xor[step, dst], mul[step, dst] = consts[j], consts[j + 1]
-    return xor, mul
+# SeedSequence's entropy mixing makes 16 hashmix calls: 4 fill the pool and
+# 3 mix each word into the others; `generate_state` makes 8
+_MIX_HASH = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL)
+_GENERATE_HASH = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
 
 
-def _generate_consts() -> tuple[np.ndarray, np.ndarray]:
-    """Xor and multiply constants of `generate_state`'s eight 32-bit words."""
-    consts = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
-    xor = np.array(consts[:-1], dtype=np.uint32)[:, None]
-    mul = np.array(consts[1:], dtype=np.uint32)[:, None]
-    return xor, mul
-
-
-_MIX_XOR, _MIX_MUL = _mix_consts()
-_GEN_XOR, _GEN_MUL = _generate_consts()
-
-
-def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of uint32 rows, each under its own constants."""
-    words = words ^ xor
-    words *= mul
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each uint32 row of `words`, the calls in
+    row order under consecutive constants: row i xors with consts[i] and
+    multiplies by consts[i + 1]. A row of one word broadcasts over them."""
+    words = words ^ consts[:-1]
+    words *= consts[1:]
     words ^= words >> np.uint32(16)
     return words
 
@@ -129,25 +108,28 @@ def pcg64_states(seeds) -> list[tuple[int, int]]:
     hashes 0 in the second place, which is what the high word holds) into a
     pool of four words, and `generate_state` hashes the pool into four
     64-bit words: the PCG64 seed and stream. Here each pool word is a row of
-    uint32 columns, one column per seed, so the hash runs once for all
-    seeds. The srandom step then runs in Python ints: inc = 2 * stream + 1
-    and state = (inc + seed) * multiplier + inc, modulo 2^128.
+    uint32 columns, one column per seed, so each step of the hash runs once
+    for all seeds, in SeedSequence's call order. The srandom step then runs
+    in Python ints: inc = 2 * stream + 1 and
+    state = (inc + seed) * multiplier + inc, modulo 2^128.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    entropy = np.zeros((_POOL, seeds.size), dtype=np.uint32)
+    pool = np.zeros((_POOL, seeds.size), dtype=np.uint32)
     # the low and high 32-bit words (astype keeps the low word)
-    entropy[0] = seeds.astype(np.uint32)
-    entropy[1] = (seeds >> np.uint64(32)).astype(np.uint32)
-    pool = _hashmix(entropy, _MIX_XOR[0], _MIX_MUL[0])
+    pool[0] = seeds.astype(np.uint32)
+    pool[1] = (seeds >> np.uint64(32)).astype(np.uint32)
+    pool = _hashmix(pool, _MIX_HASH[: _POOL + 1])
     for src in range(_POOL):
-        hashed = _hashmix(pool[src], _MIX_XOR[1 + src], _MIX_MUL[1 + src])
-        mixed = pool * np.uint32(_MIX_L)
+        # word src is hashed three times and mixed into each other word in
+        # ascending order; it keeps its own value
+        dst = [i for i in range(_POOL) if i != src]
+        call = _POOL + 3 * src
+        hashed = _hashmix(pool[src], _MIX_HASH[call : call + 4])
+        mixed = pool[dst] * np.uint32(_MIX_L)
         mixed -= hashed * np.uint32(_MIX_R)
         mixed ^= mixed >> np.uint32(16)
-        mixed[src] = pool[src]
-        pool = mixed
-    words = _hashmix(np.concatenate([pool, pool]), _GEN_XOR, _GEN_MUL)
-    words = words.astype(np.uint64)
+        pool[dst] = mixed
+    words = _hashmix(np.concatenate([pool, pool]), _GENERATE_HASH).astype(np.uint64)
     # little-endian pairs of 32-bit words make the four 64-bit words
     seed_and_stream = words[0::2] | words[1::2] << np.uint64(32)
     states = []

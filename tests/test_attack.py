@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cascadelab import seeding
 from cascadelab.attack import evaluate_attack
 from cascadelab.graph import (
     Graph,
@@ -195,6 +196,38 @@ class TestEvaluateAttack:
                 g, 0.5, 1, spec, floors=[0.5], trials=10, rng_seed=1,
                 decision_threshold=5.0,
             )
+
+    def test_refuses_a_grid_of_q_before_drawing(self, monkeypatch):
+        """A grid of q is refused by the calibration's `record_worlds`,
+        before any world is drawn (it used to fail on a broadcast)."""
+        derived = []
+        monkeypatch.setattr(seeding, "pcg64_states", derived.append)
+        g = generate_er(200, 0.02, rng_seed=1)
+        spec = MechanismSpec(kind="laplace", scale=1.0)
+        with pytest.raises(ValueError, match="q must be one number"):
+            evaluate_attack(
+                g, [0.3, 0.9], 1, spec, floors=[0.5], trials=10, rng_seed=3,
+                decision_threshold=50,
+            )
+        assert derived == []
+
+    @pytest.mark.parametrize("trials", [1, 1024])
+    def test_derives_streams_once_per_chunk_per_pass(self, monkeypatch, trials):
+        """The calibration and the evaluation pass each derive their
+        trials' streams in one `pcg64_states` call per chunk of trials, the
+        release sub-stream's with the rest."""
+        sizes = []
+        derive = seeding.pcg64_states
+        monkeypatch.setattr(
+            seeding, "pcg64_states", lambda seeds: sizes.append(len(seeds)) or derive(seeds)
+        )
+        g = generate_er(20, 0.1, rng_seed=2)
+        spec = MechanismSpec(kind="laplace", scale=1.0)
+        evaluate_attack(
+            g, 0.5, 1, spec, floors=[0.5], trials=trials, rng_seed=4,
+            decision_threshold=10,
+        )
+        assert sizes == [3 * trials, 3 * trials]
 
     def test_schedule_independent(self):
         """Calibration reads one pass at child_seed(child_seed(seed, 1), 0)

@@ -1045,13 +1045,41 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "argv",
-        [["components", "--trials", "abc"], ["bogus"], [], ["gen", "extra"]],
-        ids=["trials-not-integer", "unknown-subcommand", "no-subcommand", "extra-argument"],
+        [
+            ["components", "--trials", "abc"],
+            ["bogus"],
+            [],
+            ["gen", "extra"],
+            ["sweep", "--t", "500"],
+            ["gen", "--se", "3"],
+            ["components", "--tr", "2"],
+        ],
+        ids=[
+            "trials-not-integer",
+            "unknown-subcommand",
+            "no-subcommand",
+            "extra-argument",
+            "prefix-of-threads",
+            "prefix-of-seed",
+            "prefix-of-trials",
+        ],
     )
-    def test_bad_command_line_returns_2(self, capsys, argv):
+    def test_bad_command_line_returns_2(self, capsys, tmp_path, argv):
         """In process, `main` returns 2 for a command line it cannot parse,
         as for a bad config, instead of raising `SystemExit`, and prints
-        one `config error:` line with no usage."""
+        one `config error:` line with no usage. A subcommand's line also
+        names a config it could run, so the flags are all that is wrong: a
+        prefix of a flag stands for no flag (`sweep --t 500` ran with
+        `--threads 500`)."""
+        if argv and argv[0] != "bogus":
+            config = write_config(
+                tmp_path,
+                graph={"kind": "er", "n": 20, "p": 0.1},
+                trials=5,
+                sweep_trials=2,
+                q_grid=[0.3, 0.6],
+            )
+            argv = argv + ["--config", config, "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

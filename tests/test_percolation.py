@@ -15,7 +15,7 @@ import pytest
 from scipy import sparse, stats
 from scipy.sparse import csgraph
 
-from cascadelab import percolation
+from cascadelab import percolation, seeding
 from cascadelab.graph import Graph, chung_lu_weights, generate_chung_lu, generate_er
 from cascadelab.percolation import (
     DegenerateConditioningError,
@@ -695,6 +695,22 @@ class TestWorlds:
         for block in world_blocks(g, 0.5, 19, 3):
             cascade = block.seeds, block.activated, block.counts, block.giant_active
             assert cascade == (None, None, None, None)
+            assert block.release_states is None
+
+    def test_release_states_are_sub_stream_2(self, monkeypatch):
+        """Row i's release state is the state numpy's own PCG64 starts from
+        for sub-stream 2 of its trial seed, across chunk boundaries (chunks
+        of 7 trials) and block boundaries (blocks of 3), at every q."""
+        g = generate_er(30, 0.1, rng_seed=20)
+        monkeypatch.setattr(seeding, "_CHUNK_TRIALS", 7)
+        monkeypatch.setattr(percolation, "_BLOCK_NODES", 3 * 30)
+        blocks = list(world_blocks(g, [0.6, 0.3], 21, 23, s=1))
+        assert {b.start for b in blocks} == set(range(0, 23, 3))
+        for block in blocks:
+            assert len(block.release_states) == len(block.trial_seeds)
+            for ts, state in zip(block.trial_seeds, block.release_states):
+                want = np.random.PCG64(child_seed(ts, 2)).state["state"]
+                assert state == (want["state"], want["inc"])
 
     def test_validation(self):
         g = Graph(3, [[0, 1]])
@@ -967,6 +983,15 @@ class TestRecordWorlds:
         est = membership(Graph(1, []), 0.5, trials, 54)
         assert est.frequency.tolist() == [1.0]
         assert est.trials == trials
+
+    @pytest.mark.parametrize("q", [[0.3, 0.9], [0.3], np.array([0.5])])
+    def test_refuses_a_q_that_is_not_one_number(self, q):
+        """A grid would fold the worlds of every q into one record's rows:
+        [0.3, 0.9] gave membership frequencies up to 1.9."""
+        g = generate_er(200, 0.02, rng_seed=1)
+        for s in (None, 1):
+            with pytest.raises(ValueError, match="q must be one number"):
+                record_worlds(g, q, s, 10, 3)
 
     def test_seedless_record_refuses_the_seeded_reductions(self):
         rec = record_worlds(Graph(4, [[0, 1]]), 0.5, None, 5, 53)
