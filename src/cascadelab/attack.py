@@ -79,11 +79,14 @@ def evaluate_attack(
 
     Precision at a floor is the mean per-node accuracy over the nodes it
     would predict; rounds whose top components tie count as giant-inactive
-    truth, matching the calibration split.
+    truth, matching the calibration split. `s` must be at least 1: every
+    round scores the activations its seeds caused.
     """
     floors = [float(f) for f in floors]
     if not floors:
         raise ValueError("floors must name at least one confidence floor")
+    if s is None or s < 1:
+        raise ValueError(f"s must be a seed count >= 1, not {s!r}")
     cal_seed = child_seed(rng_seed, 1)
     eval_seed = child_seed(rng_seed, 2)
     calibration = record_worlds(g, q, s, trials, child_seed(cal_seed, 0))

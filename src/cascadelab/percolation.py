@@ -13,9 +13,11 @@ trials into blocks of max(1, B // n) consecutive trials, B a fixed node
 budget, and labels a block as one disjoint union of its worlds by
 hook-and-jump: a small world costs mostly per-call overhead, which the
 block pays once, and a round that merges few edges jumps only the roots it
-hooked. Given a grid of q, it draws each trial's coins once and labels the
-block at every q, merging only the edges each q admits beyond the one
-before. Three consumers fold blocks, by integer sums or by filling their
+hooked. The union's edges are two C-contiguous endpoint rows, built once
+per call, and its first labeling starts from the identity forest without
+gathering through it. Given a grid of q, it draws each trial's coins once
+and labels the block at every q, merging only the edges each q admits
+beyond the one before. Three consumers fold blocks, by integer sums or by filling their
 trials' rows, so no result depends on the blocking: `record_worlds`, which
 every single-q estimator reads, the sweep and the attack's evaluation. A
 conditional law of the activation count (`WorldRecord.node_split`,
@@ -233,7 +235,7 @@ def _top_two(root: np.ndarray, k: int):
     return giant, giant_size, sizes.max(axis=1)
 
 
-def _hook_and_jump(root: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def _hook_and_jump(root: np.ndarray | int, edges: np.ndarray) -> np.ndarray:
     """Merge the components joined by `edges` into the forest of stars `root`.
 
     Hook-and-jump labeling (Shiloach & Vishkin, J. Algorithms 3, 1982):
@@ -244,6 +246,12 @@ def _hook_and_jump(root: np.ndarray, edges: np.ndarray) -> np.ndarray:
     `root[x] <= x` holds throughout, so each component ends rooted at its
     lowest member, and the result is again a forest of stars that later
     edges can be merged into. `root` itself is not modified.
+
+    `edges` is a (2, m') array whose rows hold the endpoints u and v; an
+    edge may come in either order, or be a loop. `root` is a forest of
+    stars, or an int N that stands for the identity forest `arange(N)`:
+    its first round then hooks on the endpoints themselves, since those
+    are their own roots, and no identity is copied or gathered through.
 
     A hook moves only the roots it hooks, and every other node points at a
     root. So a round with fewer crossing edges than `_CHASE_SHARE` of the
@@ -256,9 +264,13 @@ def _hook_and_jump(root: np.ndarray, edges: np.ndarray) -> np.ndarray:
             edge's larger end is a root that its hook lowers, so either
             means the labels are corrupt, and the rounds would never end.
     """
-    root = root.copy()
-    u, v = edges[:, 0], edges[:, 1]
-    ru, rv = root.take(u), root.take(v)
+    u, v = edges
+    if isinstance(root, np.ndarray):
+        root = root.copy()
+        ru, rv = root.take(u), root.take(v)
+    else:
+        root = np.arange(root, dtype=np.int64)
+        ru, rv = u, v
     # `before` sums the entries that a round's hook must lower: every entry
     # in a full round, the hooked roots in a chase round. Since root[x] <= x,
     # neither a hook nor a jump raises an entry, so an unchanged sum means
@@ -355,16 +367,17 @@ def _cascade(root: np.ndarray, seeds: np.ndarray, giant_root: np.ndarray):
 def _admitted(edges: np.ndarray, coin_states, qs: np.ndarray, rng):
     """Split a block's edges by the q of ascending `qs` that admits them.
 
-    Row e of `edges` is edge e % m of the block's trial e // m, which draws
-    its m coins from its sub-stream 0, whose state is `coin_states[e // m]`
-    (set on the reused generator `rng`); an edge is retained at q when its
-    coin lies below q. Part j holds the rows retained at qs[j] and not at
-    qs[j - 1]. The coins are freed on return, before any labeling: labeled
-    with the coins alive, a world at n = 10^6 took about 8 % longer, its
-    temporaries faulting in fresh pages.
+    `edges` holds the endpoint rows of a (2, k·m) union: column e is edge
+    e % m of the block's trial e // m, which draws its m coins from its
+    sub-stream 0, whose state is `coin_states[e // m]` (set on the reused
+    generator `rng`); an edge is retained at q when its coin lies below q.
+    Part j holds, as C-contiguous (2, m') rows, the columns retained at
+    qs[j] and not at qs[j - 1]. The coins are freed on return, before any
+    labeling: labeled with the coins alive, a world at n = 10^6 took about
+    8 % longer, its temporaries faulting in fresh pages.
     """
     k = len(coin_states)
-    coins = np.empty((k, len(edges) // k))
+    coins = np.empty((k, edges.shape[1] // k))
     for row, state in zip(coins, coin_states):
         set_pcg64_state(rng, state).random(out=row)
     coins = coins.ravel()
@@ -372,9 +385,9 @@ def _admitted(edges: np.ndarray, coin_states, qs: np.ndarray, rng):
     before = None
     for q in qs.tolist():
         now = coins < q
-        # compress copies the kept rows several times faster than a boolean
-        # index
-        parts.append(edges.compress(now if before is None else now ^ before, axis=0))
+        # compress copies the kept columns several times faster than a
+        # boolean index
+        parts.append(edges.compress(now if before is None else now ^ before, axis=1))
         before = now
     return parts
 
@@ -419,20 +432,21 @@ def world_blocks(
         trial_seeds, coin_states, *seeded = map(list, zip(*rows))
         offsets = np.arange(0, k * n, n)
         if union is None:
-            # built for the first and largest block; rows are trial-major, so
-            # a shorter last block reads a prefix, and a lone world is
-            # labeled on its rows, uncopied
-            union = g.edges
-            if k > 1:
-                union = (union + offsets[:, None, None]).reshape(-1, 2)
-        edges = union[: k * g.edge_count]
+            # built for the first and largest block, as two C-contiguous
+            # endpoint rows (also for a lone world) that are trial-major, so
+            # a shorter last block reads a prefix of each; a broadcast add
+            # alone would leave them strided, and compress 3x slower
+            union = np.empty((2, k, g.edge_count), dtype=np.int64)
+            np.add(g.edges.T[:, None, :], offsets[:, None], out=union)
+            union = union.reshape(2, -1)
+        edges = union[:, : k * g.edge_count]
         seeds = release_states = None
         if s is not None:
             seed_states, release_states = seeded
             seeds = np.stack(
                 [_draw_seeds(n, s, set_pcg64_state(rng, st)) for st in seed_states]
             )
-        root = np.arange(k * n, dtype=np.int64)
+        root = k * n  # the identity forest, which the first q merges into
         # popped, so that each part is freed once merged and none outlives
         # its block into the next block's coins
         parts = _admitted(edges, coin_states, grid[walk], rng)[::-1]

@@ -70,8 +70,9 @@ def release(spec, bits, rng_seed):
 
 
 def label_world(n, retained_edges):
-    """Label the n-node world on `retained_edges` alone, as a block of one."""
-    root = _hook_and_jump(np.arange(n, dtype=np.int64), retained_edges)
+    """Label the n-node world on the (m, 2) rows `retained_edges` alone, as
+    a block of one: its endpoint rows merged into the identity forest."""
+    root = _hook_and_jump(n, retained_edges.T)
     giant, giant_size, second_size = _top_two(root, 1)
     return World(root, int(giant[0]), int(giant_size[0]), int(second_size[0]))
 

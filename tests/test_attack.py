@@ -211,6 +211,24 @@ class TestEvaluateAttack:
             )
         assert derived == []
 
+    @pytest.mark.parametrize("s", [None, 0, -1])
+    def test_refuses_a_seedless_attack_before_drawing(self, monkeypatch, s):
+        """Without a seed there is no activation to score, so s=None or
+        s < 1 is refused before any world is drawn (with a pinned cut,
+        s=None used to draw every calibration world, then fail with a
+        TypeError on the evaluation's missing cascade)."""
+        derived = []
+        monkeypatch.setattr(seeding, "pcg64_states", derived.append)
+        g = generate_er(50, 0.05, rng_seed=1)
+        spec = MechanismSpec(kind="laplace", scale=1.0)
+        for threshold in [None, 25.0]:
+            with pytest.raises(ValueError, match="s must be a seed count"):
+                evaluate_attack(
+                    g, 0.5, s, spec, floors=[0.5], trials=10, rng_seed=3,
+                    decision_threshold=threshold,
+                )
+        assert derived == []
+
     @pytest.mark.parametrize("trials", [1, 1024])
     def test_derives_streams_once_per_chunk_per_pass(self, monkeypatch, trials):
         """The calibration and the evaluation pass each derive their

@@ -4,6 +4,7 @@ import collections
 import logging
 import math
 import os
+import pickle
 import sys
 import tracemalloc
 
@@ -71,6 +72,16 @@ class TestGraph:
             assert not np.shares_memory(g.edges, given)
             given[:] = 0
             assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+    def test_unpickled_edges_keep_numpys_int64_descriptor(self):
+        """An unpickled array carries an int64 descriptor of its own, and
+        ufunc outputs, `take` and `compress` keep it. The labeler feeds edge
+        values straight into `np.minimum.at`, which runs about 20x slower on
+        such a descriptor (479 against 24 us at 11k values, on 2 vCPUs), so
+        `Graph` must hold numpy's canonical one."""
+        given = pickle.loads(pickle.dumps(np.array([[0, 1], [1, 2], [2, 3]])))
+        for rows in (given, given[::-1], given[:, ::-1], given[:0]):
+            assert Graph(4, rows).edges.dtype is np.dtype(np.int64)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):

@@ -315,11 +315,11 @@ class TestConnectedComponents:
             )
             forest = label_world(n, first).root
             before = forest.copy()
-            merged = _hook_and_jump(forest, second)
+            merged = _hook_and_jump(forest, second.T)
             assert np.array_equal(forest, before)
             union = np.concatenate([first, second])
             assert np.array_equal(merged, lowest_members(n, union))
-            assert np.array_equal(_hook_and_jump(merged, first), merged)
+            assert np.array_equal(_hook_and_jump(merged, first.T), merged)
 
     @pytest.mark.parametrize(
         "world",
@@ -350,7 +350,7 @@ class TestConnectedComponents:
         forest = label_world(n, first).root
         assert np.array_equal(forest, np.arange(n) // size * size)
         hook_rounds.clear()
-        merged = _hook_and_jump(forest, second)
+        merged = _hook_and_jump(forest, second.T)
         union = np.concatenate([first, second])
         assert np.array_equal(merged, lowest_members(n, union))
         assert len(hook_rounds) == 1
@@ -442,7 +442,7 @@ class TestChaseCutoff:
         root = np.arange(n, dtype=np.int64)
         for i in range(len(edges)):
             monkeypatch.setattr(percolation, "_CHASE_SHARE", BRANCHES[branch])
-            root = _hook_and_jump(root, edges[i : i + 1])
+            root = _hook_and_jump(root, edges[i : i + 1].T)
             if i % 37 == 0 or i == len(edges) - 1:
                 want = self.reference(monkeypatch, n, edges[: i + 1])
                 assert np.array_equal(root, want)
@@ -464,10 +464,72 @@ class TestChaseCutoff:
         second = second[rng_from_seed(child_seed(36, 0)).permutation(stars - 1)]
         forest = self.reference(monkeypatch, n, first)
         monkeypatch.setattr(percolation, "_CHASE_SHARE", BRANCHES[branch])
-        merged = _hook_and_jump(forest, second)
+        merged = _hook_and_jump(forest, second.T)
         union = np.concatenate([first, second])
         assert np.array_equal(merged, self.reference(monkeypatch, n, union))
         assert not merged.any()
+
+
+class TestEndpointRows:
+    """The labeler reads (2, m') endpoint rows, and a fresh world starts
+    from the identity forest, given as its entry count."""
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    @pytest.mark.parametrize("case", ["retained", "reversed", "self-loop", "no-edges"])
+    def test_identity_count_matches_arange_and_oracle(self, monkeypatch, branch, case):
+        """ER worlds, some pairs given as (v, u), one with a loop added and
+        one with no edges, label alike from N and from `arange(N)`."""
+        monkeypatch.setattr(percolation, "_CHASE_SHARE", BRANCHES[branch])
+        n = 80
+        for i in range(8):
+            g = generate_er(n, 0.03, rng_seed=child_seed(37, i))
+            edges = percolate(g, 0.7, rng_seed=child_seed(38, i))
+            if case == "reversed":
+                edges = np.concatenate([edges[::2], edges[1::2, ::-1]])
+            elif case == "self-loop":
+                edges = np.concatenate([edges, [[7, 7]]])
+            elif case == "no-edges":
+                edges = edges[:0]
+            rows = np.ascontiguousarray(edges.T)
+            root = _hook_and_jump(n, rows)
+            assert np.array_equal(root, _hook_and_jump(np.arange(n), rows))
+            assert np.array_equal(root, lowest_members(n, edges))
+
+    @pytest.mark.parametrize("k", [1, 4], ids=["one-per-block", "blocks-of-4"])
+    def test_union_and_parts_are_contiguous_rows(self, monkeypatch, k):
+        """The union is built once per call as two C-contiguous rows of
+        trial-major, offset endpoints; a block reads a prefix of each (10
+        trials in blocks of 4 leave a block of 2), and every part it admits
+        is C-contiguous (2, m') rows with numpy's own int64 descriptor."""
+        g = generate_er(50, 0.08, rng_seed=child_seed(39, 0))
+        n, m = g.node_count, g.edge_count
+        monkeypatch.setattr(percolation, "_BLOCK_NODES", k * n)
+        seen = []
+        admitted = percolation._admitted
+
+        def spy(edges, *args):
+            parts = admitted(edges, *args)
+            seen.append((edges, parts))
+            return parts
+
+        monkeypatch.setattr(percolation, "_admitted", spy)
+        grid = [0.6, 0.2, 1.0]
+        list(world_blocks(g, grid, 40, 10))
+        assert [edges.shape[1] // m for edges, _ in seen] == (
+            [1] * 10 if k == 1 else [4, 4, 2]
+        )
+        for edges, parts in seen:
+            rows = edges.shape[1] // m
+            offsets = np.arange(0, rows * n, n)
+            want = (g.edges.T[:, None, :] + offsets[:, None]).reshape(2, -1)
+            assert np.array_equal(edges, want)
+            assert edges[0].flags.c_contiguous and edges[1].flags.c_contiguous
+            assert np.shares_memory(edges, seen[0][0])
+            assert len(parts) == len(grid)
+            for part in parts:
+                assert part.shape[0] == 2 and part.flags.c_contiguous
+                assert part.dtype is np.dtype(np.int64)
+            assert sum(part.shape[1] for part in parts) == edges.shape[1]
 
 
 # the chase branch with its final full pass deleted, so that nodes below a
@@ -480,7 +542,7 @@ from cascadelab import percolation
 stars, size = 64, 8
 first = [(b * size, b * size + i) for b in range(stars) for i in range(1, size)]
 second = [(b * size + size - 1, (b - 1) * size + 3) for b in range(1, stars)]
-forest = percolation._hook_and_jump(np.arange(stars * size), np.array(first))
+forest = percolation._hook_and_jump(np.arange(stars * size), np.array(first).T)
 full_pass = "\\n            root = root.take(root)\\n"
 source = inspect.getsource(percolation._hook_and_jump)
 assert source.count(full_pass) == 1
@@ -489,7 +551,7 @@ exec(source.replace(full_pass, "\\n"), vars(percolation))
 percolation._CHASE_SHARE = math.inf
 start = time.perf_counter()
 try:
-    percolation._hook_and_jump(forest, np.array(second))
+    percolation._hook_and_jump(forest, np.array(second).T)
 except RuntimeError as exc:
     print(f"{time.perf_counter() - start:.3f} {exc}")
 """
@@ -524,9 +586,9 @@ class TestLabelerFaults:
         n, edges = _descending_path()
         monkeypatch.setattr(percolation, "_MAX_JUMPS", 9)
         with pytest.raises(RuntimeError, match="after 9 jumps"):
-            _hook_and_jump(np.arange(n, dtype=np.int64), edges)
+            _hook_and_jump(np.arange(n, dtype=np.int64), edges.T)
         monkeypatch.setattr(percolation, "_MAX_JUMPS", 10)
-        assert not _hook_and_jump(np.arange(n, dtype=np.int64), edges).any()
+        assert not _hook_and_jump(np.arange(n, dtype=np.int64), edges.T).any()
 
 
 class TestRunCascade:
