@@ -12,8 +12,9 @@ blocks of fresh trials. `--threads` and the `threads` key are accepted for
 older configs and scripts, and must be positive integers, but change
 nothing.
 
-Exit codes: 0 success, 2 configuration error (a bad command line and a
-request too large to allocate included), 3 degenerate conditioning.
+Exit codes: 0 success, 2 configuration error (a bad command line, a config
+file or output that cannot be read or written, and a request too large to
+allocate included), 3 degenerate conditioning.
 """
 
 from __future__ import annotations
@@ -147,10 +148,12 @@ def load_config(path: str | None, overrides: dict) -> dict:
     cfg = dict(DEFAULTS)
     if path is not None:
         try:
-            loaded = json.loads(Path(path).read_text())
+            loaded = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, bytes that are not UTF-8, or nesting deeper than
+            # the parser's recursion limit
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -586,9 +589,11 @@ def main(argv=None) -> int:
         except (TypeError, OSError) as exc:
             raise ConfigError(f"bad out_dir {cfg['out_dir']!r}: {exc}") from exc
         return command(cfg, out_dir, cfg_hash)
-    except (ConfigError, MemoryError) as exc:
+    except (ConfigError, MemoryError, OSError) as exc:
         # numpy refuses an allocation larger than the machine can grant
-        # before touching memory: a count or size asked for is too large
+        # before touching memory: a count or size asked for is too large.
+        # Inputs are read under ConfigError, so an OSError is an output
+        # that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DegenerateConditioningError as exc:

@@ -5,29 +5,29 @@ retaining each edge independently with probability q and activating exactly
 the retained-edge components that contain a seed. Every Monte Carlo
 estimator is a reduction over `world_blocks`, the one trial engine, which
 derives each trial's streams from (seed, trial index) alone, so estimates
-are reproducible. It is the one place that derives them: their starting
-states come from one numpy pass per chunk of trials
-(`seeding.trial_streams`), so no trial pays for a generator of its own, and
-each block hands its rows' release states to the caller. It splits the
-trials into blocks of max(1, B // n) consecutive trials, B a fixed node
-budget, and labels a block as one disjoint union of its worlds by
-hook-and-jump: a small world costs mostly per-call overhead, which the
-block pays once, and a round that merges few edges jumps only the roots it
-hooked. The union's edges are two C-contiguous endpoint rows, built once
-per call, and its first labeling starts from the identity forest without
-gathering through it. Given a grid of q, it draws each trial's coins once
-and labels the block at every q, merging only the edges each q admits
-beyond the one before. Three consumers fold blocks, by integer sums or by filling their
-trials' rows, so no result depends on the blocking: `record_worlds`, which
-every single-q estimator reads, the sweep and the attack's evaluation. A
-conditional law of the activation count (`WorldRecord.node_split`,
-`WorldRecord.giant_split`) is the ascending integer sample of the counts
-its trials gave.
+are reproducible. It is the one place that derives them. It splits the
+trials into blocks of max(1, B // n) consecutive trials (at most all of
+them), B a fixed node budget, and `seeding.trial_streams` hands it each
+block with its rows of one chunk: their starting states come from one numpy
+pass per chunk of whole blocks, so no trial pays for a generator of its
+own, and each block hands its rows' release states to the caller. It
+labels a block as one disjoint union of its worlds by hook-and-jump: a
+small world costs mostly per-call overhead, which the block pays once, and
+a round that merges few edges jumps only the roots it hooked. The union's
+edges are two C-contiguous endpoint rows, built once per call before the
+first block, and its first labeling starts from the identity forest
+without gathering through it. Given a grid of q, it draws each trial's
+coins once and labels the block at every q, merging only the edges each q
+admits beyond the one before. Three consumers fold blocks, by integer sums
+or by filling their trials' rows, so no result depends on the blocking:
+`record_worlds`, which every single-q estimator reads, the sweep and the
+attack's evaluation. A conditional law of the activation count
+(`WorldRecord.node_split`, `WorldRecord.giant_split`) is the ascending
+integer sample of the counts its trials gave.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -332,24 +332,6 @@ def _draw_seeds(n: int, s: int, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.choice(n, size=s, replace=False))
 
 
-def _blocks(
-    n: int, rng_seed: int, trials: int, streams
-) -> Iterator[tuple[int, list[tuple]]]:
-    """Plan `trials` trials on n nodes as blocks of consecutive trials.
-
-    Yields each block's first trial index and its rows of
-    `trial_streams(rng_seed, trials, streams)`: trial t's seed
-    child_seed(rng_seed, t), then the state of each of its sub-streams
-    `streams`. A block holds max(1, B // n) trials for the node budget B.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    size = max(1, _BLOCK_NODES // n)
-    rows = trial_streams(rng_seed, trials, streams)
-    for start in range(0, trials, size):
-        yield start, list(islice(rows, size))
-
-
 def _cascade(root: np.ndarray, seeds: np.ndarray, giant_root: np.ndarray):
     """Seed each of k equal worlds of the lowest-member union `root`.
 
@@ -403,13 +385,13 @@ def world_blocks(
     at q when its coin lies below q; sub-stream 1 draws s uniform seeds; and
     sub-stream 2 is the caller's, for the release: each block hands over its
     rows' states (`release_states`). Without `s` neither sub-stream 1 nor 2
-    is derived and no seeds are drawn. A block holds max(1, B // n) trials
-    for a fixed node budget B and labels their worlds as one disjoint union,
-    then reads each trial's giant, second size and cascade off the union
-    row by row, so every row equals its world labeled alone. The states are
-    derived a chunk of trials at a time (`seeding.trial_streams`), and those
-    of sub-streams 0 and 1 are set in turn on one generator that the call
-    owns.
+    is derived and no seeds are drawn. A block holds min(trials,
+    max(1, B // n)) trials for a fixed node budget B and labels their worlds
+    as one disjoint union, then reads each trial's giant, second size and
+    cascade off the union row by row, so every row equals its world labeled
+    alone. `seeding.trial_streams` derives the states a chunk of whole
+    blocks at a time and yields them block by block; those of sub-streams 0
+    and 1 are set in turn on one generator that the call owns.
 
     Each block is yielded once per q, with `qi` the index of that q in the
     grid. All q share the coins (Newman & Ziff, PRL 85, 4104, 2000): the
@@ -423,23 +405,23 @@ def world_blocks(
         raise ValueError("q must hold at least one value")
     if not np.all((grid > 0.0) & (grid <= 1.0)):
         raise ValueError("q must lie in (0, 1]")
-    n = g.node_count
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    n, m = g.node_count, g.edge_count
+    size = min(trials, max(1, _BLOCK_NODES // n))
+    # two C-contiguous endpoint rows (also for a lone world) that are
+    # trial-major, so a shorter last block reads a prefix of each; a
+    # broadcast add alone would leave them strided, and compress 3x slower
+    union = np.empty((2, size, m), dtype=np.int64)
+    np.add(g.edges.T[:, None, :], np.arange(0, size * n, n)[:, None], out=union)
+    union = union.reshape(2, -1)
     walk = np.argsort(grid, kind="stable").tolist()
     rng = rng_from_seed(0)  # reset to each stream's state before each draw
-    union = None
-    for start, rows in _blocks(n, rng_seed, trials, (0,) if s is None else (0, 1, 2)):
-        k = len(rows)
-        trial_seeds, coin_states, *seeded = map(list, zip(*rows))
+    plan = trial_streams(rng_seed, trials, (0,) if s is None else (0, 1, 2), size)
+    for start, trial_seeds, coin_states, *seeded in plan:
+        k = len(trial_seeds)
         offsets = np.arange(0, k * n, n)
-        if union is None:
-            # built for the first and largest block, as two C-contiguous
-            # endpoint rows (also for a lone world) that are trial-major, so
-            # a shorter last block reads a prefix of each; a broadcast add
-            # alone would leave them strided, and compress 3x slower
-            union = np.empty((2, k, g.edge_count), dtype=np.int64)
-            np.add(g.edges.T[:, None, :], offsets[:, None], out=union)
-            union = union.reshape(2, -1)
-        edges = union[:, : k * g.edge_count]
+        edges = union[:, : k * m]
         seeds = release_states = None
         if s is not None:
             seed_states, release_states = seeded
@@ -495,6 +477,8 @@ def record_worlds(
     """
     if np.ndim(q):
         raise ValueError(f"q must be one number, not {q!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     n = g.node_count
     giant_size = np.empty(trials, dtype=np.int64)
     second_size = np.empty(trials, dtype=np.int64)

@@ -1,18 +1,18 @@
 """Deterministic 64-bit seed derivation for parallel Monte Carlo streams.
 
-Every trial of every experiment draws from its own generator, seeded by a
-pure function of (master seed, trial index). Results therefore do not depend
-on execution order or chunking.
+Every trial of every experiment reads its own streams, seeded by a pure
+function of (master seed, trial index), on one reused generator. Results
+therefore do not depend on execution order or chunking.
 
 `rng_from_seed` builds one generator from one seed through numpy's
 `SeedSequence` hash. The trial engine (`percolation.world_blocks`) instead
 derives the starting states of all its trials' sub-streams in one numpy
-pass per chunk of trials (`trial_streams`, which calls `pcg64_states`) and
-sets each on one reused generator (`set_pcg64_state`). The pass runs the
-same fixed public algorithms: SplitMix64 for `child_seed`, then
-`SeedSequence`'s hashmix calls (after O'Neill's PCG `seed_seq`, 2014) in
-their own order, and the PCG64 srandom step, so every stream draws exactly
-what `rng_from_seed` of its seed draws.
+pass per chunk of whole blocks of trials (`trial_streams`, which calls
+`pcg64_states`) and sets each on one reused generator (`set_pcg64_state`).
+The pass runs the same fixed public algorithms: SplitMix64 for
+`child_seed`, then `SeedSequence`'s hashmix calls (after O'Neill's PCG
+`seed_seq`, 2014) in their own order, and the PCG64 srandom step, so every
+stream draws exactly what `rng_from_seed` of its seed draws.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ _MASK128 = (1 << 128) - 1
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# trials whose stream states `trial_streams` derives in one call. On 2
-# vCPUs a call costs about 63 us plus 0.53 us per seed, against 9 us for one
-# `default_rng`; the states it returns are held until the chunk is read
+# trials whose stream states `trial_streams` derives in one call, rounded
+# up to whole blocks. On 2 vCPUs a call costs about 63 us plus 0.53 us per
+# seed, against 9 us for one `default_rng`; the states it returns are held
+# until the chunk is read
 _CHUNK_TRIALS = 1024
 
 # numpy's SeedSequence constants: hashmix multipliers, the mix multipliers
@@ -152,23 +153,32 @@ def set_pcg64_state(rng: np.random.Generator, state: tuple[int, int]):
     return rng
 
 
-def trial_streams(master_seed: int, trials: int, streams) -> Iterator[tuple]:
-    """Per trial t in 0..trials-1, its seed and the states of its sub-streams.
+def trial_streams(
+    master_seed: int, trials: int, streams, block: int = 1
+) -> Iterator[tuple]:
+    """Trials 0..trials-1 in blocks of `block` consecutive trials, with each
+    trial's seed and the states of its sub-streams.
 
-    Yields (trial_seed, state_0, ...), where trial_seed is
-    child_seed(master_seed, t) and state_i the PCG64 state that
-    rng_from_seed(child_seed(trial_seed, streams[i])) starts from. The states
-    are derived in one `pcg64_states` call per chunk of `_CHUNK_TRIALS`
-    trials, and only the chunk being read is held.
+    Yields (first, trial_seeds, states_0, ...) per block: its first trial
+    index, the list of its trials' seeds child_seed(master_seed, t) and per
+    sub-stream i the list of the PCG64 states that
+    rng_from_seed(child_seed(trial_seed, streams[i])) starts from. Only the
+    last block may be shorter. The states are derived in one `pcg64_states`
+    call per chunk of whole blocks, at least `_CHUNK_TRIALS` trials, so no
+    block spans two calls, and only the chunk being read is held.
     """
     subs = np.array([splitmix64(j & MASK64) for j in streams], dtype=np.uint64)
     master = np.uint64(master_seed & MASK64)
-    for first in range(0, trials, _CHUNK_TRIALS):
-        t = np.arange(first, min(first + _CHUNK_TRIALS, trials), dtype=np.uint64)
+    chunk = block * -(-_CHUNK_TRIALS // block)
+    for first in range(0, trials, chunk):
+        t = np.arange(first, min(first + chunk, trials), dtype=np.uint64)
         seeds = _splitmix64_array(master ^ _splitmix64_array(t))
         # stream-major: sub-stream i of the chunk's trials is states[i*k:(i+1)*k]
         states = pcg64_states(_splitmix64_array(seeds ^ subs[:, None]).ravel())
         k = seeds.size
-        per_stream = [states[i * k : (i + 1) * k] for i in range(subs.size)]
-        yield from zip(seeds.tolist(), *per_stream)
-        del states, per_stream  # dropped before the next chunk is derived
+        seeds = seeds.tolist()
+        for lo in range(0, k, block):
+            hi = min(lo + block, k)
+            per_stream = [states[i * k + lo : i * k + hi] for i in range(subs.size)]
+            yield (first + lo, seeds[lo:hi], *per_stream)
+        del states  # dropped before the next chunk is derived

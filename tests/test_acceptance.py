@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cascadelab import percolation
+from cascadelab import percolation, seeding
 from cascadelab.cli import main
 from cascadelab.graph import (
     Graph,
@@ -329,7 +329,9 @@ def test_every_subcommand_is_block_invariant(tmp_path, monkeypatch):
     """Trials are labeled in blocks of max(1, B // n); the files written do
     not depend on B. At n = 120, B = 840 makes blocks of 7, so the 40, 120
     and 100 trials below end in partial blocks of 5, 1 and 2; B = 1 makes
-    one trial per block, and the default budget one block per run."""
+    one trial per block, and the default budget one block per run. Nor do
+    they depend on the chunk of trials whose streams are derived at once:
+    B = 840 again with chunks of 10 trials, which round up to two blocks."""
     base = {
         "graph": {"kind": "er", "n": 120, "p": 5 / 119, "seed": 5},
         "q": 0.4,
@@ -344,13 +346,15 @@ def test_every_subcommand_is_block_invariant(tmp_path, monkeypatch):
     }
     extra = {"audit": {"trials": 120}, "attack": {"trials": 100}}
     budgets = (percolation._BLOCK_NODES, 1, 7 * 120)
+    runs = [(budget, seeding._CHUNK_TRIALS) for budget in budgets] + [(7 * 120, 10)]
     for command in ("gen", "components", "sweep", "membership", "audit", "attack"):
         config = tmp_path / f"{command}.json"
         config.write_text(json.dumps({**base, **extra.get(command, {})}))
         outputs = []
-        for budget in budgets:
+        for budget, chunk in runs:
             monkeypatch.setattr(percolation, "_BLOCK_NODES", budget)
-            out = tmp_path / f"{command}_{budget}"
+            monkeypatch.setattr(seeding, "_CHUNK_TRIALS", chunk)
+            out = tmp_path / f"{command}_{budget}_{chunk}"
             assert main([command, "--config", str(config), "--out", str(out)]) == 0
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert outputs[0] and outputs[1:] == [outputs[0]] * 2, command
+        assert outputs[0] and outputs[1:] == [outputs[0]] * 3, command

@@ -702,6 +702,9 @@ class TestErrorPaths:
             ("gen", {}, ["--q", "0.1,0.2"]),
             ("gen", {}, ["--trials", "7"]),
             ("sweep", {}, ["--trials", "1"]),
+            # a later --config replaces the first
+            ("gen", {}, ["--config", "latin1.json"]),
+            ("gen", {}, ["--config", "nested.json"]),
         ],
         ids=[
             "membership-trials-0",
@@ -780,6 +783,8 @@ class TestErrorPaths:
             "gen-q-flag",
             "gen-trials-flag",
             "sweep-trials-flag",
+            "gen-config-not-utf8",
+            "gen-config-nested-past-recursion-limit",
         ],
     )
     def test_bad_config_exits_2_without_traceback(
@@ -789,6 +794,8 @@ class TestErrorPaths:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "undecodable.txt").write_bytes(b"\xff\xfe")
         (tmp_path / "empty.txt").write_bytes(b"")
+        (tmp_path / "latin1.json").write_bytes('{"note": "caf\xe9"}'.encode("latin-1"))
+        (tmp_path / "nested.json").write_text("[" * 100000)
         base = {
             "graph": {"kind": "er", "n": 300, "p": 5 / 299, "seed": 40},
             "q": 0.4,
@@ -808,6 +815,27 @@ class TestErrorPaths:
         assert err.startswith("config error:")
         assert "Traceback" not in err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, name", [("gen", "graph.txt"), ("components", "components.csv")]
+    )
+    def test_unwritable_output_exits_2_without_traceback(
+        self, tmp_path, capsys, command, name
+    ):
+        """An output file that cannot be written, here because a directory
+        holds its name, is reported in one line."""
+        config = write_config(
+            tmp_path, graph={"kind": "er", "n": 30, "p": 0.1, "seed": 1}, q=0.5, trials=3
+        )
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        rc = main([command, "--config", config, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:")
+        assert f"{name}'" in err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
 
     def test_import_loads_no_scipy(self):
         """The runtime depends on numpy alone; scipy serves only the tests."""

@@ -76,10 +76,8 @@ def test_imports_only_numpy_and_the_standard_library():
     assert foreign == []
 
 
-def test_only_three_functions_iterate_world_blocks():
-    """`record_worlds`, the sweep and the attack's evaluation are the only
-    functions that name `world_blocks` in the package, once each: a new
-    single-q estimator is a reduction of a `WorldRecord`, not a new loop."""
+def _functions_naming(name):
+    """The package's functions that name `name`, once per mention."""
     users = []
     for path in sorted(Path(cascadelab.__file__).parent.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -88,10 +86,20 @@ def test_only_three_functions_iterate_world_blocks():
                     fn.name
                     for node in ast.walk(fn)
                     # a Name's id or an Attribute's attr
-                    if getattr(node, "id", getattr(node, "attr", None))
-                    == "world_blocks"
+                    if getattr(node, "id", getattr(node, "attr", None)) == name
                 ]
-    assert sorted(users) == ["cmd_sweep", "evaluate_attack", "record_worlds"]
+    return sorted(users)
+
+
+def test_only_three_functions_iterate_world_blocks():
+    """`record_worlds`, the sweep and the attack's evaluation are the only
+    functions that name `world_blocks` in the package, once each: a new
+    single-q estimator is a reduction of a `WorldRecord`, not a new loop.
+    `world_blocks` alone names `trial_streams`: it is the one place that
+    plans the trials and derives their streams."""
+    users = _functions_naming("world_blocks")
+    assert users == ["cmd_sweep", "evaluate_attack", "record_worlds"]
+    assert _functions_naming("trial_streams") == ["world_blocks"]
 
 
 def _records():

@@ -1055,6 +1055,15 @@ class TestRecordWorlds:
             with pytest.raises(ValueError, match="q must be one number"):
                 record_worlds(g, q, s, 10, 3)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_refuses_a_trial_count_below_1(self, trials):
+        """The count is checked before the rows are allocated: -3 failed on
+        numpy's "negative dimensions are not allowed"."""
+        g = generate_er(200, 0.02, rng_seed=1)
+        for s in (None, 1):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                record_worlds(g, 0.5, s, trials, 3)
+
     def test_seedless_record_refuses_the_seeded_reductions(self):
         rec = record_worlds(Graph(4, [[0, 1]]), 0.5, None, 5, 53)
         reads = (lambda: rec.activated(0), lambda: rec.node_split(0), rec.giant_split)

@@ -112,19 +112,33 @@ def test_reused_generator_draws_what_a_fresh_one_draws():
 
 
 def test_trial_streams_follow_child_seed(monkeypatch):
-    """Row t is trial t's seed and the state of each named sub-stream,
-    across chunk boundaries."""
+    """In blocks of 1, 3 and 7, the rows joined are trial t's seed and the
+    state of each named sub-stream, across chunk boundaries, and no block's
+    rows come from two `pcg64_states` calls."""
+    calls = []
+    derive = seeding.pcg64_states
+    monkeypatch.setattr(
+        seeding, "pcg64_states", lambda seeds: calls.append(derive(seeds)) or calls[-1]
+    )
     monkeypatch.setattr(seeding, "_CHUNK_TRIALS", 7)
-    rows = list(trial_streams(2**64 - 3, 23, (0, 1, 2)))
-    assert len(rows) == 23
-    for t, row in enumerate(rows):
-        trial_seed = child_seed(2**64 - 3, t)
-        assert row[0] == trial_seed
-        assert list(row[1:]) == [
-            reference_state(child_seed(trial_seed, j)) for j in (0, 1, 2)
-        ]
+    for block in (1, 3, 7):
+        rows = []
+        plan = trial_streams(2**64 - 3, 23, (0, 1, 2), block)
+        for first, trial_seeds, *states in plan:
+            assert first == len(rows)
+            assert len(trial_seeds) == min(block, 23 - first)
+            # the generator is lazy, so the latest call made this block
+            assert all(set(column) <= set(calls[-1]) for column in states)
+            rows += zip(trial_seeds, *states)
+        assert len(rows) == 23
+        for t, row in enumerate(rows):
+            trial_seed = child_seed(2**64 - 3, t)
+            assert row[0] == trial_seed
+            assert list(row[1:]) == [
+                reference_state(child_seed(trial_seed, j)) for j in (0, 1, 2)
+            ]
     assert list(trial_streams(9, 4, (2,))) == [
-        (child_seed(9, t), reference_state(child_seed(child_seed(9, t), 2)))
+        (t, [child_seed(9, t)], [reference_state(child_seed(child_seed(9, t), 2))])
         for t in range(4)
     ]
 
