@@ -1,6 +1,6 @@
 """cascadelab: percolated contagion, count-release privacy, and inference attacks."""
 
-__version__ = "0.2.4"
+__version__ = "0.2.5"
 
 from .graph import *
 from .percolation import *

@@ -439,6 +439,12 @@ def cmd_audit(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
         g, q, s, trials, child_seed(child_seed(master, _STREAM_AUDIT), 0)
     )
     report = wasserstein_mechanism_scale(record, protected)
+    lap_scale = report.w_scale / epsilon
+    if not np.isfinite(lap_scale):
+        raise ConfigError(
+            f"epsilon {epsilon!r} makes the Laplace scale "
+            f"w_scale / epsilon = {report.w_scale!r} / {epsilon!r} overflow"
+        )
     # the theta gap and the comparison test are diagnostics read from the
     # same worlds; a world whose giant is always (or never) seeded still has
     # a well-defined W, so a one-sided split downgrades them to nan instead
@@ -450,16 +456,9 @@ def cmd_audit(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
         logger.warning("theta split unavailable: %s", exc)
     else:
         theta_lo, theta_hi = float(x0[-1]), float(x1[0])
-        try:
-            test_tvd = comparison_tvd(x0, x1, comparison, n=g.node_count)
-        except MemoryError as exc:
-            raise ConfigError(
-                f"comparison mechanism scale {comparison.scale!r} needs a "
-                f"noise kernel too large to allocate: {exc}"
-            ) from exc
+        test_tvd = comparison_tvd(x0, x1, comparison, n=g.node_count)
         # the best test telling the two pushed laws apart errs this often
         test_error = 1.0 - test_tvd
-    lap_scale = report.w_scale / epsilon
     rows = [
         ("w_scale", report.w_scale),
         ("epsilon", epsilon),

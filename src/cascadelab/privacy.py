@@ -5,8 +5,10 @@ perturb it (Laplace noise, randomized response over per-node bits, or
 Laplace calibrated to an infinity-order Wasserstein distance between
 conditional count distributions). A conditional count law is an ascending
 integer sample of counts: W-infinity is read exactly from two samples, and
-the audit's comparison TVD pushes Laplace noise through two samples' laws
-by one FFT convolution of their signed histogram difference on the integers.
+the audit's comparison TVD pushes Laplace noise, discretized on the
+integers, through the signed difference of two samples' laws in closed
+form, piece by piece between the atoms' breakpoints, at a cost linear in
+the atoms and independent of the noise scale.
 Only this module branches on a mechanism's kind; other modules ask
 `MechanismSpec.is_laplace`.
 """
@@ -217,74 +219,58 @@ def wasserstein_mechanism_scale(
     return MechanismScaleReport(max(per_node.values()), per_node, degenerate)
 
 
-def _laplace_kernel(scale: float) -> np.ndarray:
-    """Laplace(scale) mass of the unit cells centred on -h..h, h = ceil(12 scale).
+def _per_scale(k: int, scale: float) -> float:
+    """k / scale for an int k >= 0, inf where the quotient passes the floats."""
+    try:
+        return k / scale
+    except OverflowError:
+        # k itself is past the floats, which takes a scale near the largest
+        # float; the quotient of integers is rounded once, as k / scale is
+        num, den = scale.as_integer_ratio()
+        return k * den / num
 
-    Truncation leaves under 1e-5 of the mass outside; the kernel is then
-    normalised to sum 1. An off-centre cell's mass is the gap between two
-    tails, exp(-(|k| - 1/2) / scale) (1 - exp(-1 / scale)) / 2, so no entry
-    is a difference of numbers near 1 and a cell past the underflow of exp
-    holds exactly 0.
+
+def _segment_sums(
+    p: float, q: float, length: int, scale: float, unit: float
+) -> tuple[float, float]:
+    """Signed and absolute sums of c (p r^t + q r^(length - 1 - t)), t < length.
+
+    r = exp(-1 / scale) and c = unit (r - 1), the kernel's cell at |j| = 1.
+    The terms change sign at most once, at the t* where the two exponentials
+    balance; the absolute sum splits there into two geometric sums, each
+    read through `expm1`. Rounding moves t* by at most a step, which the
+    split index corrects by checking the terms beside it.
     """
-    if 12.0 * scale >= 2.0**59:
-        # numpy refuses 2^63 bytes with a ValueError, and ceil(inf) overflows
-        raise MemoryError("a numpy array holds less than 2^63 bytes")
-    h = int(math.ceil(12.0 * scale))
-    kernel = np.abs(np.arange(-h, h + 1, dtype=np.float64))
-    kernel[h] = 0.5  # overwritten below; keeps exp finite at any scale
-    kernel -= 0.5
-    kernel /= -scale
-    np.exp(kernel, out=kernel)
-    kernel *= -0.5 * math.expm1(-1.0 / scale)
-    kernel[h] = -math.expm1(-0.5 / scale)
-    kernel /= kernel.sum()
-    return kernel
+
+    def decay(k):  # r^k
+        return math.exp(-_per_scale(k, scale))
+
+    def geometric(k):  # c (r^0 + ... + r^(k - 1)), with no subnormal c
+        return math.expm1(-_per_scale(k, scale)) * unit
+
+    signed = (p + q) * geometric(length)
+    if not (p < 0.0 < q or q < 0.0 < p):
+        return signed, abs(signed)
+    t = 0.5 * scale * (
+        _per_scale(length - 1, scale) + math.log(abs(p)) - math.log(abs(q))
+    )
+    k = 0 if not t >= 0.0 else length if t >= length - 1 else math.floor(t) + 1
+    sign = 1.0 if p > 0.0 else -1.0
+    for _ in range(2):
+        if k < length and sign * (p * decay(k) + q * decay(length - 1 - k)) > 0.0:
+            k += 1
+        elif k > 0 and sign * (p * decay(k - 1) + q * decay(length - k)) < 0.0:
+            k -= 1
+    head = (p + q * decay(length - k)) * geometric(k)
+    tail = (p * decay(k) + q) * geometric(length - k)
+    return signed, abs(head) + abs(tail)
 
 
-def _fft_length(size: int) -> int:
-    """The smallest 2^a 3^b 5^c >= size, a length numpy's FFT is fast at."""
-    best = 1 << (size - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << ((size - 1) // p35).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _convolve(hist: np.ndarray, scale: float) -> np.ndarray:
-    """The full linear convolution of hist with `_laplace_kernel(scale)`.
-
-    One real FFT; entry i of the result sits at hist index i - h, with
-    h = ceil(12 scale) the kernel's half width. The kernel is dropped once
-    transformed, so it is never alive beside both spectra.
-    """
-    kernel = _laplace_kernel(scale)
-    size = hist.size + kernel.size - 1
-    nfft = _fft_length(size)
-    kernel_spectrum = np.fft.rfft(kernel, nfft)
-    del kernel
-    spectrum = np.fft.rfft(hist, nfft)
-    spectrum *= kernel_spectrum
-    del kernel_spectrum
-    return np.fft.irfft(spectrum, nfft)[:size]
-
-
-def _fold(acc: np.ndarray, start: int, n: int) -> np.ndarray:
-    """Masses on start, start+1, ... clipped into [0, n].
-
-    Mass outside folds onto the nearest kept grid point. Linear in `acc`,
-    so it folds signed differences as well.
-    """
-    lo, hi = max(start, 0) - start, min(start + acc.size - 1, n) - start
-    if lo > hi:
-        raise ValueError("[0, n] excludes the entire output grid")
-    out = acc[lo : hi + 1].copy()
-    out[0] += acc[:lo].sum()
-    out[-1] += acc[hi + 1 :].sum()
-    return out
+def _law(x: np.ndarray) -> dict:
+    """An ascending sample's law, as {value: probability} over its atoms."""
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    probs = np.diff(starts, append=x.size) / x.size
+    return dict(zip(x[starts].tolist(), probs.tolist()))
 
 
 def comparison_tvd(
@@ -296,15 +282,21 @@ def comparison_tvd(
 ) -> float:
     """TVD between two samples' laws each pushed through the mechanism `spec`.
 
-    `x0` and `x1` are ascending integer samples. Each law's histogram on
-    the samples' shared integer grid is count / sample size; their signed
-    difference is convolved once, by one FFT, with the Laplace noise
-    discretized on the integers and truncated at twelve scales
-    (`_laplace_kernel`) and, with spec.clamp, folded into [0, n], so a
-    clamping spec needs the node count `n`. The TVD is half its L1 norm,
-    and the best test telling the two pushed laws apart errs with
-    probability 1 - TVD. Randomized response is not a count convolution
-    and is rejected.
+    `x0` and `x1` are ascending integer samples, and the difference of their
+    laws is a signed weight on each atom. The noise is Laplace(scale)
+    discretized on the integers: the mass of the unit cells centred on -h..h,
+    h = ceil(12 scale), normalised to sum 1, which is c r^|j| off the centre
+    with r = exp(-1 / scale). With spec.clamp, pushed mass outside [0, n]
+    folds onto 0 and n, so a clamping spec needs the node count `n`. The TVD
+    is half the L1 norm of the pushed difference, and the best test telling
+    the two pushed laws apart errs with probability 1 - TVD.
+
+    Between consecutive breakpoints (a - h, a, a + 1 and a + h + 1 for each
+    atom a, and 0, 1, n, n + 1 with clamp) the pushed difference is
+    P r^t + Q r^(L - 1 - t), with P from one forward sweep and Q from one
+    backward sweep; `_segment_sums` sums each segment in closed form. Cost
+    and memory are linear in the atoms, at any scale and n. Randomized
+    response is not a count convolution and is rejected.
     """
     if not spec.is_laplace:
         raise ValueError(
@@ -312,13 +304,64 @@ def comparison_tvd(
         )
     if spec.clamp and n is None:
         raise ValueError("a clamping mechanism needs the node count n")
-    origin = min(int(x0[0]), int(x1[0]))
-    size = max(int(x0[-1]), int(x1[-1])) - origin + 1
-    diff = np.bincount(x0 - origin, minlength=size) / x0.size
-    diff -= np.bincount(x1 - origin, minlength=size) / x1.size
-    acc = _convolve(diff, float(spec.scale))
+    diff = _law(x0)
+    for a, prob in _law(x1).items():
+        diff[a] = diff.get(a, 0.0) - prob
+    atoms = [a for a, w in diff.items() if w]
+    if not atoms:
+        return 0.0
+    scale = float(spec.scale)
+    twelve = 12.0 * scale
+    h = math.ceil(twelve) if twelve < math.inf else 12 * int(scale)
+    # the kernel's sum before normalising: 1 - r^(h + 1/2)
+    norm = -math.expm1(-0.5 * _per_scale(2 * h + 1, scale))
+    centre = -math.expm1(-0.5 / scale) / norm
+    # the cell at |j| = 1, exp(-1/2 scale) (1 - r) / 2 normalised, is
+    # unit (r - 1); at a huge scale it is subnormal and unit is not
+    unit = -0.5 * math.exp(-0.5 / scale) / norm
+    side = unit * math.expm1(-1.0 / scale)
+    reach = math.exp(-_per_scale(h, scale))  # r^h, an atom's last cell
+    points = {0, 1, n, n + 1} if spec.clamp else set()
+    for a in atoms:
+        points.update((a - h, a, a + 1, a + h + 1))
+    points = sorted(points)
+    # P: the atoms left of each segment, as their weight at its first point;
+    # atom a enters at a + 1 and leaves at a + h + 1
+    ps, p, prev = [], 0.0, points[0]
+    for b in points[:-1]:
+        p *= math.exp(-_per_scale(b - prev, scale))
+        p += diff.get(b - 1, 0.0) - reach * diff.get(b - h - 1, 0.0)
+        ps.append(p)
+        prev = b
+    # Q: the atoms right of each segment, as their weight at its last point;
+    # atom a enters at the segment ending at a and leaves at a - h
+    total = below = above = first = last = q = 0.0
+    nxt = points[-1]
+    for i in range(len(points) - 2, -1, -1):
+        b, end = points[i], points[i + 1]
+        q *= math.exp(-_per_scale(nxt - end, scale))
+        q += diff.get(end, 0.0) - reach * diff.get(end + h, 0.0)
+        nxt = end
+        if end - b == 1:
+            signed = side * (ps[i] + q) + centre * diff.get(b, 0.0)
+            mass = abs(signed)
+        else:
+            signed, mass = _segment_sums(ps[i], q, end - b, scale, unit)
+        if not spec.clamp or 0 < b and end <= n:
+            total += mass
+        elif end <= 0:
+            below += signed
+        elif b > n:
+            above += signed
+        elif b == 0:
+            first = signed
+        else:
+            last = signed
     if spec.clamp:
-        # the convolution starts one kernel half width below the grid
-        acc = _fold(acc, origin - (acc.size - size) // 2, n)
+        # mass beyond an end folds onto it; at n = 0 both ends are one cell
+        if n == 0:
+            total += abs(below + first + above)
+        else:
+            total += abs(below + first) + abs(last + above)
     # round-off can push the half-L1 a hair past 1; keep it a probability
-    return min(1.0, max(0.0, 0.5 * float(np.abs(acc).sum())))
+    return min(1.0, max(0.0, 0.5 * total))

@@ -487,23 +487,41 @@ class TestAudit:
         assert tvds[True] != tvds[False]
 
     @pytest.mark.parametrize("scale", [1e15, 1e17, 1e18, 1e300, 1.7e308])
-    def test_unallocatable_comparison_kernel_exits_2(self, tmp_path, capsys, scale):
-        """Scale 1e15 asks for a 171 PiB noise kernel, which numpy refuses
-        before touching memory; from about 5e16 on, the kernel's bytes pass
-        2^63, which numpy refuses with a ValueError, and at 1.7e308 twelve
-        scales overflow to inf. Each time the audit names the scale and
-        exits 2."""
+    def test_huge_comparison_scale_is_bounded_by_the_shift(
+        self, tmp_path, monkeypatch, scale
+    ):
+        """The comparison TVD costs the same at any finite scale, 1.7e308
+        included, where twelve scales pass the largest float. Laplace noise
+        at scale b moves a count by d at a TVD cost of at most d / (2 b), so
+        the two pushed laws are within (largest - smallest count) / (2 b)."""
+        samples, real = [], cascadelab.cli.comparison_tvd
+
+        def comparison_tvd(x0, x1, spec, *, n=None):
+            samples.append((int(x0[0]), int(x1[-1])))
+            return real(x0, x1, spec, n=n)
+
+        monkeypatch.setattr(cascadelab.cli, "comparison_tvd", comparison_tvd)
         config = write_config(
             tmp_path,
             **{**GOLDEN_CONFIG, "mechanism": {"kind": "laplace", "scale": scale}},
         )
+        out = tmp_path / "out"
+        assert main(["audit", "--config", config, "--out", str(out)]) == 0
+        _, rows = read_csv(out / "audit.csv")
+        tvd = float({r["metric"]: r["value"] for r in rows}["comparison_tvd"])
+        [(smallest, largest)] = samples
+        assert 0.0 <= tvd <= (largest - smallest) / (2.0 * scale) + 1e-15
+
+    def test_epsilon_that_overflows_the_laplace_scale_exits_2(self, tmp_path, capsys):
+        """w_scale / 1e-320 is inf: a config error naming epsilon, not a
+        laplace_scale of inf."""
+        config = write_config(tmp_path, **{**GOLDEN_CONFIG, "epsilon": 1e-320})
         rc = main(["audit", "--config", config, "--out", str(tmp_path / "out")])
-        assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert f"comparison mechanism scale {scale!r} " in err
-        assert "too large to allocate" in err
-        assert "Traceback" not in err
+        assert rc == 2
+        assert err.startswith("config error: epsilon 1e-320 ")
+        assert err.count("\n") == 1
+        assert not any((tmp_path / "out").iterdir())
 
 
 class TestAttack:
@@ -655,6 +673,8 @@ class TestErrorPaths:
             ("audit", {"mechanism": {"kind": "laplace", "scale": math.inf}}, []),
             ("audit", {"mechanism": {"kind": "laplace", "scale": math.nan}}, []),
             ("attack", {"mechanism": {"kind": "laplace", "scale": math.nan}}, []),
+            # w_scale / epsilon overflows to inf
+            ("audit", {"epsilon": 1e-320}, []),
             (
                 "audit",
                 {"mechanism": {"kind": "laplace", "scale": 5.0, "clamp": "no"}},
@@ -750,6 +770,7 @@ class TestErrorPaths:
             "audit-mechanism-scale-inf",
             "audit-mechanism-scale-nan",
             "attack-mechanism-scale-nan",
+            "audit-epsilon-overflows-laplace-scale",
             "audit-mechanism-clamp-string",
             "gen-edge-list-path-int",
             "gen-edge-list-path-directory",
@@ -898,9 +919,11 @@ class TestErrorPaths:
         assert loaded("cascadelab") == "False"
         assert loaded("cascadelab.cli") == "False"
 
-    def test_audit_and_attack_leave_numpy_ma_unimported(self, tmp_path):
-        """`np.unique` without counts and `np.union1d` import `numpy.ma`,
-        about 12 ms per process; the audit and attack paths avoid both."""
+    @staticmethod
+    def _imported_by_audit_and_attack(tmp_path, module):
+        """Run `audit` and `attack` on GOLDEN_CONFIG in one fresh process and
+        print their exit codes and whether `module` is then in `sys.modules`;
+        skips where numpy imports `module` itself."""
         src = Path(cascadelab.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
 
@@ -914,16 +937,28 @@ class TestErrorPaths:
                 check=True,
             ).stdout.strip()
 
-        if run("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
-            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        if run(f"import sys, numpy; print({module!r} in sys.modules)") == "True":
+            pytest.skip(f"this numpy imports {module} with numpy itself")
         argv = ["--config", write_config(tmp_path, **GOLDEN_CONFIG)]
         argv += ["--out", str(tmp_path / "out")]
         code = (
             "import sys; from cascadelab.cli import main; "
             f"rcs = [main([c, *{argv!r}]) for c in ('audit', 'attack')]; "
-            "print(rcs, 'numpy.ma' in sys.modules)"
+            f"print(rcs, {module!r} in sys.modules)"
         )
-        assert run(code) == "[0, 0] False"
+        return run(code)
+
+    def test_audit_and_attack_leave_numpy_ma_unimported(self, tmp_path):
+        """`np.unique` without counts and `np.union1d` import `numpy.ma`,
+        about 12 ms per process; the audit and attack paths avoid both."""
+        out = self._imported_by_audit_and_attack(tmp_path, "numpy.ma")
+        assert out == "[0, 0] False"
+
+    def test_audit_and_attack_leave_numpy_fft_unimported(self, tmp_path):
+        """The comparison TVD is summed in closed form, so no subcommand pays
+        the lazy `numpy.fft` import, 1-6 ms per process."""
+        out = self._imported_by_audit_and_attack(tmp_path, "numpy.fft")
+        assert out == "[0, 0] False"
 
     def test_pyproject_version_is_package_version(self):
         """pyproject.toml and `cascadelab.__version__` name one release.
@@ -1180,11 +1215,12 @@ GOLDEN_CONFIG = {
 # SHA-256 of every file each subcommand writes for GOLDEN_CONFIG (and, for
 # the cases in GOLDEN_VARIANTS, the config with those entries replaced).
 # The CSV digests cover the tool_version header line, so every CSV digest
-# was re-recorded at 0.2.4, when the audit's comparison_tvd moved in its
-# last digit (FFT push-through). The ER graph stream, with "gen", was
-# recorded at 0.2.3; "gen-chung-lu" pins the Chung-Lu graph stream,
-# recorded at version 0.2.0; the audit and attack streams, with
-# "audit-all", at 0.2.1; the coupled-q sweep stream at 0.2.2.
+# was re-recorded at 0.2.5, when the audit's comparison_tvd, summed in
+# closed form instead of by FFT, moved in its last digit (audit.csv of
+# "audit" and "audit-all"); below the header no other byte moved. The ER
+# graph stream, with "gen", was recorded at 0.2.3; "gen-chung-lu" pins the
+# Chung-Lu graph stream, recorded at version 0.2.0; the audit and attack
+# streams, with "audit-all", at 0.2.1; the coupled-q sweep stream at 0.2.2.
 # A change here means an RNG stream, the version or an output format moved.
 GOLDEN_DIGESTS = {
     "gen": {
@@ -1194,49 +1230,49 @@ GOLDEN_DIGESTS = {
     },
     "components": {
         "components.csv": (
-            "2bed5047623be16819202a84e7bcea09c0cdcd976325215dbd8820daaf600166"
+            "707bf84d52ab48b6ef764bdc368619d47da3ca81c5b9b2c7ec8d9b872d7bc057"
         ),
     },
     "sweep": {
         "sweep.csv": (
-            "37059fe7cfdbce99c456b646b4fb57a593b81c3759d0b32bc8bc0fb24194e1e9"
+            "23c33e1069365c7f85197b79b38db6847b792c9b68beafad7211e1a396801894"
         ),
     },
     "membership": {
         "membership.csv": (
-            "744642d49181d0ffdacb40c1d2ea25e5413f629e822f47960ad0ff21e500670c"
+            "99884c5c69795f12c99ce457d95da20a0eacea14f603b64f3d28cc9a2ea6bdc0"
         ),
     },
     "audit": {
         "audit.csv": (
-            "b6e760a2dd750789c2e04195ec46e842d9bed8c96d1c95fe7c83f5cdd3c8132d"
+            "329a07afb3acc3e6d31ec6ea35d71e791f8a3a60f744c8b3da8f105b2b5432d2"
         ),
         "audit_nodes.csv": (
-            "dd77b34d15edf7b4ba0bf12bb21d485be2173f25b19209201baec16581b798ee"
+            "b91908342391c9001998e6410478883ac6fa25d879f226ff76bfb08838433b9d"
         ),
     },
     "attack": {
         "attack.csv": (
-            "21576db49cbc53c0f12186759239fac20d645065134f5ebdf8897d22a62b3a56"
+            "003c3dc19e58fccfccfc0047a9109755e54e40f530f9407618c5cef424343bee"
         ),
         "attack_summary.csv": (
-            "f4c9a06e923d77e4f6bc9869cab87323a8bc4e4b668ba6596d85a622744f77a5"
+            "24a843d43827c112d9f6e544e67d0d60d05c4177787eccba1099725aa2dcfa8e"
         ),
     },
     "audit-all": {
         "audit.csv": (
-            "e6571203001ec5c6e709c8650b5583b1fcb0ba2f5d2367df510c9f72933e7a36"
+            "4e4f14c5af0b2de25bc2ab88375b59770b6a278f19f1a8298ca457e7d11e1541"
         ),
         "audit_nodes.csv": (
-            "5aa06a49336b8215548d094a00dd9ded2f410eeb6e1e439354c027a9f23c268d"
+            "e7ccb8e23ad5c322022ede22f4d06f561c8d39fbc2690861c087adab5f475853"
         ),
     },
     "attack-rr": {
         "attack.csv": (
-            "d8ea04931e62df3329e94f67da5a0b6720ad17908fdfbe3713b6bec320da6e2f"
+            "caa325da5275d8f4df53d0a0a55a84ffa7786f963d455acf2f72c0fadc8f0791"
         ),
         "attack_summary.csv": (
-            "7b0c89c5d96d0bd1954ace4ca047a591d3d8cea4ed38327f9645e95b19d4ce8c"
+            "07563105f409378ee0fdab0c14bca0ac38a81b0f18ff160c200e5bd0c62f97f1"
         ),
     },
     "gen-chung-lu": {

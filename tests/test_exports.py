@@ -6,8 +6,8 @@ by attribute and by a star import; so is the test-side `theory` module,
 which holds the closed-form results the tests judge the package against.
 The package star-imports its modules, so its own `__all__` must hold
 every name they list. The package's only runtime dependency is numpy;
-scipy and networkx serve the tests alone, and only three functions loop
-over the trial engine.
+scipy and networkx serve the tests alone, no module names `numpy.fft`,
+and only three functions loop over the trial engine.
 Every result record is immutable and names its fields in its repr.
 """
 
@@ -74,6 +74,22 @@ def test_imports_only_numpy_and_the_standard_library():
                 if name.partition(".")[0] not in allowed
             ]
     assert foreign == []
+
+
+def test_no_module_names_numpy_fft():
+    """The comparison TVD is summed in closed form: no module imports or
+    calls `numpy.fft`, whose transforms need arrays as wide as the noise."""
+    named = []
+    for path in sorted(Path(cascadelab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "fft":
+                named.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [alias.name for alias in node.names]
+                modules.append(getattr(node, "module", None) or "")
+                if any("fft" in module for module in modules):
+                    named.append(f"{path.name}:{node.lineno}")
+    assert named == []
 
 
 def _functions_naming(name):

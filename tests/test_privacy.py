@@ -2,6 +2,7 @@
 
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,6 @@ from cascadelab.graph import Graph, generate_er
 from cascadelab.percolation import DegenerateConditioningError, record_worlds
 from cascadelab.privacy import (
     MechanismSpec,
-    _convolve,
-    _fft_length,
-    _fold,
     comparison_tvd,
     release_from,
     sample_wasserstein_infinity,
@@ -24,7 +22,11 @@ from cascadelab.seeding import child_seed, pcg64_states, rng_from_seed, set_pcg6
 
 from oracles import (
     Law,
+    _convolve,
+    _fft_length,
+    _fold,
     bfs_activated,
+    fft_tvd,
     law_of,
     percolate,
     push_through_direct,
@@ -573,8 +575,8 @@ LAPLACE = MechanismSpec(kind="laplace", scale=2.0)
 
 
 class TestPushThroughMatchesDirectSum:
-    """The FFT convolution `comparison_tvd` runs against
-    `push_through_direct`, point by point."""
+    """The FFT oracle's convolution (`fft_tvd`) against
+    `push_through_direct`, point by point: the two oracles agree."""
 
     @pytest.mark.parametrize(
         "mu, spec, n",
@@ -682,6 +684,87 @@ class TestComparisonTvd:
             comparison_tvd(x, x, MechanismSpec("randomized_response", flip_prob=0.4))
         with pytest.raises(ValueError, match="node count"):
             comparison_tvd(x, x, MechanismSpec("laplace", 2.0, clamp=True))
+
+
+def oracle_tvds(x0, x1, spec, n=None):
+    """The TVD by direct sums and by one FFT convolution. At the smallest
+    scales the FFT kernel's division overflows to a harmless inf."""
+    with np.errstate(over="ignore"):
+        return direct_tvd(x0, x1, spec, n), fft_tvd(x0, x1, spec, n)
+
+
+class TestClosedFormMatchesBothOracles:
+    """`comparison_tvd` sums the pushed difference in closed form between
+    breakpoints; both oracles push the same truncated, normalised kernel."""
+
+    def test_random_clamped_and_unclamped_cases(self):
+        rng = rng_from_seed(31)
+        for case in range(40):
+            n = int(rng.integers(1, 200))
+            x0, x1 = (
+                np.sort(rng.integers(0, n + 1, int(rng.integers(1, 25))))
+                for _ in range(2)
+            )
+            scale = float(10.0 ** rng.uniform(-0.5, 2.0))
+            spec = MechanismSpec("laplace", scale, clamp=bool(case % 2))
+            got = comparison_tvd(x0, x1, spec, n=n)
+            for want in oracle_tvds(x0, x1, spec, n):
+                assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("scale", [1e-9, 0.002, 5e-324])
+    def test_vanishing_scales_keep_the_laws(self, scale, clamp):
+        """At 5e-324 one over the scale overflows; the closed form warns of
+        nothing and returns the two laws' own TVD."""
+        x0, x1 = np.array([0, 3, 3, 7]), np.array([3, 5, 5])
+        spec = MechanismSpec("laplace", scale, clamp=clamp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = comparison_tvd(x0, x1, spec, n=7)
+        assert got == pytest.approx(tvd(law_of(x0), law_of(x1)), abs=1e-12)
+        for want in oracle_tvds(x0, x1, spec, 7):
+            assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_scale_of_order_n_against_the_fft(self, clamp):
+        """At scale 5e5 the direct sum walks 1.2e7 cells per atom; the FFT
+        oracle, at about 190 MB, still judges."""
+        x0, x1 = np.array([3, 3, 40]), np.array([10, 600, 600, 600])
+        spec = MechanismSpec("laplace", 5e5, clamp=clamp)
+        assert comparison_tvd(x0, x1, spec, n=600) == pytest.approx(
+            fft_tvd(x0, x1, spec, 600), abs=1e-12
+        )
+
+    def test_atoms_below_0_and_above_n(self):
+        rng = rng_from_seed(37)
+        for scale in (0.3, 4.0, 30.0):
+            for _ in range(5):
+                x0, x1 = (np.sort(rng.integers(-40, 91, 12)) for _ in range(2))
+                spec = MechanismSpec("laplace", scale, clamp=True)
+                got = comparison_tvd(x0, x1, spec, n=50)
+                for want in oracle_tvds(x0, x1, spec, 50):
+                    assert got == pytest.approx(want, abs=1e-12)
+
+    def test_laws_past_the_reach_of_0_to_n_fold_onto_one_end(self):
+        """Both pushed laws fold whole onto 0, where the oracles keep no
+        grid point at all."""
+        x0, x1 = np.array([-500, -400]), np.array([-450])
+        spec = MechanismSpec("laplace", 2.0, clamp=True)
+        assert comparison_tvd(x0, x1, spec, n=10) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "spec, n",
+        [
+            (LAPLACE, None),
+            (MechanismSpec("laplace", 5e-324), None),
+            (MechanismSpec("laplace", 40.0, clamp=True), 20),
+        ],
+    )
+    def test_equal_laws(self, spec, n):
+        x = np.array([2, 2, 9, 15])
+        assert comparison_tvd(x, np.repeat(x, 2), spec, n=n) == 0.0
+        for want in oracle_tvds(x, np.repeat(x, 2), spec, n):
+            assert want <= 1e-12
 
 
 def test_fft_length_is_the_next_5_smooth_number():
