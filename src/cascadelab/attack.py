@@ -87,6 +87,10 @@ def evaluate_attack(
         raise ValueError("floors must name at least one confidence floor")
     if s is None or s < 1:
         raise ValueError(f"s must be a seed count >= 1, not {s!r}")
+    if decision_threshold is not None:
+        threshold = float(decision_threshold)
+        if not 0.0 < threshold < g.node_count:
+            raise ValueError("decision_threshold must lie in (0, node_count)")
     cal_seed = child_seed(rng_seed, 1)
     eval_seed = child_seed(rng_seed, 2)
     calibration = record_worlds(g, q, s, trials, child_seed(cal_seed, 0))
@@ -97,9 +101,6 @@ def evaluate_attack(
         threshold = 0.5 * (inactive_max + active_min)
         tie_trials = membership.ties_broken
     else:
-        threshold = float(decision_threshold)
-        if not 0.0 < threshold < g.node_count:
-            raise ValueError("decision_threshold must lie in (0, node_count)")
         inactive_max = active_min = float("nan")
         tie_trials = 0
     n = g.node_count

@@ -89,7 +89,6 @@ class Graph:
         self,
         node_count: int,
         edges,
-        external_ids: list[str] | None = None,
         source_report: EdgeListReport | None = None,
     ):
         node_count = int(node_count)
@@ -116,7 +115,6 @@ class Graph:
                 np.divmod(key, node_count, out=(edges[:, 0], edges[:, 1]))
         self.node_count = node_count
         self.edges = edges
-        self.external_ids = external_ids
         self.source_report = source_report
 
     @property
@@ -198,6 +196,10 @@ def chung_lu_weights(n: int, d: float, b: float) -> NodeWeights:
 
     Returns:
         NodeWeights with beta = 1/b and total = sum of weights.
+
+    Raises:
+        ValueError: an argument is out of range, or a weight or the sum of
+            the weights is not a finite float.
     """
     if not 1 <= n <= _MAX_NODES:
         raise ValueError(f"n must lie in 1..{_MAX_NODES}")
@@ -207,13 +209,20 @@ def chung_lu_weights(n: int, d: float, b: float) -> NodeWeights:
         raise ValueError("b must be > 0")
     beta = 1.0 / b
     ranks = np.arange(1, n + 1, dtype=np.float64)
-    weights = d * (n / ranks) ** beta
+    with np.errstate(over="ignore"):
+        weights = d * (n / ranks) ** beta
+    try:
+        total = math.fsum(weights)  # inf or nan if a weight is
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"d={d} and b={b} give weights whose sum is not finite")
     return NodeWeights(
         weights=weights,
         min_degree=float(d),
         scale=float(b),
         beta=beta,
-        total=float(math.fsum(weights)),
+        total=total,
     )
 
 
@@ -237,10 +246,13 @@ def generate_chung_lu(weights: NodeWeights, rng_seed: int) -> Graph:
     level = np.floor(np.log(w[0] / w) / -math.log(_LAYER_RATIO)).astype(np.int64)
     starts = np.flatnonzero(np.diff(level, prepend=level[0] - 1))
     top = np.maximum.reduceat(w, starts)
-    edges = _sample_blocks(
-        weights.node_count, starts, np.minimum(1.0, np.outer(top, top) / total),
-        lambda i, j: np.minimum(1.0, w[i] * w[j] / total), rng_from_seed(rng_seed),
-    )
+    # a product w_i * w_j that overflows exceeds the finite total, so its
+    # probability is 1 whether read as min(1, inf) or exactly
+    with np.errstate(over="ignore"):
+        edges = _sample_blocks(
+            weights.node_count, starts, np.minimum(1.0, np.outer(top, top) / total),
+            lambda i, j: np.minimum(1.0, w[i] * w[j] / total), rng_from_seed(rng_seed),
+        )
     return Graph(weights.node_count, edges)
 
 
@@ -337,8 +349,8 @@ def load_edge_list(path) -> Graph:
     Each non-comment line is `u v`. Lines starting with '#' are skipped.
     Self-loops and repeated edges (in either orientation) are dropped and
     counted in the returned graph's `source_report`, with one warning logged
-    per file. Node ids may be arbitrary tokens; they are compacted to dense
-    0-based ids in first-seen order and kept in `external_ids`.
+    per file. Node ids may be arbitrary tokens: dense ids 0..n-1 number the
+    file's distinct tokens in first-seen order, and no token's text is kept.
 
     A leading `# nodes=<n> edges=<m>` header (as written by
     `dump_edge_list`) switches to verbatim integer ids so canonical dumps
@@ -349,7 +361,8 @@ def load_edge_list(path) -> Graph:
     one entry per resolved path, under the SHA-256 of the file's bytes, the
     encoding they are decoded with, this module's source and numpy's
     version, so a hit returns exactly what the parse gave. An entry that
-    cannot be read or written costs only the parse.
+    cannot be read or written costs only the parse. Nothing evicts entries:
+    each distinct file leaves one, about the size of its edge array.
 
     Raises:
         EdgeListFormatError: a line does not hold exactly two tokens, ids
@@ -407,21 +420,17 @@ def _cached_graph(entry: Path, key) -> Graph | None:
         if not np.array_equal(stored["key"], key):
             return None
         n, duplicates, self_loops = stored["counts"].tolist()
-        ids = stored["ids"].tobytes().decode().split("\n") if "ids" in stored else None
-        return Graph(n, stored["edges"], ids, EdgeListReport(duplicates, self_loops))
+        return Graph(n, stored["edges"], EdgeListReport(duplicates, self_loops))
 
 
 def _store_graph(entry: Path, key, g: Graph) -> None:
     """Write `g` to `entry` under `key` in place of any older entry."""
-    arrays = {"key": key, "counts": np.array([g.node_count, *g.source_report]),
-              "edges": g.edges}
-    if g.external_ids is not None:  # no id holds a line break
-        arrays["ids"] = np.frombuffer("\n".join(g.external_ids).encode(), np.uint8)
     entry.parent.mkdir(parents=True, exist_ok=True)
     part = entry.with_name(f"{entry.name}.{os.getpid()}.part")
     try:
         with open(part, "wb") as f:
-            np.savez(f, **arrays)
+            np.savez(f, key=key, counts=np.array([g.node_count, *g.source_report]),
+                     edges=g.edges)
         os.replace(part, entry)
     finally:
         part.unlink(missing_ok=True)
@@ -474,12 +483,12 @@ def _parse_edge_list(path: Path, stream) -> Graph:
     starts, lengths = bounds[:, 0], bounds[:, 1]
     windows = np.ndarray((b.size - 7,), dtype="<u8", buffer=b, strides=(1,))
     if header_n is None:
-        ids, tokens = _intern(windows, starts, lengths)
-        n = len(tokens)
+        ids, first = _intern(windows, starts, lengths)
+        n = first.size
     else:
-        ids, bad_ids = _canonical_ids(windows, starts, lengths, header_n)
+        ids, bad_ids = _canonical_ids(b, windows, starts, lengths, header_n)
         problems += bad_ids
-        n, tokens = header_n, None
+        n = header_n
     if problems:
         offset, message = min(problems)  # the first in the file
         lineno = np.searchsorted(breaks, offset) + 1
@@ -497,7 +506,7 @@ def _parse_edge_list(path: Path, stream) -> Graph:
     if n < 1:
         raise EdgeListFormatError(f"{path}: no nodes found")
     report = EdgeListReport(duplicates, self_loops)
-    return Graph(n, np.column_stack(np.divmod(edges, n)), tokens, report)
+    return Graph(n, np.column_stack(np.divmod(edges, n)), report)
 
 
 def _intern(windows, starts, lengths):
@@ -505,17 +514,17 @@ def _intern(windows, starts, lengths):
 
     `windows[i]` holds the 8 bytes from byte i on. Each token is read as a
     key of whole little-endian 8-byte words padded with at least one space,
-    which no token holds, so each distinct key decodes to one text; keys of
-    one width are sorted together. Returns each token's id and, per id,
-    its text.
+    which no token holds, so equal keys are equal tokens; keys of one width
+    are sorted together. Returns each token's id and, per id, the index of
+    its first token.
     """
     if not lengths.size:
-        return np.empty(0, dtype=np.int64), []
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     classes = [1]
     if lengths.max() > 7:
         size = (lengths + 8) >> 3  # words per key
         classes = np.flatnonzero(np.bincount(size)).tolist()
-    parts = []  # per width: the sort order, its runs of equal keys, run keys
+    parts = []  # per width: the sort order and its runs of equal keys
     for k in classes:
         if len(classes) == 1:
             members, keys = None, _keys(windows, starts, lengths, k)
@@ -525,30 +534,20 @@ def _intern(windows, starts, lengths):
         order = np.argsort(keys)
         keys = keys[order]
         runs = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        parts.append((order if members is None else members[order], runs, keys[runs]))
+        parts.append((order if members is None else members[order], runs))
         del members, keys
     # each run's first token, and the runs in first-seen order
-    first = np.concatenate([np.minimum.reduceat(o, r) for o, r, _ in parts])
+    first = np.concatenate([np.minimum.reduceat(o, r) for o, r in parts])
     seen = np.argsort(first)
-    del first
     rank = np.empty_like(seen)
     rank[seen] = np.arange(seen.size)
     ids = np.empty(starts.size, dtype=np.int64)
     done = 0
-    for order, runs, _ in parts:
+    for order, runs in parts:
         counts = np.diff(runs, append=order.size)
         ids[order] = np.repeat(rank[done:done + runs.size], counts)
         done += runs.size
-    if len(parts) == 1:
-        keys = parts[0][2]
-        del parts, order, runs, counts  # spent: free them before the texts exist
-        return ids, keys[seen].tobytes().decode().split()
-    texts = np.empty(seen.size, dtype=object)
-    done = 0
-    for _, runs, keys in parts:
-        texts[rank[done:done + runs.size]] = keys.tobytes().decode().split()
-        done += runs.size
-    return ids, texts.tolist()
+    return ids, first[seen]
 
 
 def _keys(windows, starts, lengths, k):
@@ -567,14 +566,14 @@ def _keys(windows, starts, lengths, k):
     return keys if k == 1 else keys.view(np.dtype((np.void, 8 * k))).ravel()
 
 
-def _canonical_ids(windows, starts, lengths, nodes):
-    """The integer ids that tokens under a canonical header spell.
+def _canonical_ids(b, windows, starts, lengths, nodes):
+    """The integer ids that the tokens in `b` spell under a canonical header.
 
     Tokens of at most 18 ASCII digits are read by word arithmetic. Every
-    other token goes through `int()` once per distinct text, in first-seen
-    order, so that the first bad one is the first in the file. Returns the
-    ids and the bad ones found, as (byte offset, message): at most the
-    first of each kind.
+    other token is decoded once per distinct text and read by `int()`, in
+    first-seen order, so that the first bad one is the first in the file.
+    Returns the ids and the bad ones found, as (byte offset, message): at
+    most the first of each kind.
     """
     # '0's in front fill each token out to whole 8-digit words
     pad = -lengths % 8
@@ -595,9 +594,10 @@ def _canonical_ids(windows, starts, lengths, nodes):
 
     rest = np.flatnonzero(~digits)
     if rest.size:
-        rest_ids, tokens = _intern(windows, starts[rest], lengths[rest])
-        values = np.empty(len(tokens), dtype=np.int64)
-        for i, token in enumerate(tokens):
+        rest_ids, first = _intern(windows, starts[rest], lengths[rest])
+        values = np.empty(first.size, dtype=np.int64)
+        for i, head in enumerate(rest[first]):  # distinct tokens, as first seen
+            token = b[starts[head]:starts[head] + lengths[head]].tobytes().decode()
             try:
                 value = int(token)
             except ValueError:
@@ -607,9 +607,7 @@ def _canonical_ids(windows, starts, lengths, nodes):
                     values[i] = value
                     continue
                 found = f"id {value} outside 0..{nodes - 1}"
-            # ids number tokens as first seen: id i's first token is the
-            # first of rest_ids to equal i
-            problems.append((starts[rest[np.argmax(rest_ids == i)]], found))
+            problems.append((starts[head], found))
             break
         else:
             ids[rest] = values[rest_ids]

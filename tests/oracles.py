@@ -475,8 +475,8 @@ def load_edge_list_per_line(path) -> Graph:
     Each non-comment line is `u v`. Lines starting with '#' are skipped.
     Self-loops and repeated edges (in either orientation) are dropped and
     counted in the returned graph's `source_report`, with one warning logged
-    per file. Node ids may be arbitrary tokens; they are compacted to dense
-    0-based ids in first-seen order and kept in `external_ids`.
+    per file. Node ids may be arbitrary tokens: dense ids 0..n-1 number the
+    file's distinct tokens in first-seen order.
 
     A leading `# nodes=<n> edges=<m>` header (as written by
     `dump_edge_list`) switches to verbatim integer ids so canonical dumps
@@ -502,7 +502,6 @@ def load_edge_list_per_line(path) -> Graph:
         break
 
     id_map: dict[str, int] = {}
-    external: list[str] = []
     seen: set[tuple[int, int]] = set()
     pairs: list[tuple[int, int]] = []
     duplicates = 0
@@ -521,12 +520,7 @@ def load_edge_list_per_line(path) -> Graph:
                     f"{path}:{lineno}: id {value} outside 0..{header_n - 1}"
                 )
             return value
-        idx = id_map.get(token)
-        if idx is None:
-            idx = len(id_map)
-            id_map[token] = idx
-            external.append(token)
-        return idx
+        return id_map.setdefault(token, len(id_map))
 
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
@@ -557,20 +551,10 @@ def load_edge_list_per_line(path) -> Graph:
             self_loops,
         )
 
-    if header_n is not None:
-        n = header_n
-        ids = None
-    else:
-        n = len(id_map)
-        ids = external
+    n = len(id_map) if header_n is None else header_n
     if n < 1:
         raise EdgeListFormatError(f"{path}: no nodes found")
     edges = (
         np.array(pairs, dtype=np.int64) if pairs else np.empty((0, 2), dtype=np.int64)
     )
-    return Graph(
-        n,
-        edges,
-        external_ids=ids,
-        source_report=EdgeListReport(duplicates, self_loops),
-    )
+    return Graph(n, edges, source_report=EdgeListReport(duplicates, self_loops))

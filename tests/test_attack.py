@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cascadelab import seeding
+from cascadelab import attack, seeding
 from cascadelab.attack import evaluate_attack
 from cascadelab.graph import (
     Graph,
@@ -195,6 +195,25 @@ class TestEvaluateAttack:
             evaluate_attack(
                 g, 0.5, 1, spec, floors=[0.5], trials=10, rng_seed=1,
                 decision_threshold=5.0,
+            )
+
+    @pytest.mark.parametrize("threshold", [0.0, 200.0, -1.0, math.nan])
+    def test_refuses_a_threshold_out_of_range_before_calibrating(
+        self, monkeypatch, threshold
+    ):
+        """A pinned cut outside (0, node_count) is refused before the
+        calibration pass draws its worlds."""
+
+        def no_calibration(*args):
+            raise AssertionError("calibration ran")
+
+        monkeypatch.setattr(attack, "record_worlds", no_calibration)
+        g = generate_er(200, 0.02, rng_seed=1)
+        spec = MechanismSpec(kind="laplace", scale=1.0)
+        with pytest.raises(ValueError, match="decision_threshold must lie"):
+            evaluate_attack(
+                g, 0.3, 1, spec, floors=[0.5], trials=10, rng_seed=3,
+                decision_threshold=threshold,
             )
 
     def test_refuses_a_grid_of_q_before_drawing(self, monkeypatch):

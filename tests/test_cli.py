@@ -667,6 +667,9 @@ class TestErrorPaths:
             ("gen", {"graph": {"kind": "chung_lu", "n": 10, "d": None, "b": 1.5}}, []),
             ("gen", {"graph": {"kind": "chung_lu", "n": 10, "d": math.inf, "b": 1.5}}, []),
             ("gen", {"graph": {"kind": "chung_lu", "n": 10, "d": 2.0, "b": None}}, []),
+            # the weights, or their sum, overflow
+            ("gen", {"graph": {"kind": "chung_lu", "n": 1000, "d": 1e306, "b": 1.5}}, []),
+            ("gen", {"graph": {"kind": "chung_lu", "n": 100, "d": 2, "b": 1e-3}}, []),
             ("gen", {"graph": {"kind": "er", "n": 10, "p": True}}, []),
             ("membership", {"q": True}, []),
             ("sweep", {"q_grid": {"start": True, "stop": 0.9, "count": 3}}, []),
@@ -764,6 +767,8 @@ class TestErrorPaths:
             "gen-graph-d-null",
             "gen-graph-d-inf",
             "gen-graph-b-null",
+            "gen-chung-lu-weight-sum-overflows",
+            "gen-chung-lu-weights-overflow",
             "gen-graph-p-bool",
             "membership-q-bool",
             "sweep-grid-start-bool",

@@ -5,8 +5,10 @@ import logging
 import math
 import os
 import pickle
+import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from cascadelab import graph as graph_module
 from cascadelab.graph import (
     _WHITESPACE,
     EdgeListFormatError,
+    EdgeListReport,
     Graph,
     NodeWeights,
     _block_pair,
@@ -130,7 +133,7 @@ class TestGraph:
 
     def test_equality_ignores_metadata(self):
         a = Graph(3, [[0, 1]])
-        b = Graph(3, [[0, 1]], external_ids=["x", "y", "z"])
+        b = Graph(3, [[0, 1]], source_report=EdgeListReport(2, 1))
         assert a == b
         assert a != Graph(3, [[0, 2]])
 
@@ -214,6 +217,19 @@ class TestChungLuWeights:
         with pytest.raises(ValueError, match="n must lie in 1..3037000500"):
             chung_lu_weights(3_037_000_501, 2, 1.5)
 
+    @pytest.mark.parametrize(
+        "n, d, b",
+        [(1000, 1e306, 1.5), (100, 2.0, 1e-3), (10, math.inf, 1.5),
+         (10, math.nan, 1.5)],
+    )
+    def test_weights_beyond_the_float_range_are_refused_silently(self, n, d, b):
+        """A weight or a weight sum that is not a finite float names d and b,
+        with no numpy warning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"d={d} and b={b}")):
+                chung_lu_weights(n, d, b)
+
 
 class TestGenerateChungLu:
     def test_deterministic_in_seed(self):
@@ -227,6 +243,15 @@ class TestGenerateChungLu:
         for seed in range(10):
             g = generate_chung_lu(w, rng_seed=seed)
             assert [0, 1] in g.edges.tolist()
+
+    def test_overflowing_pair_products_give_the_exact_graph_silently(self):
+        """Weights near 1e200 overflow every product w_i * w_j, but each
+        pair's probability min(1, w_i * w_j / total) is 1 anyway."""
+        weights = chung_lu_weights(50, 1e200, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = generate_chung_lu(weights, rng_seed=3)
+        assert g.edge_count == 50 * 49 // 2
 
     def test_two_node_edge_probability(self):
         # ranks give w = [2, 1], so the single pair appears w.p. 2/3
@@ -391,7 +416,7 @@ class TestEdgeListFiles:
         f = tmp_path / "g.txt"
         f.write_text("alice bob\nbob carol\n")
         g = load_edge_list(f)
-        assert g.external_ids == ["alice", "bob", "carol"]
+        assert g.node_count == 3
         assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_duplicates_and_self_loops_dropped_with_counts(self, tmp_path, caplog):
@@ -507,15 +532,15 @@ def write_snap_like(path, seed, pool, draws, long_share=0.0):
 
 
 def load_outcome(loader, path, caplog):
-    """What a loader makes of a file: its graph, ids, report and warnings,
-    or its error message."""
+    """What a loader makes of a file: its graph, report and warnings, or its
+    error message."""
     caplog.clear()
     try:
         g = loader(path)
     except EdgeListFormatError as exc:
         return "error", str(exc)
     warnings = [r.getMessage() for r in caplog.records]
-    return g.node_count, g.edges.tolist(), g.external_ids, g.source_report, warnings
+    return g.node_count, g.edges.tolist(), g.source_report, warnings
 
 
 # pieces of the random edge-list files: ids that differ only by leading
@@ -579,7 +604,7 @@ class TestLoaderMatchesPerLineOracle:
         with caplog.at_level(logging.WARNING):
             got = load_outcome(load_edge_list, path, caplog)
             want = load_outcome(load_edge_list_per_line, path, caplog)
-        assert got[0] > 20000 and got[3].duplicates_dropped > 50000
+        assert got[0] > 20000 and got[2].duplicates_dropped > 50000
         assert got == want
 
     def test_snap_file_with_ids_of_several_key_widths(self, tmp_path, caplog):
@@ -590,7 +615,9 @@ class TestLoaderMatchesPerLineOracle:
         with caplog.at_level(logging.WARNING):
             got = load_outcome(load_edge_list, path, caplog)
             want = load_outcome(load_edge_list_per_line, path, caplog)
-        widths = collections.Counter((len(t) + 8) // 8 for t in got[2])
+        tokens = {t for line in path.read_text().splitlines()
+                  if not line.startswith("#") for t in line.split()}
+        widths = collections.Counter((len(t) + 8) // 8 for t in tokens)
         assert widths[1] > 1000 and widths[2] > 1000 and widths[3] > 100
         assert got == want
 
@@ -863,3 +890,18 @@ class TestEdgeListCache:
         finally:
             tracemalloc.stop()
         assert peaks[1] < peaks[0]
+
+    def test_hit_holds_little_beyond_the_edges(self, tmp_path):
+        """Once a hit returns, what it still holds is the graph's edge array
+        and a small fixed amount besides: nothing per node outlives it."""
+        path = tmp_path / "snap.txt"
+        write_snap_like(path, seed=806, pool=30000, draws=84000)
+        load_edge_list(path)
+        tracemalloc.start()
+        try:
+            g = load_edge_list(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert g.node_count > 20000
+        assert held <= g.edges.nbytes + 64 * 1024
