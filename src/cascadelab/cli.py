@@ -40,7 +40,12 @@ from .graph import (
     load_edge_list,
 )
 from .percolation import DegenerateConditioningError, record_worlds, world_blocks
-from .privacy import MechanismSpec, comparison_tvd, wasserstein_mechanism_scale
+from .privacy import (
+    MechanismSpec,
+    comparison_tvd,
+    mechanism_error_quantile,
+    wasserstein_mechanism_scale,
+)
 from .seeding import child_seed
 
 logger = logging.getLogger(__name__)
@@ -490,11 +495,16 @@ def cmd_attack(cfg: dict, out_dir: Path, cfg_hash: int) -> int:
         fixed = _number(fixed, "decision_threshold")
         if not 0.0 < fixed < g.node_count:
             raise ConfigError("decision_threshold must lie in (0, n)")
+    mechanism = _mechanism(cfg)
+    if not np.isfinite(mechanism_error_quantile(mechanism, g.node_count)):
+        raise ConfigError(
+            f"mechanism scale {mechanism.scale!r} makes its error quantile overflow"
+        )
     evaluation = evaluate_attack(
         g,
         q,
         _count(cfg, "s", hi=g.node_count),
-        _mechanism(cfg),
+        mechanism,
         _numbers(cfg["floors"], "floors"),
         _count(cfg, "trials"),
         child_seed(master, _STREAM_ATTACK),

@@ -78,11 +78,11 @@ class EdgeListReport(NamedTuple):
 class Graph:
     """Undirected simple graph on dense node ids 0..node_count-1.
 
-    Edges are held as an (m, 2) int64 array with u < v in every row, sorted
-    lexicographically. node_count may be at most 3,037,000,500, so that an
-    edge's sort key u * node_count + v fits in an int64. Instances are
-    treated as immutable after construction and can be shared freely
-    across threads.
+    Edges are held as one C-contiguous, read-only (2, m) int64 array of
+    endpoint rows, u < v in every column and columns in lexicographic order;
+    `edges` is its column-major (m, 2) view, whose `.T` the trial engine
+    reads in place. node_count is at most 3,037,000,500, so that an edge's
+    sort key u * node_count + v fits in an int64. Instances are immutable.
     """
 
     def __init__(
@@ -94,7 +94,12 @@ class Graph:
         node_count = int(node_count)
         if not 1 <= node_count <= _MAX_NODES:
             raise ValueError(f"node_count must lie in 1..{_MAX_NODES}")
+        edges = np.asarray(edges)
+        # an empty list reads as float64
+        if edges.size and edges.dtype.kind not in "iu":
+            raise ValueError(f"edge endpoints must be integers, not {edges.dtype}")
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        rows = np.empty((2, len(edges)), dtype=np.int64)
         if edges.size:
             if edges.min() < 0 or edges.max() >= node_count:
                 raise ValueError("edge endpoint outside 0..node_count-1")
@@ -106,15 +111,15 @@ class Graph:
             # one int64 key per edge sorts as (lo, hi) does
             key = lo * node_count + hi
             if (key[1:] > key[:-1]).all():  # already sorted and distinct
-                edges = np.column_stack((lo, hi))
+                rows[0], rows[1] = lo, hi
             else:
                 key.sort()
                 if (np.diff(key) == 0).any():
                     raise ValueError("duplicate edges are not allowed")
-                edges = np.empty((key.size, 2), dtype=np.int64)
-                np.divmod(key, node_count, out=(edges[:, 0], edges[:, 1]))
+                np.divmod(key, node_count, out=(rows[0], rows[1]))
+        rows.flags.writeable = False
         self.node_count = node_count
-        self.edges = edges
+        self.edges = rows.T
         self.source_report = source_report
 
     @property
@@ -124,7 +129,7 @@ class Graph:
     @cached_property
     def degrees(self) -> np.ndarray:
         """Per-node degree; sums to 2 * edge_count."""
-        return np.bincount(self.edges.ravel(), minlength=self.node_count)
+        return np.bincount(self.edges.ravel("K"), minlength=self.node_count)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

@@ -14,8 +14,8 @@ own, and each block hands its rows' release states to the caller. It
 labels a block as one disjoint union of its worlds by hook-and-jump: a
 small world costs mostly per-call overhead, which the block pays once, and
 a round that merges few edges jumps only the roots it hooked. The union's
-edges are two C-contiguous endpoint rows, built once per call before the
-first block, and its first labeling starts from the identity forest
+edges are two C-contiguous endpoint rows built once per call, the graph's
+own for a lone world; its first labeling starts from the identity forest
 without gathering through it. Given a grid of q, it draws each trial's
 coins once and labels the block at every q, merging only the edges each q
 admits beyond the one before. Three consumers fold blocks, by integer sums
@@ -409,12 +409,11 @@ def world_blocks(
         raise ValueError("trials must be >= 1")
     n, m = g.node_count, g.edge_count
     size = min(trials, max(1, _BLOCK_NODES // n))
-    # two C-contiguous endpoint rows (also for a lone world) that are
-    # trial-major, so a shorter last block reads a prefix of each; a
-    # broadcast add alone would leave them strided, and compress 3x slower
-    union = np.empty((2, size, m), dtype=np.int64)
-    np.add(g.edges.T[:, None, :], np.arange(0, size * n, n)[:, None], out=union)
-    union = union.reshape(2, -1)
+    # two C-contiguous endpoint rows that are trial-major, so a shorter last
+    # block reads a prefix of each; a lone world reads the graph's own rows
+    union = g.edges.T
+    if size > 1:
+        union = (union[:, None, :] + np.arange(0, size * n, n)[:, None]).reshape(2, -1)
     walk = np.argsort(grid, kind="stable").tolist()
     rng = rng_from_seed(0)  # reset to each stream's state before each draw
     plan = trial_streams(rng_seed, trials, (0,) if s is None else (0, 1, 2), size)

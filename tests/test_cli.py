@@ -678,6 +678,8 @@ class TestErrorPaths:
             ("attack", {"mechanism": {"kind": "laplace", "scale": math.nan}}, []),
             # w_scale / epsilon overflows to inf
             ("audit", {"epsilon": 1e-320}, []),
+            # the Laplace error quantile, scale * log(1000), overflows to inf
+            ("attack", {"mechanism": {"kind": "laplace", "scale": 1e308}}, []),
             (
                 "audit",
                 {"mechanism": {"kind": "laplace", "scale": 5.0, "clamp": "no"}},
@@ -776,6 +778,7 @@ class TestErrorPaths:
             "audit-mechanism-scale-nan",
             "attack-mechanism-scale-nan",
             "audit-epsilon-overflows-laplace-scale",
+            "attack-laplace-error-quantile-overflows",
             "audit-mechanism-clamp-string",
             "gen-edge-list-path-int",
             "gen-edge-list-path-directory",
@@ -841,6 +844,22 @@ class TestErrorPaths:
         assert err.startswith("config error:")
         assert "Traceback" not in err
         assert not any(out.iterdir())
+
+    def test_overflowing_error_quantile_is_refused_before_any_world(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def drawn(*args, **kwargs):
+            raise AssertionError("a world was drawn")
+
+        monkeypatch.setattr(cascadelab.cli, "evaluate_attack", drawn)
+        config = write_config(
+            tmp_path,
+            graph={"kind": "er", "n": 300, "p": 5 / 299, "seed": 40},
+            mechanism={"kind": "laplace", "scale": 1e308},
+        )
+        rc = main(["attack", "--config", config, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "mechanism scale 1e+308" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, name", [("gen", "graph.txt"), ("components", "components.csv")]

@@ -86,6 +86,22 @@ class TestGraph:
         for rows in (given, given[::-1], given[:, ::-1], given[:0]):
             assert Graph(4, rows).edges.dtype is np.dtype(np.int64)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0.5, 1.9], [1.2, 2.7]], [[0.0, 1.0]], [[0, math.nan]], [[True, False]]],
+        ids=["fractions", "whole-floats", "nan", "bools"],
+    )
+    def test_rejects_endpoints_without_an_integer_dtype(self, rows):
+        """Endpoints are not truncated or cast: (0.5, 1.9) would read as
+        (0, 1), and (True, False) as (1, 0)."""
+        with pytest.raises(ValueError, match="must be integers"):
+            Graph(4, rows)
+
+    def test_empty_edges_of_any_dtype_give_no_edges(self):
+        for rows in ([], np.empty((0, 2)), np.empty(0, dtype=bool)):
+            g = Graph(3, rows)
+            assert g.edges.shape == (0, 2) and g.edges.dtype is np.dtype(np.int64)
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph(3, [[1, 1]])

@@ -15,8 +15,17 @@ import pytest
 from scipy import sparse, stats
 from scipy.sparse import csgraph
 
+from cascadelab import graph as graph_module
 from cascadelab import percolation, seeding
-from cascadelab.graph import Graph, chung_lu_weights, generate_chung_lu, generate_er
+from cascadelab.attack import evaluate_attack
+from cascadelab.graph import (
+    Graph,
+    chung_lu_weights,
+    dump_edge_list,
+    generate_chung_lu,
+    generate_er,
+    load_edge_list,
+)
 from cascadelab.percolation import (
     DegenerateConditioningError,
     _draw_seeds,
@@ -24,6 +33,7 @@ from cascadelab.percolation import (
     record_worlds,
     world_blocks,
 )
+from cascadelab.privacy import MechanismSpec
 from cascadelab.seeding import child_seed, rng_from_seed
 
 from oracles import (
@@ -532,6 +542,65 @@ class TestEndpointRows:
             assert sum(part.shape[1] for part in parts) == edges.shape[1]
 
 
+class TestGraphRows:
+    """`Graph` keeps its edges as one C-contiguous, read-only (2, m) array of
+    endpoint rows, and a lone world labels those rows in place."""
+
+    def test_a_lone_world_labels_the_graphs_own_rows(self, monkeypatch):
+        n = percolation._BLOCK_NODES // 2 + 1
+        g = generate_er(n, 2 / n, rng_seed=child_seed(41, 3))
+        seen = []
+        admitted = percolation._admitted
+
+        def spy(edges, *args):
+            seen.append(edges)
+            return admitted(edges, *args)
+
+        monkeypatch.setattr(percolation, "_admitted", spy)
+        record_worlds(g, 0.5, None, 3, 42)
+        assert len(seen) == 3
+        for edges in seen:
+            assert edges.shape == (2, g.edge_count)
+            assert np.shares_memory(edges, g.edges)
+
+    @pytest.fixture(params=["er", "chung-lu", "file-miss", "file-hit"])
+    def graph(self, request, tmp_path, monkeypatch):
+        """A generated graph, or a dumped one loaded once (a cache miss) or
+        twice (the second load a hit)."""
+        if request.param == "er":
+            return generate_er(300, 0.02, rng_seed=child_seed(41, 0))
+        if request.param == "chung-lu":
+            weights = chung_lu_weights(300, 2.0, 1.5)
+            return generate_chung_lu(weights, rng_seed=child_seed(41, 1))
+        path = tmp_path / "g.txt"
+        dump_edge_list(generate_er(300, 0.02, rng_seed=child_seed(41, 2)), path)
+        parses, parse = [], graph_module._parse_edge_list
+        monkeypatch.setattr(
+            graph_module, "_parse_edge_list", lambda *a: parses.append(a) or parse(*a)
+        )
+        g = load_edge_list(path)
+        if request.param == "file-hit":
+            g = load_edge_list(path)
+        assert len(parses) == 1
+        return g
+
+    def test_rows_are_contiguous_read_only_and_kept(self, monkeypatch, graph):
+        """Whether generated, parsed or read from the cache, the rows are
+        C-contiguous and refuse writes, and drawing worlds, each labeled
+        alone on those rows, leaves them as they were."""
+        g = graph
+        assert g.edge_count > 0
+        assert g.edges.T.flags.c_contiguous
+        before = g.edges.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            g.edges[0, 0] = 1
+        monkeypatch.setattr(percolation, "_BLOCK_NODES", 1)
+        record_worlds(g, 0.6, 1, 20, 43)
+        spec = MechanismSpec("laplace", scale=2.0)
+        evaluate_attack(g, 0.6, 1, spec, [0.5], 20, 44, g.node_count / 2)
+        assert np.array_equal(g.edges, before)
+
+
 # the chase branch with its final full pass deleted, so that nodes below a
 # hooked root keep pointing at it; merging a chain of stars with it leaves a
 # crossing edge whose hook lowers nothing, round after round
@@ -837,6 +906,45 @@ class TestWorlds:
         }[estimator]
         peaks = [traced_peak(lambda: run(t)) for t in (1, 4)]
         assert peaks[1] <= 1.02 * peaks[0]
+
+
+@pytest.fixture(scope="module")
+def chung_lu_1e5():
+    weights = chung_lu_weights(10**5, 2.0, 1.5)
+    return generate_chung_lu(weights, rng_seed=child_seed(45, 0))
+
+
+class TestWorldsAtScale:
+    """`world_blocks` at n = 10^5, where every world is labeled alone on the
+    graph's own rows, against scipy's csgraph labeling of the same worlds.
+    At both q the first round jumps every entry and later rounds chase the
+    hooked roots, so both branches of the labeler's cut-off run."""
+
+    @pytest.mark.parametrize("s", [None, 1], ids=["seedless", "one-seed"])
+    @pytest.mark.parametrize("q", [0.3, 0.9])
+    def test_scipy_labels_each_world(self, chung_lu_1e5, q, s):
+        g = chung_lu_1e5
+        n, trials = g.node_count, 4
+        assert n > percolation._BLOCK_NODES // 2
+        blocks = list(world_blocks(g, q, 46, trials, s))
+        assert [b.start for b in blocks] == list(range(trials))
+        for t, block in enumerate(blocks):
+            assert block.trial_seeds == [child_seed(46, t)]
+            retained = percolate(g, q, child_seed(child_seed(46, t), 0))
+            u, v = retained.T
+            mat = sparse.csr_matrix((np.ones(u.size), (u, v)), shape=(n, n))
+            _, raw = csgraph.connected_components(mat, directed=False)
+            first_member = np.unique(raw, return_index=True)[1]
+            sizes = np.bincount(raw)
+            assert np.array_equal(block.root[0], first_member[raw])
+            assert block.giant_root[0] == first_member[np.argmax(sizes)]
+            assert block.giant_size[0] == sizes.max()
+            assert block.second_size[0] == np.sort(sizes)[-2]
+            if s is None:
+                assert block.counts is None
+            else:
+                reached = np.unique(raw[block.seeds[0]])
+                assert block.counts[0] == sizes[reached].sum()
 
 
 class TestCoupledWorlds:
