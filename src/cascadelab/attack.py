@@ -80,7 +80,9 @@ def evaluate_attack(
     Precision at a floor is the mean per-node accuracy over the nodes it
     would predict; rounds whose top components tie count as giant-inactive
     truth, matching the calibration split. `s` must be at least 1: every
-    round scores the activations its seeds caused.
+    round scores the activations its seeds caused. A mechanism whose error
+    quantile (`max_mechanism_error`) is not finite is refused before any
+    world is drawn.
     """
     floors = [float(f) for f in floors]
     if not floors:
@@ -91,6 +93,10 @@ def evaluate_attack(
         threshold = float(decision_threshold)
         if not 0.0 < threshold < g.node_count:
             raise ValueError("decision_threshold must lie in (0, node_count)")
+    n = g.node_count
+    max_error = mechanism_error_quantile(spec, n)
+    if not np.isfinite(max_error):
+        raise ValueError(f"the error quantile of {spec!r} is not finite")
     cal_seed = child_seed(rng_seed, 1)
     eval_seed = child_seed(rng_seed, 2)
     calibration = record_worlds(g, q, s, trials, child_seed(cal_seed, 0))
@@ -103,7 +109,7 @@ def evaluate_attack(
     else:
         inactive_max = active_min = float("nan")
         tie_trials = 0
-    n = g.node_count
+    del calibration  # free its bits, one per node and trial, before evaluating
     status_hits = 0
     correct = np.zeros(n, dtype=np.int64)
     rng = rng_from_seed(0)  # set to each trial's release state in turn
@@ -139,7 +145,7 @@ def evaluate_attack(
         floors=stats,
         per_node_accuracy=per_node_accuracy,
         decision_threshold=threshold,
-        max_mechanism_error=mechanism_error_quantile(spec, n),
+        max_mechanism_error=max_error,
         membership=membership,
         inactive_max=inactive_max,
         active_min=active_min,

@@ -82,7 +82,11 @@ class Graph:
     endpoint rows, u < v in every column and columns in lexicographic order;
     `edges` is its column-major (m, 2) view, whose `.T` the trial engine
     reads in place. node_count is at most 3,037,000,500, so that an edge's
-    sort key u * node_count + v fits in an int64. Instances are immutable.
+    sort key u * node_count + v fits in an int64. Every source, these pairs
+    included, hands its edges over as ascending keys to one private
+    constructor, `_from_keys`, which holds every check, so a generated graph
+    or a cache entry is trusted no more than a caller's pairs. Instances are
+    immutable; a pickled or copied one is rebuilt from its keys.
     """
 
     def __init__(
@@ -92,35 +96,43 @@ class Graph:
         source_report: EdgeListReport | None = None,
     ):
         node_count = int(node_count)
-        if not 1 <= node_count <= _MAX_NODES:
-            raise ValueError(f"node_count must lie in 1..{_MAX_NODES}")
         edges = np.asarray(edges)
         # an empty list reads as float64
         if edges.size and edges.dtype.kind not in "iu":
             raise ValueError(f"edge endpoints must be integers, not {edges.dtype}")
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        rows = np.empty((2, len(edges)), dtype=np.int64)
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= node_count:
-                raise ValueError("edge endpoint outside 0..node_count-1")
-            lo, hi = edges[:, 0], edges[:, 1]
-            if not (lo < hi).all():
-                lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-                if (lo == hi).any():
-                    raise ValueError("self-loops are not allowed")
-            # one int64 key per edge sorts as (lo, hi) does
-            key = lo * node_count + hi
-            if (key[1:] > key[:-1]).all():  # already sorted and distinct
-                rows[0], rows[1] = lo, hi
-            else:
-                key.sort()
-                if (np.diff(key) == 0).any():
-                    raise ValueError("duplicate edges are not allowed")
-                np.divmod(key, node_count, out=(rows[0], rows[1]))
+        if edges.size and (edges.min() < 0 or edges.max() >= node_count):
+            raise ValueError("edge endpoint outside 0..node_count-1")
+        lo, hi = np.minimum(*edges.T), np.maximum(*edges.T)
+        if (lo == hi).any():
+            raise ValueError("self-loops are not allowed")
+        # _from_keys refuses a count outside 1.._MAX_NODES before any key
+        keys = np.sort(lo * np.clip(node_count, 1, _MAX_NODES) + hi)
+        vars(self).update(vars(Graph._from_keys(node_count, keys, source_report)))
+
+    @classmethod
+    def _from_keys(cls, node_count, keys, source_report=None) -> Graph:
+        """The graph whose edges are the ascending keys u * node_count + v."""
+        node_count = int(node_count)
+        if not 1 <= node_count <= _MAX_NODES:
+            raise ValueError(f"node_count must lie in 1..{_MAX_NODES}")
+        if keys.ndim != 1 or keys.dtype != np.int64:
+            raise ValueError(f"keys must be 1-D int64, not {keys.ndim}-D {keys.dtype}")
+        if keys.size and keys[0] < 0:
+            raise ValueError("edge endpoint outside 0..node_count-1")
+        if (keys[1:] <= keys[:-1]).any():
+            repeat = (keys[1:] == keys[:-1]).any()
+            raise ValueError(
+                "duplicate edges are not allowed" if repeat else "edge keys must ascend"
+            )
+        rows = np.empty((2, keys.size), dtype=np.int64)
+        np.divmod(keys, node_count, out=(rows[0], rows[1]))
+        if not (rows[0] < rows[1]).all():
+            raise ValueError("edge keys must hold u < v")
         rows.flags.writeable = False
-        self.node_count = node_count
-        self.edges = rows.T
-        self.source_report = source_report
+        g = cls.__new__(cls)
+        g.node_count, g.edges, g.source_report = node_count, rows.T, source_report
+        return g
 
     @property
     def edge_count(self) -> int:
@@ -139,6 +151,11 @@ class Graph:
         )
 
     __hash__ = None
+
+    def __reduce__(self):
+        u, v = self.edges.T
+        keys = u * self.node_count + v
+        return Graph._from_keys, (self.node_count, keys, self.source_report)
 
     def __repr__(self) -> str:
         return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
@@ -184,11 +201,11 @@ def generate_er(n: int, p: float, rng_seed: int) -> Graph:
         raise ValueError(f"n must lie in 1..{_MAX_NODES}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    edges = _sample_blocks(
+    keys = _sample_blocks(
         n, np.zeros(1, dtype=np.int64), np.full((1, 1), float(p)),
         lambda i, j: p, rng_from_seed(rng_seed),
     )
-    return Graph(n, edges)
+    return Graph._from_keys(n, keys)
 
 
 def chung_lu_weights(n: int, d: float, b: float) -> NodeWeights:
@@ -254,11 +271,11 @@ def generate_chung_lu(weights: NodeWeights, rng_seed: int) -> Graph:
     # a product w_i * w_j that overflows exceeds the finite total, so its
     # probability is 1 whether read as min(1, inf) or exactly
     with np.errstate(over="ignore"):
-        edges = _sample_blocks(
+        keys = _sample_blocks(
             weights.node_count, starts, np.minimum(1.0, np.outer(top, top) / total),
             lambda i, j: np.minimum(1.0, w[i] * w[j] / total), rng_from_seed(rng_seed),
         )
-    return Graph(weights.node_count, edges)
+    return Graph._from_keys(weights.node_count, keys)
 
 
 # least ratio of a Chung-Lu layer's weights to its heaviest one; a sparse
@@ -270,7 +287,7 @@ _CHUNK = 1 << 18
 
 
 def _sample_blocks(n, starts, bounds, prob, rng) -> np.ndarray:
-    """Edges, as an (m, 2) array, of a graph whose pairs are independent.
+    """Edge keys i * n + j (i < j), ascending, of a graph whose pairs are independent.
 
     Nodes 0..n-1 are cut into layers beginning at `starts`, and every pair
     of layers x <= y is a block whose pair probabilities `prob(i, j)` are
@@ -300,7 +317,7 @@ def _sample_blocks(n, starts, bounds, prob, rng) -> np.ndarray:
     keys = np.concatenate([shift + np.arange(shift.size), keys])
 
     # thin in chunks so the per-candidate temporaries stay bounded
-    edges = [np.empty((0, 2), dtype=np.int64)]
+    edges = [np.empty(0, dtype=np.int64)]
     for lo in range(0, keys.size, _CHUNK):
         part = keys[lo:lo + _CHUNK]
         blk = np.searchsorted(offset, part, side="right") - 1
@@ -309,8 +326,10 @@ def _sample_blocks(n, starts, bounds, prob, rng) -> np.ndarray:
             part - offset[blk], starts[la], starts[lb], sizes[lb], la == lb
         )
         keep = rng.random(part.size) < prob(i, j) / bound[blk]
-        edges.append(np.column_stack([i[keep], j[keep]]))
-    return np.concatenate(edges)
+        edges.append(i[keep] * n + j[keep])
+    edges = np.concatenate(edges)
+    edges.sort()  # in place: a sorted copy would raise the generator's peak
+    return edges
 
 
 def _block_pair(pos, row0, col0, width, same):
@@ -365,9 +384,11 @@ def load_edge_list(path) -> Graph:
     and when that variable holds a relative path, `~/.cache/cascadelab`),
     one entry per resolved path, under the SHA-256 of the file's bytes, the
     encoding they are decoded with, this module's source and numpy's
-    version, so a hit returns exactly what the parse gave. An entry that
-    cannot be read or written costs only the parse. Nothing evicts entries:
-    each distinct file leaves one, about the size of its edge array.
+    version, so a hit returns exactly what the parse gave. An entry holds one
+    int64 key per edge, half the size of the graph's edge array, and a hit
+    passes the same checks as any other source, so an entry that cannot be
+    read, written or trusted costs only the parse. Nothing evicts entries:
+    each distinct file leaves one.
 
     Raises:
         EdgeListFormatError: a line does not hold exactly two tokens, ids
@@ -425,17 +446,18 @@ def _cached_graph(entry: Path, key) -> Graph | None:
         if not np.array_equal(stored["key"], key):
             return None
         n, duplicates, self_loops = stored["counts"].tolist()
-        return Graph(n, stored["edges"], EdgeListReport(duplicates, self_loops))
+        report = EdgeListReport(duplicates, self_loops)
+        return Graph._from_keys(n, stored["keys"], report)
 
 
 def _store_graph(entry: Path, key, g: Graph) -> None:
     """Write `g` to `entry` under `key` in place of any older entry."""
     entry.parent.mkdir(parents=True, exist_ok=True)
     part = entry.with_name(f"{entry.name}.{os.getpid()}.part")
+    _, (n, keys, report) = g.__reduce__()
     try:
         with open(part, "wb") as f:
-            np.savez(f, key=key, counts=np.array([g.node_count, *g.source_report]),
-                     edges=g.edges)
+            np.savez(f, key=key, counts=np.array([n, *report]), keys=keys)
         os.replace(part, entry)
     finally:
         part.unlink(missing_ok=True)
@@ -510,8 +532,7 @@ def _parse_edge_list(path: Path, stream) -> Graph:
     del ids, lo, hi, key
     if n < 1:
         raise EdgeListFormatError(f"{path}: no nodes found")
-    report = EdgeListReport(duplicates, self_loops)
-    return Graph(n, np.column_stack(np.divmod(edges, n)), report)
+    return Graph._from_keys(n, edges, EdgeListReport(duplicates, self_loops))
 
 
 def _intern(windows, starts, lengths):
@@ -520,8 +541,9 @@ def _intern(windows, starts, lengths):
     `windows[i]` holds the 8 bytes from byte i on. Each token is read as a
     key of whole little-endian 8-byte words padded with at least one space,
     which no token holds, so equal keys are equal tokens; keys of one width
-    are sorted together. Returns each token's id and, per id, the index of
-    its first token.
+    are sorted together, by `np.lexsort` over their word columns when they
+    hold more than one word. Returns each token's id and, per id, the index
+    of its first token.
     """
     if not lengths.size:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -536,9 +558,9 @@ def _intern(windows, starts, lengths):
         else:
             members = np.flatnonzero(size == k)
             keys = _keys(windows, starts[members], lengths[members], k)
-        order = np.argsort(keys)
+        order = np.argsort(keys[:, 0]) if k == 1 else np.lexsort(keys.T)
         keys = keys[order]
-        runs = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        runs = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
         parts.append((order if members is None else members[order], runs))
         del members, keys
     # each run's first token, and the runs in first-seen order
@@ -556,19 +578,15 @@ def _intern(windows, starts, lengths):
 
 
 def _keys(windows, starts, lengths, k):
-    """Keys of k words for tokens of 8k - 8 to 8k - 1 bytes: the token's
-    bytes, then spaces."""
-    if k == 1:
-        keys, width = windows[starts], lengths
-    else:
-        word = 8 * np.arange(k)
-        keys = windows[starts[:, None] + word]
-        width = np.clip(lengths[:, None] - word, 0, 8)
+    """Keys of k words, one row per token, for tokens of 8k - 8 to 8k - 1
+    bytes: the token's bytes, then spaces."""
+    word = 8 * np.arange(k)
+    keys = windows[starts[:, None] + word]
     # the bytes from the token's end on become spaces
     keys ^= _SPACES
-    keys &= _LOW[width]
+    keys &= _LOW[np.clip(lengths[:, None] - word, 0, 8)]
     keys ^= _SPACES
-    return keys if k == 1 else keys.view(np.dtype((np.void, 8 * k))).ravel()
+    return keys
 
 
 def _canonical_ids(b, windows, starts, lengths, nodes):

@@ -1,11 +1,12 @@
 """Tests for the count-threshold attack and certified-vulnerable sets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cascadelab import attack, seeding
+from cascadelab import attack, percolation, seeding
 from cascadelab.attack import evaluate_attack
 from cascadelab.graph import (
     Graph,
@@ -247,6 +248,52 @@ class TestEvaluateAttack:
                     decision_threshold=threshold,
                 )
         assert derived == []
+
+    def test_refuses_an_error_quantile_that_is_not_finite_before_drawing(
+        self, monkeypatch
+    ):
+        """A Laplace scale of 1e308 overflows its error quantile: it is
+        refused before any world is drawn (it used to return
+        max_mechanism_error=inf after both passes)."""
+        calls = []
+        for module in (attack, percolation):
+            monkeypatch.setattr(module, "world_blocks", lambda *a, **k: calls.append(a))
+        g = generate_er(300, 0.01, rng_seed=1)
+        spec = MechanismSpec(kind="laplace", scale=1e308)
+        for threshold in [None, 150.0]:
+            with pytest.raises(ValueError, match="not finite"):
+                evaluate_attack(
+                    g, 0.5, 1, spec, floors=[0.5], trials=20, rng_seed=3,
+                    decision_threshold=threshold,
+                )
+        assert calls == []
+
+    def test_evaluation_holds_no_calibration_bits(self, monkeypatch):
+        """The calibration record keeps one bit per node and trial, more
+        here than a whole evaluation block. Once its membership and split
+        are read it is freed, so what is held while each evaluation block
+        is scored stays below those bits."""
+        n, trials = 16384, 800
+        g = generate_er(n, 1 / (n - 1), rng_seed=5)
+        held, blocks = [], attack.world_blocks
+
+        def measured(*args):
+            for block in blocks(*args):
+                held.append(tracemalloc.get_traced_memory()[0])
+                yield block
+
+        monkeypatch.setattr(attack, "world_blocks", measured)
+        spec = MechanismSpec(kind="laplace", scale=1.0)
+        tracemalloc.start()
+        try:
+            evaluate_attack(
+                g, 0.3, 1, spec, floors=[0.5], trials=trials, rng_seed=7,
+                decision_threshold=n / 4,
+            )
+        finally:
+            tracemalloc.stop()
+        assert len(held) == trials
+        assert max(held) < trials * n // 8
 
     @pytest.mark.parametrize("trials", [1, 1024])
     def test_derives_streams_once_per_chunk_per_pass(self, monkeypatch, trials):

@@ -1,6 +1,7 @@
 """Tests for graph construction, generators, and edge-list files."""
 
 import collections
+import copy
 import logging
 import math
 import os
@@ -16,6 +17,7 @@ from scipy import stats
 
 from cascadelab import graph as graph_module
 from cascadelab.graph import (
+    _MAX_NODES,
     _WHITESPACE,
     EdgeListFormatError,
     EdgeListReport,
@@ -31,6 +33,20 @@ from cascadelab.graph import (
 from cascadelab.seeding import child_seed
 
 from oracles import adjacency, chung_lu_expected_edges, load_edge_list_per_line
+
+# (node_count, keys) that `Graph._from_keys` refuses; on 4 nodes the keys
+# u * 4 + v of the edges are 1, 2, 3, 6, 7 and 11
+REFUSED_KEYS = {
+    "unsorted": (4, np.array([6, 1])),
+    "repeated": (4, np.array([1, 6, 6])),
+    "negative": (4, np.array([-3, 1])),  # divmod reads -3 as (-1, 1)
+    "u-after-v": (4, np.array([1, 4])),
+    "self-loop": (4, np.array([1, 5])),
+    "float": (4, np.array([1.0, 6.0])),
+    "2-D": (4, np.array([[1, 6]])),
+    "no-nodes": (0, np.array([], dtype=np.int64)),
+    "too-many-nodes": (_MAX_NODES + 1, np.array([1])),
+}
 
 
 class TestGraph:
@@ -51,8 +67,8 @@ class TestGraph:
             assert g.edges.tolist() == [list(p) for p in pairs]
 
     def test_sorted_shuffled_and_flipped_rows_give_one_graph(self):
-        """Rows already in canonical order skip the sort; every other order
-        and orientation of the same edges gives equal `edges`."""
+        """Every order and orientation of the same edges gives equal
+        `edges`."""
         canonical = Graph(60, generate_er(60, 0.2, rng_seed=4).edges).edges
         rng = np.random.default_rng(6)
         flipped = canonical.copy()
@@ -128,6 +144,33 @@ class TestGraph:
         assert g.edges.tolist() == [[0, 1], [top - 2, top - 1]]
         with pytest.raises(ValueError, match="node_count"):
             Graph(top + 1, [[top - 1, top]])
+        # counts beyond int64 are refused as well, not overflowed
+        for count, rows in ((10**20, [[0, 1]]), (-(10**20), [])):
+            with pytest.raises(ValueError, match="node_count"):
+                Graph(count, rows)
+
+    def test_from_keys_is_the_graph_of_the_pairs(self):
+        g = Graph._from_keys(4, np.array([1, 6, 11]), EdgeListReport(1, 0))
+        assert g == Graph(4, [[2, 3], [0, 1], [2, 1]])
+        assert g.source_report == EdgeListReport(1, 0)
+        assert not g.edges.flags.writeable
+
+    @pytest.mark.parametrize("case", REFUSED_KEYS)
+    def test_from_keys_refuses_what_no_graph_holds(self, case):
+        node_count, keys = REFUSED_KEYS[case]
+        with pytest.raises(ValueError):
+            Graph._from_keys(node_count, keys)
+
+    @pytest.mark.parametrize("round_trip", ["pickle", "deepcopy"])
+    def test_copies_keep_their_rows_read_only(self, round_trip):
+        g = Graph(5, [[0, 1], [3, 4], [1, 3]], EdgeListReport(2, 1))
+        if round_trip == "pickle":
+            got = pickle.loads(pickle.dumps(g))
+        else:
+            got = copy.deepcopy(g)
+        assert got == g and got.source_report == g.source_report
+        assert not got.edges.flags.writeable
+        assert got.edges.dtype is np.dtype(np.int64)
 
     def test_degrees_sum_to_twice_edges(self):
         g = generate_er(60, 0.1, rng_seed=3)
@@ -845,6 +888,33 @@ class TestEdgeListCache:
             message = f"{path}:3: expected two node ids, found 3 tokens"
             assert str(raised.value) == message
         assert cache_entries(cache_home) == []
+
+    @pytest.mark.parametrize("case", REFUSED_KEYS)
+    def test_entry_holding_keys_no_graph_holds_is_a_miss(
+        self, tmp_path, cache_home, monkeypatch, caplog, case
+    ):
+        """An entry stored under the right key is still checked as any
+        input is: keys a graph refuses cost only the parse."""
+        path = tmp_path / "g.txt"
+        path.write_text("# nodes=4 edges=3\n0 1\n1 2\n2 3\n")
+        want = load_outcome(load_edge_list, path, caplog)
+        [entry] = cache_entries(cache_home)
+        with np.load(entry) as stored:
+            key = stored["key"]
+        node_count, keys = REFUSED_KEYS[case]
+        np.savez(entry, key=key, counts=np.array([node_count, 0, 0]), keys=keys)
+        parses = count_parses(monkeypatch)
+        assert load_outcome(load_edge_list, path, caplog) == want
+        assert parses == [path]
+
+    def test_entry_holds_one_key_per_edge(self, tmp_path, cache_home):
+        path = tmp_path / "g.txt"
+        path.write_text("a b\nc b\nc a\n")
+        load_edge_list(path)
+        [entry] = cache_entries(cache_home)
+        with np.load(entry) as stored:
+            assert sorted(stored.files) == ["counts", "key", "keys"]
+            assert stored["keys"].tolist() == [1, 2, 5]
 
     def test_one_entry_per_resolved_path(self, tmp_path, cache_home):
         path, other = tmp_path / "g.txt", tmp_path / "h.txt"
